@@ -106,7 +106,3 @@ class EventCatalog:
     @property
     def n_events(self) -> int:
         return len(self.intensities)
-
-    def events(self):
-        """Iterate (year, intensity) pairs in year order."""
-        return zip(self.event_years.tolist(), self.intensities.tolist())

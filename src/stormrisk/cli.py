@@ -47,6 +47,7 @@ from .io import (
     RunMode,
     parse_config,
     read_events_csv,
+    write_csv_rows,
     write_events_stream,
     write_series_stream,
 )
@@ -225,12 +226,10 @@ def _json_safe(v: float) -> float | None:
     return None if v is None or (isinstance(v, float) and math.isnan(v)) else v
 
 
-def _write_csv_rows(fh, header, rows) -> None:
-    import csv
-
-    writer = csv.writer(fh)
-    writer.writerow(header)
-    writer.writerows(rows)
+def _summary_values(summaries, names, count: int) -> np.ndarray:
+    """The float fields ``names`` of ``count`` summaries, one row per name."""
+    rows = ([getattr(s, name) for name in names] for s in summaries)
+    return np.fromiter(rows, dtype=(np.float64, len(names)), count=count).T
 
 
 # --- subcommands --------------------------------------------------------
@@ -249,6 +248,8 @@ _SUMMARY_COLUMNS = (
     "phi",
     "j_squared",
 )
+
+_TABLE1_FAMILIES = ("uniform", "gamma", "exponential", "lognormal", "gpd")
 
 _TABLE1_COLUMNS = (
     "family",
@@ -272,25 +273,26 @@ def _cmd_theory(args) -> ExitReport:
     if config.mode is not RunMode.THEORY:
         raise ConfigError(f"config.mode: expected 'theory', got {config.mode.value!r}")
     start, end = config.years
-    rows = []
-    for t in range(1, config.n_years + 1):
-        s = risk_summary(config.freq, config.sev, t)
-        rows.append(
-            [start + t - 1, t]
-            + [repr(getattr(s, c)) for c in _SUMMARY_COLUMNS[2:]]
-        )
+    index = range(1, config.n_years + 1)
+    summaries = (risk_summary(config.freq, config.sev, t) for t in index)
+    values = _summary_values(summaries, _SUMMARY_COLUMNS[2:], len(index))
     with _open_out(args.out) as (fh, on_stdout):
-        _write_csv_rows(fh, _SUMMARY_COLUMNS, rows)
+        write_csv_rows(
+            fh,
+            _SUMMARY_COLUMNS,
+            [range(start, end + 1), index, *values],
+            na_rep="nan",
+        )
     payload = {
         "mode": "theory",
         "config": _model_payload(config),
         "output": args.out,
-        "rows": len(rows),
+        "rows": len(index),
         "csv_on_stdout": on_stdout,
     }
     return ExitReport(
         ExitStatus.OK,
-        f"theory: wrote {len(rows)} yearly summaries over {start}-{end}",
+        f"theory: wrote {len(index)} yearly summaries over {start}-{end}",
         payload,
     )
 
@@ -303,16 +305,22 @@ def _theory_table1(args) -> ExitReport:
         shapes["lognormal"] = args.lognormal_sigma
     if args.gpd_shape is not None:
         shapes["gpd"] = args.gpd_shape
-    rows = []
-    for family in ("uniform", "gamma", "exponential", "lognormal", "gpd"):
-        shape = shapes.get(family)
-        s = table1_row(family, mu=1.0, lam=1.0, shape=shape)
-        rows.append(
-            [family, "" if shape is None else repr(shape)]
-            + [repr(getattr(s, c)) for c in _TABLE1_COLUMNS[2:]]
-        )
+    summaries = (
+        table1_row(family, mu=1.0, lam=1.0, shape=shapes.get(family))
+        for family in _TABLE1_FAMILIES
+    )
+    values = _summary_values(summaries, _TABLE1_COLUMNS[2:], len(_TABLE1_FAMILIES))
+    shape_cells = [
+        "" if shapes.get(family) is None else repr(shapes[family])
+        for family in _TABLE1_FAMILIES
+    ]
     with _open_out(args.out) as (fh, on_stdout):
-        _write_csv_rows(fh, _TABLE1_COLUMNS, rows)
+        write_csv_rows(
+            fh,
+            _TABLE1_COLUMNS,
+            [_TABLE1_FAMILIES, shape_cells, *values],
+            na_rep="nan",
+        )
     payload = {
         "mode": "theory",
         "table1": True,

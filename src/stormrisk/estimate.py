@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.stats import norm
 
 from .catalog import EventCatalog
 
@@ -122,6 +121,14 @@ class CorrelationSeries:
         return len(self.years)
 
 
+def _normal_quantile(p: float) -> float:
+    """Standard normal quantile.  SciPy is imported on first use: it is
+    most of the package's import time, and only the intervals need it."""
+    from scipy.stats import norm
+
+    return float(norm.ppf(p))
+
+
 def fisher_interval(rho: float, n: int, level: float = 0.95) -> tuple[float, float]:
     """Approximate confidence interval for a Pearson correlation.
 
@@ -135,7 +142,7 @@ def fisher_interval(rho: float, n: int, level: float = 0.95) -> tuple[float, flo
         raise ValueError(f"need at least 4 pairs, got {n}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
-    q = norm.ppf(0.5 * (1.0 + level))
+    q = _normal_quantile(0.5 * (1.0 + level))
     half_width = q / math.sqrt(n - 3)
     z = math.atanh(rho)
     return math.tanh(z - half_width), math.tanh(z + half_width)
@@ -144,7 +151,7 @@ def fisher_interval(rho: float, n: int, level: float = 0.95) -> tuple[float, flo
 def _fisher_bounds_array(
     rho: np.ndarray, n: np.ndarray, level: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    q = norm.ppf(0.5 * (1.0 + level))
+    q = _normal_quantile(0.5 * (1.0 + level))
     with np.errstate(invalid="ignore", divide="ignore"):
         ok = np.isfinite(rho) & (np.abs(rho) < 1.0) & (n >= 4)
         z = np.where(ok, np.arctanh(np.where(ok, rho, 0.0)), np.nan)

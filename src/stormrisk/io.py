@@ -1,9 +1,11 @@
 """File formats: event-catalog CSV, long-run series CSV, JSON run config.
 
 Event CSV schema: header ``year,intensity``, one event per row, year an
-integer and intensity a positive decimal with ``.`` separator.  Rows may
-come in any order; years missing between the earliest and latest event
-are materialised with zero events.  UTF-8, LF or CRLF.
+integer in the signed 64-bit range and intensity a positive decimal
+with ``.`` separator.  Rows may come in any order; years missing between
+the earliest and latest event are materialised with zero events.
+UTF-8; read with LF, CRLF or CR line ends, written with CRLF as
+``csv.writer`` does.
 
 Series CSV schema: header
 ``t,e_n,e_s,e_x,phi,rho,rho_lo,rho_hi,j2phi``; undefined values are
@@ -18,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -45,6 +48,14 @@ __all__ = [
 
 SERIES_COLUMNS = ("t", "e_n", "e_s", "e_x", "phi", "rho", "rho_lo", "rho_hi", "j2phi")
 EVENT_COLUMNS = ("year", "intensity")
+_EVENT_DTYPE = np.dtype([("year", np.int64), ("intensity", np.float64)])
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+# Written CSVs end lines as csv.writer does.  Rows are formatted and
+# written in chunks of about this many cells (16384 event rows), which
+# keeps memory flat.
+_EOL = "\r\n"
+_CHUNK_CELLS = 32768
 
 
 class CatalogFormatError(ValueError):
@@ -89,15 +100,59 @@ class RunConfig:
 
 
 def read_events_csv(path) -> EventCatalog:
-    """Parse an event CSV into a catalog."""
+    """Parse an event CSV into a catalog.
+
+    The body is parsed in one bulk pass; any input that pass does not
+    accept cleanly goes through the line-by-line parser instead, so every
+    file is accepted or rejected exactly as by :func:`_read_events_lines`.
+    """
     path = Path(path)
+    body = _load_events_body(path)
+    if body is None:
+        return _read_events_lines(path)
+    return EventCatalog.from_events(body["year"], body["intensity"])
+
+
+def _is_event_header(row: list[str]) -> bool:
+    return [c.strip().lower() for c in row] == list(EVENT_COLUMNS)
+
+
+def _load_events_body(path: Path) -> np.ndarray | None:
+    """Event rows as a structured array, or None where the line parser
+    must decide: an unreadable file, a bad header, any parse error or
+    warning, no rows, or an intensity that is not positive and finite.
+
+    ``np.loadtxt`` accepts a subset of what the line parser accepts (no
+    quotes, underscores, non-ASCII digits or whitespace-only lines), and
+    parses the same decimal strings to the same doubles.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with path.open("r", encoding="utf-8-sig", newline="") as fh:
+                header = next(csv.reader(fh), None)
+                if header is None or not _is_event_header(header):
+                    return None
+                body = np.loadtxt(
+                    fh, delimiter=",", dtype=_EVENT_DTYPE, comments=None, ndmin=1
+                )
+    except (OSError, ValueError, csv.Error, Warning):
+        return None
+    x = body["intensity"]
+    if len(body) == 0 or not np.all((x > 0) & (x < np.inf)):
+        return None
+    return body
+
+
+def _read_events_lines(path: Path) -> EventCatalog:
+    """Line-by-line event CSV parser; errors name the offending line."""
     with path.open("r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise CatalogFormatError(f"{path}: empty file") from None
-        if [c.strip().lower() for c in header] != list(EVENT_COLUMNS):
+        if not _is_event_header(header):
             raise CatalogFormatError(
                 f"{path}: line 1: expected header 'year,intensity', got "
                 f"{','.join(header)!r}"
@@ -118,6 +173,11 @@ def read_events_csv(path) -> EventCatalog:
                 raise CatalogFormatError(
                     f"{path}: line {lineno}: year must be an integer, got {year_s!r}"
                 ) from None
+            if not _INT64_MIN <= year <= _INT64_MAX:
+                raise CatalogFormatError(
+                    f"{path}: line {lineno}: year must fit in a signed 64-bit "
+                    f"integer, got {year_s}"
+                )
             try:
                 x = float(x_s)
             except ValueError:
@@ -136,12 +196,37 @@ def read_events_csv(path) -> EventCatalog:
     return EventCatalog.from_events(years, intensities)
 
 
+def write_csv_rows(fh, header, columns, *, na_rep: str = "") -> None:
+    """Write a header and aligned columns as CSV, one chunk of rows at a time.
+
+    A float array column is written with ``repr``, the shortest string
+    that reads back to the same double, and NaN as ``na_rep``; every other
+    cell is written as ``str(cell)``.  Cells are written unquoted, so none
+    may contain ``,``, ``"`` or a line break, and lines end in CRLF: the
+    bytes are those ``csv.writer`` writes for the same cells.  Only about
+    ``_CHUNK_CELLS`` cells are held as strings at once.
+    """
+    fh.write(",".join(header) + _EOL)
+    step = max(1, _CHUNK_CELLS // len(columns))
+    for lo in range(0, len(columns[0]), step):
+        cells = [_format_cells(col[lo : lo + step], na_rep) for col in columns]
+        fh.write(_EOL.join(map(",".join, zip(*cells))) + _EOL)
+
+
+def _format_cells(part, na_rep: str) -> list[str]:
+    if not isinstance(part, np.ndarray):
+        return list(map(str, part))
+    if part.dtype.kind != "f":
+        return list(map(str, part.tolist()))
+    cells = list(map(repr, part.tolist()))
+    for i in np.flatnonzero(np.isnan(part)).tolist():
+        cells[i] = na_rep
+    return cells
+
+
 def write_events_stream(catalog: EventCatalog, fh) -> None:
     """Write a catalog as event CSV rows to an open text stream."""
-    writer = csv.writer(fh)
-    writer.writerow(EVENT_COLUMNS)
-    for year, x in catalog.events():
-        writer.writerow([year, repr(x)])
+    write_csv_rows(fh, EVENT_COLUMNS, [catalog.event_years, catalog.intensities])
 
 
 def write_events_csv(catalog: EventCatalog, path) -> None:
@@ -150,21 +235,13 @@ def write_events_csv(catalog: EventCatalog, path) -> None:
         write_events_stream(catalog, fh)
 
 
-def _format_cell(v: float) -> str:
-    return "" if math.isnan(v) else repr(float(v))
-
-
 def write_series_stream(series: LongRunSeries, fh) -> None:
     """Write a long-run series as CSV rows to an open text stream."""
-    writer = csv.writer(fh)
-    writer.writerow(SERIES_COLUMNS)
-    for i in range(len(series)):
-        row = [int(series.years[i])]
-        row += [
-            _format_cell(getattr(series, name)[i])
-            for name in LongRunSeries.column_names()[1:]
-        ]
-        writer.writerow(row)
+    write_csv_rows(
+        fh,
+        SERIES_COLUMNS,
+        [getattr(series, name) for name in LongRunSeries.column_names()],
+    )
 
 
 def write_series_csv(series: LongRunSeries, path) -> None:

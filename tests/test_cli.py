@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +165,16 @@ def test_analyze_malformed_csv(tmp_path):
     assert "line 2" in report.summary
 
 
+def test_analyze_year_outside_int64_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "big.csv"
+    bad.write_text("year,intensity\n2040,1.5\n99999999999999999999,2.0\n", encoding="utf-8")
+    assert main(["analyze", "--input", str(bad)]) == 2
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out.strip().splitlines()[-1])
+    assert "line 3" in payload["error"]
+    assert "Traceback" not in captured.err
+
+
 # --- verify ---------------------------------------------------------------------
 
 
@@ -242,6 +256,16 @@ def test_csv_on_stdout_when_out_omitted(tmp_path, capsys):
     assert captured.out.startswith("family,")
     # machine report suppressed when CSV occupies stdout
     assert "{" not in captured.out
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(sr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, stormrisk.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):

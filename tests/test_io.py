@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 
 import stormrisk as sr
-from stormrisk.io import CatalogFormatError, ConfigError
+from stormrisk.io import CatalogFormatError, ConfigError, write_csv_rows
 
 from helpers import stationary_config
 
@@ -87,6 +89,25 @@ def test_catalog_round_trip_preserves_events(tmp_path):
     assert np.array_equal(back.event_years, catalog.event_years)
     assert np.array_equal(back.intensities, catalog.intensities)
     assert np.array_equal(back.counts, catalog.counts)
+
+
+def test_csv_rows_match_csv_writer_across_chunks():
+    rng = np.random.default_rng(3)
+    n = 40_000
+    ints = rng.integers(-(2**62), 2**62, size=n)
+    floats = rng.lognormal(0.0, 30.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+    odd = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308]
+    floats[rng.integers(0, n, size=500)] = rng.choice(odd, size=500)
+    labels = [f"r{i % 7}" for i in range(n)]
+    fh = io.StringIO(newline="")
+    write_csv_rows(fh, ("i", "x", "y", "label"), [ints, floats, range(n), labels])
+
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(("i", "x", "y", "label"))
+    for row in zip(ints.tolist(), floats.tolist(), range(n), labels):
+        writer.writerow([row[0], "" if math.isnan(row[1]) else repr(row[1]), *row[2:]])
+    assert fh.getvalue() == expected.getvalue()
 
 
 # --- series CSV -----------------------------------------------------------------
