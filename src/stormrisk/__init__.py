@@ -12,14 +12,11 @@ __version__ = "0.1.0"
 
 from .catalog import EventCatalog
 from .estimate import (
-    CorrelationSeries,
     LongRunSeries,
     SeasonActivity,
-    expanding_correlation,
     fisher_interval,
     long_run_series,
     mailier_index,
-    moving_window_correlation,
     nx_independence,
     season_activity,
 )
@@ -33,8 +30,6 @@ from .frequency import (
 from .io import (
     CatalogFormatError,
     ConfigError,
-    RunConfig,
-    RunMode,
     parse_config,
     read_events_csv,
     read_series_csv,
@@ -43,16 +38,9 @@ from .io import (
 )
 from .riskmodel import (
     RiskSummary,
-    cor_ns,
-    cor_xs,
-    cov_ns,
-    cov_xs,
-    expected_aggregate,
     j_squared_from_correlation,
     risk_summary,
     table1_row,
-    variance_aggregate,
-    variance_aggregate_phi_form,
 )
 from .severity import (
     Family,
@@ -73,14 +61,11 @@ from .simulate import (
 __all__ = [
     "__version__",
     "EventCatalog",
-    "CorrelationSeries",
     "LongRunSeries",
     "SeasonActivity",
-    "expanding_correlation",
     "fisher_interval",
     "long_run_series",
     "mailier_index",
-    "moving_window_correlation",
     "nx_independence",
     "season_activity",
     "FrequencyModel",
@@ -90,24 +75,15 @@ __all__ = [
     "theoretical_dispersion",
     "CatalogFormatError",
     "ConfigError",
-    "RunConfig",
-    "RunMode",
     "parse_config",
     "read_events_csv",
     "read_series_csv",
     "write_events_csv",
     "write_series_csv",
     "RiskSummary",
-    "cor_ns",
-    "cor_xs",
-    "cov_ns",
-    "cov_xs",
-    "expected_aggregate",
     "j_squared_from_correlation",
     "risk_summary",
     "table1_row",
-    "variance_aggregate",
-    "variance_aggregate_phi_form",
     "Family",
     "Moments",
     "SeverityModel",

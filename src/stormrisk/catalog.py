@@ -14,6 +14,9 @@ import numpy as np
 
 __all__ = ["EventCatalog"]
 
+# Year offsets and per-year array lengths are int64.
+_MAX_YEARS = np.iinfo(np.int64).max
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -79,7 +82,12 @@ class EventCatalog:
                 raise ValueError(f"year_range must be increasing, got {year_range}")
             if len(years) and (years.min() < start or years.max() > end):
                 raise ValueError("events fall outside the requested year_range")
-        n_years = end - start + 1
+        n_years = end - start + 1  # a Python int: cannot overflow
+        if n_years > _MAX_YEARS:
+            raise ValueError(
+                f"event years {start} to {end} span {n_years} years, more "
+                f"than the {_MAX_YEARS} a catalog can index"
+            )
         order = np.argsort(years, kind="stable")
         years = years[order]
         intensities = intensities[order]

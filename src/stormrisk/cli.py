@@ -25,34 +25,26 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .estimate import (
-    long_run_series,
-    mailier_index,
-    moving_window_correlation,
-    nx_independence,
-    season_activity,
-    with_window_correlation,
-)
+from .estimate import long_run_series, mailier_index, nx_independence, season_activity
 from .io import (
     CatalogFormatError,
     ConfigError,
-    RunConfig,
-    RunMode,
     parse_config,
     read_events_csv,
     write_csv_rows,
     write_events_stream,
     write_series_stream,
 )
-from .riskmodel import j_squared_from_correlation, risk_summary, table1_row
+from .riskmodel import risk_summary, table1_row
 from .simulate import SimulationConfig, replicate_fixed_year, simulate_catalog
+from .verify import verification_checks
 
 __all__ = ["ExitStatus", "ExitReport", "run", "main"]
 
@@ -186,13 +178,14 @@ def _open_out(path):
             yield fh, False
 
 
-def _resolve_seed(config: RunConfig) -> int:
+def _with_seed(config: SimulationConfig) -> SimulationConfig:
+    """``config`` with its seed filled in from the environment if absent."""
     if config.seed is not None:
-        return config.seed
+        return config
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is not None:
         try:
-            return int(raw)
+            return replace(config, seed=int(raw))
         except ValueError:
             raise ConfigError(
                 f"{SEED_ENV_VAR}: expected an integer seed, got {raw!r}"
@@ -200,26 +193,6 @@ def _resolve_seed(config: RunConfig) -> int:
     raise ConfigError(
         f"config.seed: required (or set {SEED_ENV_VAR}) for this mode"
     )
-
-
-def _model_payload(config: RunConfig, seed=None) -> dict:
-    freq = config.freq
-    sev = config.sev
-    return {
-        "frequency": {
-            "link": freq.link.value,
-            "alpha0": freq.alpha0,
-            "alpha1": freq.alpha1,
-        },
-        "severity": {
-            "family": sev.family.value,
-            "beta0": sev.trend.beta0,
-            "beta1": sev.trend.beta1,
-            "shape": sev.shape,
-        },
-        "years": list(config.years),
-        "seed": seed,
-    }
 
 
 def _json_safe(v: float) -> float | None:
@@ -269,9 +242,8 @@ def _cmd_theory(args) -> ExitReport:
         return _theory_table1(args)
     if not args.config:
         raise ConfigError("theory: --config is required unless --table1 is given")
-    config = parse_config(args.config)
-    if config.mode is not RunMode.THEORY:
-        raise ConfigError(f"config.mode: expected 'theory', got {config.mode.value!r}")
+    # The closed forms draw nothing, so the report carries no seed.
+    config = replace(parse_config(args.config, "theory"), seed=None)
     start, end = config.years
     index = range(1, config.n_years + 1)
     summaries = (risk_summary(config.freq, config.sev, t) for t in index)
@@ -285,7 +257,7 @@ def _cmd_theory(args) -> ExitReport:
         )
     payload = {
         "mode": "theory",
-        "config": _model_payload(config),
+        "config": config.to_dict(),
         "output": args.out,
         "rows": len(index),
         "csv_on_stdout": on_stdout,
@@ -336,21 +308,13 @@ def _theory_table1(args) -> ExitReport:
 
 
 def _cmd_simulate(args) -> ExitReport:
-    config = parse_config(args.config)
-    if config.mode is not RunMode.SIMULATE:
-        raise ConfigError(
-            f"config.mode: expected 'simulate', got {config.mode.value!r}"
-        )
-    seed = _resolve_seed(config)
-    sim = SimulationConfig(
-        freq=config.freq, sev=config.sev, years=config.years, seed=seed
-    )
-    catalog = simulate_catalog(sim)
+    config = _with_seed(parse_config(args.config, "simulate"))
+    catalog = simulate_catalog(config)
     with _open_out(args.out) as (fh, on_stdout):
         write_events_stream(catalog, fh)
     payload = {
         "mode": "simulate",
-        "config": _model_payload(config, seed),
+        "config": config.to_dict(),
         "output": args.out,
         "n_events": catalog.n_events,
         "n_years": catalog.n_years,
@@ -359,7 +323,7 @@ def _cmd_simulate(args) -> ExitReport:
     return ExitReport(
         ExitStatus.OK,
         f"simulate: {catalog.n_events} events over {catalog.n_years} years "
-        f"(seed {seed})",
+        f"(seed {config.seed})",
         payload,
     )
 
@@ -368,10 +332,7 @@ def _cmd_analyze(args) -> ExitReport:
     if not 0.0 < args.level < 1.0:
         raise ConfigError(f"--level: must lie in (0, 1), got {args.level}")
     catalog = read_events_csv(args.input)
-    series = long_run_series(catalog, ci_level=args.level)
-    if args.window is not None:
-        windowed = moving_window_correlation(catalog, args.window, ci_level=args.level)
-        series = with_window_correlation(series, windowed)
+    series = long_run_series(catalog, ci_level=args.level, window=args.window)
 
     diagnostics: dict = {}
     try:
@@ -414,18 +375,8 @@ def _cmd_analyze(args) -> ExitReport:
     )
 
 
-def _batch_estimates(values_by_batch, statistic):
-    vals = [statistic(b) for b in values_by_batch]
-    vals = [v for v in vals if not math.isnan(v)]
-    if len(vals) < 2:
-        return math.nan
-    return float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
-
-
 def _cmd_verify(args) -> ExitReport:
-    config = parse_config(args.config)
-    if config.mode is not RunMode.VERIFY:
-        raise ConfigError(f"config.mode: expected 'verify', got {config.mode.value!r}")
+    config = parse_config(args.config, "verify")
     replicates = args.replicates if args.replicates is not None else config.replicates
     if replicates < 1000:
         raise ConfigError(
@@ -434,23 +385,16 @@ def _cmd_verify(args) -> ExitReport:
         )
     if args.sigma <= 0:
         raise ConfigError(f"--sigma: must be positive, got {args.sigma}")
-    seed = _resolve_seed(config)
+    config = _with_seed(replace(config, replicates=replicates))
     t = args.year if args.year is not None else (1 + config.n_years) // 2
     if not 1 <= t <= config.n_years:
         raise ConfigError(
             f"--year: must lie in [1, {config.n_years}], got {t}"
         )
 
-    sim = SimulationConfig(
-        freq=config.freq,
-        sev=config.sev,
-        years=config.years,
-        seed=seed,
-        replicates=replicates,
-    )
     summary = risk_summary(config.freq, config.sev, t)
-    ens = replicate_fixed_year(sim, t)
-    checks = _verification_checks(ens, summary, args.sigma)
+    ens = replicate_fixed_year(config, t)
+    checks = verification_checks(ens, summary, args.sigma)
 
     failed = [c for c in checks if not c["passed"]]
     status = ExitStatus.VERIFICATION_FAILURE if failed else ExitStatus.OK
@@ -467,7 +411,7 @@ def _cmd_verify(args) -> ExitReport:
     )
     payload = {
         "mode": "verify",
-        "config": _model_payload(config, seed),
+        "config": config.to_dict(),
         "replicates": replicates,
         "year_index": t,
         "sigma": args.sigma,
@@ -481,89 +425,6 @@ def _cmd_verify(args) -> ExitReport:
             json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8"
         )
     return ExitReport(status, "\n".join(lines), payload)
-
-
-def _verification_checks(ens, summary, sigma: float) -> list[dict]:
-    """Compare ensemble statistics with closed-form targets.
-
-    Standard errors come from batch means: the replicates are split into
-    independent batches, the statistic is computed per batch, and the
-    spread of the batch values estimates the sampling error of the
-    pooled statistic.
-    """
-    n = ens.counts.astype(np.float64)
-    s = ens.sums
-    n_batches = min(100, len(n) // 10)
-    idx = np.array_split(np.arange(len(n)), n_batches)
-    batches = [(n[i], s[i], ens.first_marks[i]) for i in idx]
-
-    def stat_mean_n(b):
-        return float(np.mean(b[0]))
-
-    def stat_var_n(b):
-        return float(np.var(b[0]))
-
-    def stat_mean_s(b):
-        return float(np.mean(b[1]))
-
-    def stat_var_s(b):
-        return float(np.var(b[1]))
-
-    def stat_cov_ns(b):
-        return float(np.mean(b[0] * b[1]) - np.mean(b[0]) * np.mean(b[1]))
-
-    def stat_cor_ns(b):
-        vn, vs = np.var(b[0]), np.var(b[1])
-        if vn <= 0 or vs <= 0:
-            return math.nan
-        return stat_cov_ns(b) / math.sqrt(vn * vs)
-
-    def stat_cov_xs(b):
-        mask = ~np.isnan(b[2])
-        if mask.sum() < 2:
-            return math.nan
-        x1, ss = b[2][mask], b[1][mask]
-        return float(np.mean(x1 * ss) - np.mean(x1) * np.mean(ss))
-
-    def stat_j_round_trip(b):
-        rho = stat_cor_ns(b)
-        mean_n = np.mean(b[0])
-        if math.isnan(rho) or not 0 < rho < 1 or mean_n <= 0:
-            return math.nan
-        phi = float(np.var(b[0]) / mean_n)
-        return j_squared_from_correlation(rho, phi)
-
-    full = (n, s, ens.first_marks)
-    check_defs = [
-        ("mean count", stat_mean_n, summary.e_n),
-        ("count variance", stat_var_n, summary.var_n),
-        ("mean aggregate (Wald)", stat_mean_s, summary.e_s),
-        ("aggregate variance (Blackwell-Girshick)", stat_var_s, summary.var_s),
-        ("count-aggregate covariance", stat_cov_ns, summary.cov_ns),
-        ("count-aggregate correlation", stat_cor_ns, summary.cor_ns),
-        ("intensity-aggregate covariance", stat_cov_xs, summary.var_x),
-        ("correlation-dispersion round trip", stat_j_round_trip, summary.j_squared),
-    ]
-    checks = []
-    for name, fn, target in check_defs:
-        estimate = fn(full)
-        se = _batch_estimates(batches, fn)
-        if math.isnan(estimate) or math.isnan(se):
-            passed = False
-        elif se == 0.0:
-            passed = estimate == target
-        else:
-            passed = abs(estimate - target) <= sigma * se
-        checks.append(
-            {
-                "name": name,
-                "estimate": estimate,
-                "target": float(target),
-                "se": se,
-                "passed": bool(passed),
-            }
-        )
-    return checks
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -32,12 +32,8 @@ from .catalog import EventCatalog
 
 __all__ = [
     "LongRunSeries",
-    "CorrelationSeries",
     "SeasonActivity",
     "long_run_series",
-    "expanding_correlation",
-    "moving_window_correlation",
-    "with_window_correlation",
     "fisher_interval",
     "nx_independence",
     "season_activity",
@@ -71,7 +67,8 @@ class LongRunSeries:
       the first event); satisfies ``e_n * e_x == e_s`` exactly
     * ``phi``: population variance of the counts over their mean
     * ``rho``, ``rho_lo``, ``rho_hi``: Pearson correlation of the
-      (count, aggregate) pairs and its approximate confidence bounds
+      (count, aggregate) pairs and its approximate confidence bounds,
+      over all years so far or over a trailing window
     * ``j2phi``: ``phi`` times the square of the pooled shape ratio
       ``e_x**2 / var_x``, the long-run diagnostic matched against its
       model value by the verification suite
@@ -98,24 +95,6 @@ class LongRunSeries:
     @staticmethod
     def column_names() -> tuple[str, ...]:
         return ("years", "e_n", "e_s", "e_x", "phi", "rho", "rho_lo", "rho_hi", "j2phi")
-
-    def __len__(self) -> int:
-        return len(self.years)
-
-
-@dataclass(frozen=True, eq=False)
-class CorrelationSeries:
-    """Pearson correlation of yearly (count, aggregate) pairs with
-    approximate confidence bounds, one row per cutoff or window end."""
-
-    years: np.ndarray
-    rho: np.ndarray
-    rho_lo: np.ndarray
-    rho_hi: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("years", "rho", "rho_lo", "rho_hi"):
-            _frozen(getattr(self, name))
 
     def __len__(self) -> int:
         return len(self.years)
@@ -191,15 +170,26 @@ def _expanding_rho(counts: np.ndarray, sums: np.ndarray) -> np.ndarray:
     return rho
 
 
-def long_run_series(catalog: EventCatalog, ci_level: float = 0.95) -> LongRunSeries:
+def long_run_series(
+    catalog: EventCatalog, ci_level: float = 0.95, window: int | None = None
+) -> LongRunSeries:
     """Expanding estimates over the catalog, one row per cutoff year.
 
     Computed in a single pass from cumulative sums of the per-year
     counts, sums, squares and cross-products plus the per-event squared
-    intensities.
+    intensities.  With ``window`` the correlation columns cover the
+    trailing ``window`` years instead (NaN before the first full window);
+    the other columns stay expanding.
     """
     if not 0.0 < ci_level < 1.0:
         raise ValueError(f"ci_level must lie in (0, 1), got {ci_level}")
+    if window is not None and window < 3:
+        raise ValueError(f"window must be at least 3 years, got {window}")
+    if window is not None and window > catalog.n_years:
+        raise ValueError(
+            f"window of {window} years exceeds the catalog span of "
+            f"{catalog.n_years} years"
+        )
     T = catalog.n_years
     t = np.arange(1, T + 1, dtype=np.float64)
     n = catalog.counts.astype(np.float64)
@@ -224,8 +214,14 @@ def long_run_series(catalog: EventCatalog, ci_level: float = 0.95) -> LongRunSer
         j_hat = np.where(var_x > _ZERO_VAR_RTOL * mean_x2, e_x**2 / var_x, np.nan)
         j2phi = phi * j_hat**2
 
-    rho = _expanding_rho(catalog.counts, catalog.sums)
-    rho_lo, rho_hi = _fisher_bounds_array(rho, t, ci_level)
+    if window is None:
+        rho = _expanding_rho(catalog.counts, catalog.sums)
+        rho_lo, rho_hi = _fisher_bounds_array(rho, t, ci_level)
+    else:
+        rho, rho_lo, rho_hi = (
+            np.concatenate((np.full(window - 1, np.nan), values))
+            for values in _moving_window_correlation(catalog, window, ci_level)
+        )
     return LongRunSeries(
         years=catalog.years.astype(np.int64),
         e_n=e_n,
@@ -239,40 +235,11 @@ def long_run_series(catalog: EventCatalog, ci_level: float = 0.95) -> LongRunSer
     )
 
 
-def expanding_correlation(
-    catalog: EventCatalog, ci_level: float = 0.95
-) -> CorrelationSeries:
-    """Pearson correlation of (count, aggregate) over the first t years,
-    for every cutoff t.
-
-    Needs at least 3 years; cutoffs below 3 pairs, or with zero variance
-    in either coordinate, carry NaN.  Confidence bounds start at 4 pairs.
-    """
-    if catalog.n_years < 3:
-        raise ValueError(f"need at least 3 years, got {catalog.n_years}")
-    rho = _expanding_rho(catalog.counts, catalog.sums)
-    t = np.arange(1, catalog.n_years + 1, dtype=np.float64)
-    lo, hi = _fisher_bounds_array(rho, t, ci_level)
-    return CorrelationSeries(
-        years=catalog.years.astype(np.int64), rho=rho, rho_lo=lo, rho_hi=hi
-    )
-
-
-def moving_window_correlation(
-    catalog: EventCatalog, window: int, ci_level: float = 0.95
-) -> CorrelationSeries:
-    """Pearson correlation over each trailing window of ``window`` years.
-
-    Row i covers the window ending at ``years[i]``; the first
-    ``window - 1`` cutoffs have no full window and are omitted.
-    """
-    if window < 3:
-        raise ValueError(f"window must be at least 3 years, got {window}")
-    if window > catalog.n_years:
-        raise ValueError(
-            f"window of {window} years exceeds the catalog span of "
-            f"{catalog.n_years} years"
-        )
+def _moving_window_correlation(
+    catalog: EventCatalog, window: int, ci_level: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pearson correlation and its bounds over each trailing window of
+    ``window`` years, one value per window end ``years[window - 1:]``."""
 
     def rolling(v: np.ndarray) -> np.ndarray:
         c = np.concatenate(([0.0], np.cumsum(v)))
@@ -286,12 +253,7 @@ def moving_window_correlation(
     )
     n_pairs = np.full(len(rho), window, dtype=np.float64)
     lo, hi = _fisher_bounds_array(rho, n_pairs, ci_level)
-    return CorrelationSeries(
-        years=catalog.years[window - 1 :].astype(np.int64),
-        rho=rho,
-        rho_lo=lo,
-        rho_hi=hi,
-    )
+    return rho, lo, hi
 
 
 def nx_independence(catalog: EventCatalog) -> float:
@@ -352,19 +314,3 @@ def mailier_index(counts) -> float:
     if mean <= 0:
         raise ValueError(f"mean count must be positive, got {mean}")
     return float(counts.var(ddof=0) / mean - 1.0)
-
-
-def with_window_correlation(
-    series: LongRunSeries, windowed: CorrelationSeries
-) -> LongRunSeries:
-    """Replace the correlation columns of ``series`` with trailing-window
-    values; cutoffs before the first full window become NaN."""
-    T = len(series)
-    rho = np.full(T, np.nan)
-    lo = np.full(T, np.nan)
-    hi = np.full(T, np.nan)
-    offset = T - len(windowed)
-    rho[offset:] = windowed.rho
-    lo[offset:] = windowed.rho_lo
-    hi[offset:] = windowed.rho_hi
-    return replace(series, rho=rho, rho_lo=lo, rho_hi=hi)

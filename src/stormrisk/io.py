@@ -21,8 +21,6 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -31,12 +29,11 @@ from .catalog import EventCatalog
 from .estimate import LongRunSeries
 from .frequency import FrequencyModel, RateLink
 from .severity import Family, SeverityModel, TrendParams
+from .simulate import SimulationConfig
 
 __all__ = [
     "CatalogFormatError",
     "ConfigError",
-    "RunMode",
-    "RunConfig",
     "read_events_csv",
     "write_events_csv",
     "write_events_stream",
@@ -64,39 +61,6 @@ class CatalogFormatError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid run configuration; message names the field."""
-
-
-class RunMode(str, Enum):
-    THEORY = "theory"
-    SIMULATE = "simulate"
-    ANALYZE = "analyze"
-    VERIFY = "verify"
-
-
-@dataclass(frozen=True, kw_only=True)
-class RunConfig:
-    """Validated run configuration.
-
-    Models are constructed (and therefore validated) during parsing, so
-    a returned config never violates a model invariant.
-    """
-
-    mode: RunMode
-    freq: FrequencyModel | None = None
-    sev: SeverityModel | None = None
-    years: tuple[int, int] | None = None
-    seed: int | None = None
-    replicates: int = 1
-    window: int | None = None
-    ci_level: float = 0.95
-    input: str | None = None
-    output: str | None = None
-
-    @property
-    def n_years(self) -> int:
-        if self.years is None:
-            raise ConfigError("years: not configured")
-        return self.years[1] - self.years[0] + 1
 
 
 def read_events_csv(path) -> EventCatalog:
@@ -149,48 +113,57 @@ def _read_events_lines(path: Path) -> EventCatalog:
     with path.open("r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CatalogFormatError(f"{path}: empty file") from None
-        if not _is_event_header(header):
+            return _parse_event_rows(path, reader)
+        except csv.Error as exc:
             raise CatalogFormatError(
-                f"{path}: line 1: expected header 'year,intensity', got "
-                f"{','.join(header)!r}"
+                f"{path}: line {reader.line_num}: {exc}"
+            ) from None
+
+
+def _parse_event_rows(path: Path, reader) -> EventCatalog:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CatalogFormatError(f"{path}: empty file") from None
+    if not _is_event_header(header):
+        raise CatalogFormatError(
+            f"{path}: line 1: expected header 'year,intensity', got "
+            f"{','.join(header)!r}"
+        )
+    years: list[int] = []
+    intensities: list[float] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue  # blank line
+        if len(row) != 2:
+            raise CatalogFormatError(
+                f"{path}: line {lineno}: expected 2 fields, got {len(row)}"
             )
-        years: list[int] = []
-        intensities: list[float] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # blank line
-            if len(row) != 2:
-                raise CatalogFormatError(
-                    f"{path}: line {lineno}: expected 2 fields, got {len(row)}"
-                )
-            year_s, x_s = (c.strip() for c in row)
-            try:
-                year = int(year_s)
-            except ValueError:
-                raise CatalogFormatError(
-                    f"{path}: line {lineno}: year must be an integer, got {year_s!r}"
-                ) from None
-            if not _INT64_MIN <= year <= _INT64_MAX:
-                raise CatalogFormatError(
-                    f"{path}: line {lineno}: year must fit in a signed 64-bit "
-                    f"integer, got {year_s}"
-                )
-            try:
-                x = float(x_s)
-            except ValueError:
-                raise CatalogFormatError(
-                    f"{path}: line {lineno}: intensity must be a decimal, got {x_s!r}"
-                ) from None
-            if not math.isfinite(x) or x <= 0:
-                raise CatalogFormatError(
-                    f"{path}: line {lineno}: intensity must be positive and "
-                    f"finite, got {x_s}"
-                )
-            years.append(year)
-            intensities.append(x)
+        year_s, x_s = (c.strip() for c in row)
+        try:
+            year = int(year_s)
+        except ValueError:
+            raise CatalogFormatError(
+                f"{path}: line {lineno}: year must be an integer, got {year_s!r}"
+            ) from None
+        if not _INT64_MIN <= year <= _INT64_MAX:
+            raise CatalogFormatError(
+                f"{path}: line {lineno}: year must fit in a signed 64-bit "
+                f"integer, got {year_s}"
+            )
+        try:
+            x = float(x_s)
+        except ValueError:
+            raise CatalogFormatError(
+                f"{path}: line {lineno}: intensity must be a decimal, got {x_s!r}"
+            ) from None
+        if not math.isfinite(x) or x <= 0:
+            raise CatalogFormatError(
+                f"{path}: line {lineno}: intensity must be positive and "
+                f"finite, got {x_s}"
+            )
+        years.append(year)
+        intensities.append(x)
     if not years:
         raise CatalogFormatError(f"{path}: no event rows")
     return EventCatalog.from_events(years, intensities)
@@ -292,22 +265,9 @@ def read_series_csv(path) -> LongRunSeries:
 
 # --- run configuration -------------------------------------------------
 
-_TOP_FIELDS = {
-    "mode",
-    "frequency",
-    "severity",
-    "years",
-    "seed",
-    "replicates",
-    "window",
-    "ci_level",
-    "input",
-    "output",
-}
+_TOP_FIELDS = {"mode", "frequency", "severity", "years", "seed", "replicates"}
 _FREQ_FIELDS = {"link", "alpha0", "alpha1"}
 _SEV_FIELDS = {"family", "beta0", "beta1", "shape"}
-
-_MODEL_MODES = {RunMode.THEORY, RunMode.SIMULATE, RunMode.VERIFY}
 
 
 def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
@@ -336,13 +296,14 @@ def _as_int(v, where: str) -> int:
     return v
 
 
-def parse_config(path) -> RunConfig:
-    """Parse and validate a JSON run configuration.
+def parse_config(path, mode: str) -> SimulationConfig:
+    """Parse and validate a JSON run configuration for command ``mode``.
 
-    Unknown fields are rejected.  Model parameters are validated by
-    constructing the models against the configured year span, so for
-    example a GPD shape of 0.6 is rejected here with the violated
-    constraint ('shape must be < 0.5 for finite variance').
+    The config's ``mode`` must name the command.  Unknown fields are
+    rejected.  Model parameters are validated by constructing the models
+    against the configured year span, so for example a GPD shape of 0.6
+    is rejected here with the violated constraint ('shape must be < 0.5
+    for finite variance').  An omitted seed is returned as None.
     """
     path = Path(path)
     try:
@@ -355,24 +316,18 @@ def parse_config(path) -> RunConfig:
     _reject_unknown(raw, _TOP_FIELDS, "config")
 
     mode_raw = _require(raw, "mode", "config")
-    try:
-        mode = RunMode(mode_raw)
-    except ValueError:
-        raise ConfigError(
-            f"config.mode: expected one of {[m.value for m in RunMode]}, "
-            f"got {mode_raw!r}"
-        ) from None
+    if mode_raw != mode:
+        raise ConfigError(f"config.mode: expected {mode!r}, got {mode_raw!r}")
 
-    years: tuple[int, int] | None = None
-    if "years" in raw:
-        y = raw["years"]
-        if not (isinstance(y, list) and len(y) == 2):
-            raise ConfigError("config.years: expected [start, end]")
-        start = _as_int(y[0], "config.years[0]")
-        end = _as_int(y[1], "config.years[1]")
-        if start > end:
-            raise ConfigError(f"config.years: start {start} exceeds end {end}")
-        years = (start, end)
+    if "years" not in raw:
+        raise ConfigError(f"config.years: required for mode {mode!r}")
+    y = raw["years"]
+    if not (isinstance(y, list) and len(y) == 2):
+        raise ConfigError("config.years: expected [start, end]")
+    start = _as_int(y[0], "config.years[0]")
+    end = _as_int(y[1], "config.years[1]")
+    if start > end:
+        raise ConfigError(f"config.years: start {start} exceeds end {end}")
 
     seed = None
     if "seed" in raw:
@@ -386,44 +341,13 @@ def parse_config(path) -> RunConfig:
         if replicates < 1:
             raise ConfigError(f"config.replicates: must be positive, got {replicates}")
 
-    window = None
-    if "window" in raw:
-        window = _as_int(raw["window"], "config.window")
-        if window < 3:
-            raise ConfigError(f"config.window: must be at least 3, got {window}")
-
-    ci_level = 0.95
-    if "ci_level" in raw:
-        ci_level = _as_number(raw["ci_level"], "config.ci_level")
-        if not 0.0 < ci_level < 1.0:
-            raise ConfigError(f"config.ci_level: must lie in (0, 1), got {ci_level}")
-
-    for key in ("input", "output"):
-        if key in raw and not isinstance(raw[key], str):
-            raise ConfigError(f"config.{key}: expected a path string")
-
-    freq = sev = None
-    if mode in _MODEL_MODES:
-        if years is None:
-            raise ConfigError(f"config.years: required for mode {mode.value!r}")
-        horizon = (1, years[1] - years[0] + 1)
-        freq = _parse_frequency(_require(raw, "frequency", "config"), horizon)
-        sev = _parse_severity(_require(raw, "severity", "config"), horizon)
-    elif mode is RunMode.ANALYZE:
-        if "input" not in raw:
-            raise ConfigError("config.input: required for mode 'analyze'")
-
-    return RunConfig(
-        mode=mode,
-        freq=freq,
-        sev=sev,
-        years=years,
+    horizon = (1, end - start + 1)
+    return SimulationConfig(
+        freq=_parse_frequency(_require(raw, "frequency", "config"), horizon),
+        sev=_parse_severity(_require(raw, "severity", "config"), horizon),
+        years=(start, end),
         seed=seed,
         replicates=replicates,
-        window=window,
-        ci_level=ci_level,
-        input=raw.get("input"),
-        output=raw.get("output"),
     )
 
 

@@ -23,37 +23,17 @@ counts and the shape (not the scale) of the severity distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .frequency import FrequencyModel, rate, theoretical_dispersion
-from .severity import (
-    Family,
-    Moments,
-    SeverityModel,
-    TrendParams,
-    j_squared,
-    severity_moments,
-)
+from .severity import Family, SeverityModel, TrendParams, j_squared, severity_moments
 
 __all__ = [
     "RiskSummary",
-    "expected_aggregate",
-    "variance_aggregate",
-    "variance_aggregate_phi_form",
-    "cov_ns",
-    "cov_xs",
-    "cor_xs",
-    "cor_ns",
     "j_squared_from_correlation",
     "risk_summary",
     "table1_row",
 ]
-
-_REL_TOL = 1e-12
-
-
-def _close(a: float, b: float, rel: float = _REL_TOL) -> bool:
-    return abs(a - b) <= rel * max(abs(a), abs(b), 1e-300)
 
 
 @dataclass(frozen=True)
@@ -78,87 +58,6 @@ class RiskSummary:
     phi: float
     j_squared: float
 
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
-
-
-def expected_aggregate(freq: FrequencyModel, sev: SeverityModel, t: float) -> float:
-    """E[S|t] = E[N|t] E[X|t] (Wald's equation)."""
-    return rate(freq, t) * severity_moments(sev, t).mean
-
-
-def variance_aggregate(freq: FrequencyModel, sev: SeverityModel, t: float) -> float:
-    """Var(S|t) = E[N] Var(X) + Var(N) E[X]^2 (Blackwell-Girshick).
-
-    For Poisson counts this equals the shortcut E[N] E[X^2]; both
-    evaluations are cross-checked in debug builds.
-    """
-    lam = rate(freq, t)
-    m = severity_moments(sev, t)
-    direct = lam * m.variance + lam * m.mean**2
-    assert _close(direct, lam * m.second_moment), (
-        f"Blackwell-Girshick and Poisson shortcut disagree: "
-        f"{direct} vs {lam * m.second_moment}"
-    )
-    return direct
-
-
-def variance_aggregate_phi_form(e_n: float, phi: float, moments: Moments) -> float:
-    """Var(S) = E[N] (Var(X) + phi E[X]^2), the dispersion form."""
-    if e_n <= 0:
-        raise ValueError(f"e_n must be positive, got {e_n}")
-    if phi < 0:
-        raise ValueError(f"phi must be non-negative, got {phi}")
-    return e_n * (moments.variance + phi * moments.mean**2)
-
-
-def cov_ns(freq: FrequencyModel, sev: SeverityModel, t: float) -> float:
-    """cov(N, S|t) = E[X|t] Var(N|t), equivalently phi * E[S|t]."""
-    return severity_moments(sev, t).mean * rate(freq, t)
-
-
-def cov_xs(sev: SeverityModel, t: float) -> float:
-    """cov(X, S|t) = Var(X|t): one mark covaries with the sum only
-    through itself."""
-    return severity_moments(sev, t).variance
-
-
-def cor_xs(freq: FrequencyModel, sev: SeverityModel, t: float) -> float:
-    """cor(X, S|t) = sqrt(Var(X|t) / Var(S|t)).
-
-    Lies in (0, 1) whenever the expected count is at least
-    Var(X)/E[X^2] = 1/(1 + J^2) < 1; at rare-event rates below that
-    threshold the aggregate carries less variance than a single mark
-    and the ratio exceeds one, a known limitation of pairing the
-    fixed-count covariance with the unconditional aggregate variance.
-    """
-    var_s = variance_aggregate(freq, sev, t)
-    if var_s <= 0:
-        raise ValueError("aggregate variance is zero; correlation undefined")
-    return math.sqrt(severity_moments(sev, t).variance / var_s)
-
-
-def cor_ns(freq: FrequencyModel, sev: SeverityModel, t: float) -> float:
-    """cor(N, S|t) = E[X] sqrt(Var(N) / Var(S)), in (0, 1].
-
-    Debug builds cross-check the equivalent dispersion form
-    sqrt(phi) E[X] / sqrt(Var(X) + phi E[X]^2).
-    """
-    lam = rate(freq, t)
-    m = severity_moments(sev, t)
-    var_s = variance_aggregate(freq, sev, t)
-    if var_s <= 0 or m.variance <= 0:
-        raise ValueError("zero variance; correlation undefined")
-    direct = m.mean * math.sqrt(lam / var_s)
-    phi = theoretical_dispersion(freq)
-    phi_form = (
-        math.sqrt(phi) * m.mean / math.sqrt(m.variance + phi * m.mean**2)
-    )
-    assert _close(direct, phi_form), (
-        f"direct and dispersion-form correlations disagree: {direct} vs {phi_form}"
-    )
-    return direct
-
 
 def j_squared_from_correlation(rho: float, phi: float) -> float:
     """Invert the correlation identity: rho^2 / (phi (1 - rho^2)) = J^2.
@@ -174,10 +73,17 @@ def j_squared_from_correlation(rho: float, phi: float) -> float:
 
 
 def risk_summary(freq: FrequencyModel, sev: SeverityModel, t: float) -> RiskSummary:
-    """Fully populated :class:`RiskSummary` at year ``t``."""
+    """Fully populated :class:`RiskSummary` at year ``t``.
+
+    Evaluates the rate and the intensity moments once.  The aggregate
+    variance is the Blackwell-Girshick form with ``Var(N) = E[N]``; the
+    tests check it against the Poisson shortcut and the dispersion form.
+    """
     lam = rate(freq, t)
     m = severity_moments(sev, t)
-    var_s = variance_aggregate(freq, sev, t)
+    var_s = lam * m.variance + lam * m.mean**2
+    if var_s <= 0 or m.variance <= 0:
+        raise ValueError("zero variance; correlation undefined")
     return RiskSummary(
         t=t,
         e_n=lam,
@@ -186,8 +92,8 @@ def risk_summary(freq: FrequencyModel, sev: SeverityModel, t: float) -> RiskSumm
         var_n=lam,
         var_x=m.variance,
         var_s=var_s,
-        cov_ns=cov_ns(freq, sev, t),
-        cor_ns=cor_ns(freq, sev, t),
+        cov_ns=m.mean * lam,
+        cor_ns=m.mean * math.sqrt(lam / var_s),
         phi=theoretical_dispersion(freq),
         j_squared=j_squared(sev),
     )

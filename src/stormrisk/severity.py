@@ -130,15 +130,26 @@ class SeverityModel:
         elif self.shape is not None:
             raise ValueError(f"{fam.value} family takes no shape parameter")
 
-        if fam in _POSITIVE_DRIVER:
-            # The driver is linear in t, so positivity at both endpoints
-            # implies positivity on the whole interval.
-            for t in (t_min, t_max):
-                if self.trend.at(t) <= 0:
-                    raise ValueError(
-                        f"scale driver is non-positive at t={t}: "
-                        f"{self.trend.beta0} + {self.trend.beta1}*{t} = {self.trend.at(t)}"
-                    )
+        # The driver is linear in t and every family's moments are
+        # monotone in the driver, so checks at both endpoints cover the
+        # whole interval.
+        for t in (t_min, t_max):
+            mu = self.trend.at(t)
+            if fam in _POSITIVE_DRIVER and mu <= 0:
+                raise ValueError(
+                    f"scale driver is non-positive at t={t}: "
+                    f"{self.trend.beta0} + {self.trend.beta1}*{t} = {mu}"
+                )
+            try:
+                m = _moments(self, mu)
+                usable = math.isfinite(m.second_moment) and m.variance > 0
+            except (OverflowError, ZeroDivisionError):
+                usable = False
+            if not usable:
+                raise ValueError(
+                    f"intensity moments at t={t} (driver {mu}) are not finite "
+                    f"with positive variance"
+                )
 
     def driver(self, t: float) -> float:
         """Validated driver ``mu_t``; raises outside the horizon."""
@@ -162,7 +173,10 @@ def severity_moments(model: SeverityModel, t: float) -> Moments:
     * lognormal:    mean exp(mu + s^2/2),       var (e^{s^2}-1) exp(2mu + s^2)
     * gpd:          mean 1/(mu(1-xi)),          var 1/(mu^2 (1-xi)^2 (1-2xi))
     """
-    mu = model.driver(t)
+    return _moments(model, model.driver(t))
+
+
+def _moments(model: SeverityModel, mu: float) -> Moments:
     fam = model.family
     if fam is Family.UNIFORM:
         mean = 0.5 * mu

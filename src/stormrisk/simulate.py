@@ -44,16 +44,19 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass(frozen=True, kw_only=True)
 class SimulationConfig:
-    """A frequency/severity pair, an inclusive year span and a seed.
+    """A frequency/severity pair, an inclusive year span, a seed and a
+    replicate count: one validated run configuration.
 
     Year ``y`` maps to the model year index ``t = y - start + 1``; both
-    model horizons must cover ``[1, end - start + 1]``.
+    model horizons must cover ``[1, end - start + 1]``.  ``seed`` may be
+    None for the closed forms, which draw nothing; the simulators
+    require it.
     """
 
     freq: FrequencyModel
     sev: SeverityModel
     years: tuple[int, int]
-    seed: int
+    seed: int | None = None
     replicates: int = 1
 
     def __post_init__(self) -> None:
@@ -62,7 +65,7 @@ class SimulationConfig:
             raise ValueError(f"years must be integers, got {self.years}")
         if start > end:
             raise ValueError(f"years must satisfy start <= end, got {self.years}")
-        if not (0 <= self.seed < 2**64):
+        if self.seed is not None and not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must fit in an unsigned 64-bit int, got {self.seed}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be positive, got {self.replicates}")
@@ -79,6 +82,30 @@ class SimulationConfig:
     def n_years(self) -> int:
         return self.years[1] - self.years[0] + 1
 
+    def to_dict(self) -> dict:
+        """The models, years and seed as a JSON-ready dict."""
+        return {
+            "frequency": {
+                "link": self.freq.link.value,
+                "alpha0": self.freq.alpha0,
+                "alpha1": self.freq.alpha1,
+            },
+            "severity": {
+                "family": self.sev.family.value,
+                "beta0": self.sev.trend.beta0,
+                "beta1": self.sev.trend.beta1,
+                "shape": self.sev.shape,
+            },
+            "years": list(self.years),
+            "seed": self.seed,
+        }
+
+
+def _seed(config: SimulationConfig) -> int:
+    if config.seed is None:
+        raise ValueError("simulation needs a seed; the config has none")
+    return config.seed
+
 
 @dataclass(frozen=True, eq=False)
 class FixedYearSample:
@@ -92,10 +119,6 @@ class FixedYearSample:
     def __len__(self) -> int:
         return len(self.counts)
 
-    def pairs(self):
-        """Iterate (n, s) tuples, one per replicate."""
-        return zip(self.counts.tolist(), self.sums.tolist())
-
 
 def simulate_catalog(config: SimulationConfig) -> EventCatalog:
     """Generate one multi-year catalog.
@@ -104,11 +127,12 @@ def simulate_catalog(config: SimulationConfig) -> EventCatalog:
     from the year's own substream.  Years with zero events remain
     present in the per-year view.
     """
+    seed = _seed(config)
     start, end = config.years
     all_years: list[np.ndarray] = []
     all_x: list[np.ndarray] = []
     for t in range(1, config.n_years + 1):
-        rng = _stream(config.seed, _CATALOG, t)
+        rng = _stream(seed, _CATALOG, t)
         n_t = sample_count(config.freq, t, rng)
         if n_t > 0:
             x = sample_intensity(config.sev, t, rng, size=n_t)
@@ -130,6 +154,7 @@ def replicate_fixed_year(config: SimulationConfig, t: float) -> FixedYearSample:
     come from separate per-block substreams, so results for replicate r
     do not depend on how many replicates follow it.
     """
+    seed = _seed(config)
     if config.replicates < 2:
         raise ValueError("ensemble mode needs at least 2 replicates")
     t_int = int(t)
@@ -143,10 +168,10 @@ def replicate_fixed_year(config: SimulationConfig, t: float) -> FixedYearSample:
     for lo in range(0, r_total, _BATCH):
         hi = min(lo + _BATCH, r_total)
         block = lo // _BATCH
-        n = _stream(config.seed, _REPLICATE_COUNTS, t_int, block).poisson(
+        n = _stream(seed, _REPLICATE_COUNTS, t_int, block).poisson(
             lam, size=hi - lo
         )
-        marks_rng = _stream(config.seed, _REPLICATE_MARKS, t_int, block)
+        marks_rng = _stream(seed, _REPLICATE_MARKS, t_int, block)
         x = sample_intensity(config.sev, t_int, marks_rng, size=int(n.sum()))
         rep = np.repeat(np.arange(hi - lo), n)
         counts[lo:hi] = n

@@ -46,17 +46,16 @@ def test_criterion_1_algebraic_identities():
         lam = sr.rate(freq, t)
         m = sr.severity_moments(sev, t)
 
-        e_s = sr.expected_aggregate(freq, sev, t)
-        var_s = sr.variance_aggregate(freq, sev, t)
-        cov = sr.cov_ns(freq, sev, t)
-        rho = sr.cor_ns(freq, sev, t)
+        s = sr.risk_summary(freq, sev, t)
+        phi = 1.0
+        rho = s.cor_ns
 
         errs = [
-            rel_err(e_s, lam * m.mean),                                    # Wald
-            rel_err(var_s, lam * m.second_moment),                         # Poisson shortcut
-            rel_err(var_s, sr.variance_aggregate_phi_form(lam, 1.0, m)),   # phi form
-            rel_err(cov, m.mean * lam),                                    # E[X] Var(N)
-            rel_err(cov, 1.0 * e_s),                                       # phi E[S]
+            rel_err(s.e_s, lam * m.mean),                                  # Wald
+            rel_err(s.var_s, lam * m.second_moment),                       # Poisson shortcut
+            rel_err(s.var_s, lam * (m.variance + phi * m.mean**2)),        # phi form
+            rel_err(s.cov_ns, m.mean * lam),                               # E[X] Var(N)
+            rel_err(s.cov_ns, phi * s.e_s),                                # phi E[S]
         ]
         worst = max(worst, *errs)
         assert all(e <= 1e-12 for e in errs)

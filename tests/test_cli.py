@@ -175,6 +175,40 @@ def test_analyze_year_outside_int64_is_an_input_error(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_analyze_field_over_csv_limit_is_an_input_error(tmp_path):
+    bad = tmp_path / "long.csv"
+    bad.write_text("year,intensity\n2040,1.5\n2041," + "1" * 200_000 + "\n", encoding="utf-8")
+    report = run(["analyze", "--input", str(bad)])
+    assert report.status is ExitStatus.INPUT_ERROR
+    assert "line 3" in report.payload["error"]
+
+
+def test_analyze_year_span_beyond_int64_is_an_input_error(tmp_path):
+    bad = tmp_path / "span.csv"
+    bad.write_text("year,intensity\n-9223372036854775808,1.5\n2040,2.0\n", encoding="utf-8")
+    report = run(["analyze", "--input", str(bad)])
+    assert report.status is ExitStatus.INPUT_ERROR
+    assert "-9223372036854775808 to 2040" in report.payload["error"]
+
+
+@pytest.mark.parametrize(
+    "mode, severity",
+    [
+        ("theory", {"family": "lognormal", "beta0": 710.0, "beta1": 0.0, "shape": 1.0}),
+        ("verify", {"family": "gpd", "beta0": 1e-300, "beta1": 0.0, "shape": 0.2}),
+    ],
+    ids=["theory-lognormal-overflow", "verify-gpd-zero-division"],
+)
+def test_severity_moments_out_of_range_are_input_errors(tmp_path, capsys, mode, severity):
+    cfg = write_config(tmp_path, simulate_config(mode=mode, severity=severity))
+    assert main([mode, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out.strip().splitlines()[-1])
+    assert payload["error"].startswith("config.severity: ")
+    assert "not finite with positive variance" in payload["error"]
+    assert "Traceback" not in captured.err
+
+
 # --- verify ---------------------------------------------------------------------
 
 

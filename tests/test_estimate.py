@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import stormrisk as sr
-from stormrisk.estimate import with_window_correlation
 
 from helpers import stationary_config
 
@@ -73,59 +72,64 @@ def test_phi_undefined_when_no_events_at_all():
 
 def test_expanding_perfect_correlation():
     catalog = catalog_from_yearly([1, 2, 3], [1.0, 1.0, 1.0])  # pairs (n, s) on a line
-    series = sr.expanding_correlation(catalog)
+    series = sr.long_run_series(catalog)
     assert np.isnan(series.rho[0]) and np.isnan(series.rho[1])
     assert series.rho[2] == pytest.approx(1.0)
 
 
 def test_expanding_undefined_for_constant_counts():
     catalog = catalog_from_yearly([2, 2, 2, 2], [1.0, 2.0, 3.0, 4.0])
-    series = sr.expanding_correlation(catalog)
+    series = sr.long_run_series(catalog)
     assert np.isnan(series.rho).all()
 
 
 def test_expanding_needs_three_years():
-    catalog = catalog_from_yearly([1, 2], [1.0, 1.0])
-    with pytest.raises(ValueError, match="3 years"):
-        sr.expanding_correlation(catalog)
+    catalog = catalog_from_yearly([1, 2], [1.0, 3.0])
+    series = sr.long_run_series(catalog)
+    assert np.isnan(series.rho).all()
+    assert np.isnan(series.rho_lo).all() and np.isnan(series.rho_hi).all()
 
 
 def test_moving_window_examples():
     catalog = catalog_from_yearly([1, 2, 3, 4], [1.0, 1.0, 1.0, 1.0])
-    series = sr.moving_window_correlation(catalog, window=3)
-    assert len(series) == 2
-    assert np.allclose(series.rho, [1.0, 1.0])
+    series = sr.long_run_series(catalog, window=3)
+    assert np.isnan(series.rho[:2]).all()
+    assert np.allclose(series.rho[2:], [1.0, 1.0])
     # a window covering the whole catalog equals the terminal expanding value
-    full = sr.moving_window_correlation(catalog, window=4)
-    expanding = sr.expanding_correlation(catalog)
+    full = sr.long_run_series(catalog, window=4)
+    expanding = sr.long_run_series(catalog)
     assert full.rho[-1] == pytest.approx(expanding.rho[-1], rel=1e-12)
 
 
 def test_moving_window_validation():
     catalog = catalog_from_yearly([1, 2, 3, 4], [1.0] * 4)
     with pytest.raises(ValueError, match="at least 3"):
-        sr.moving_window_correlation(catalog, window=2)
+        sr.long_run_series(catalog, window=2)
     with pytest.raises(ValueError, match="exceeds"):
-        sr.moving_window_correlation(catalog, window=5)
+        sr.long_run_series(catalog, window=5)
 
 
 def test_moving_window_tracks_model_correlation():
     config = stationary_config("exponential", lam=20.0, mu=2.0, years=(1, 200), seed=9)
     catalog = sr.simulate_catalog(config)
-    series = sr.moving_window_correlation(catalog, window=10)
-    target = sr.cor_ns(config.freq, config.sev, 1)
+    series = sr.long_run_series(catalog, window=10)
+    target = sr.risk_summary(config.freq, config.sev, 1).cor_ns
     assert abs(np.nanmean(series.rho) - target) <= 0.1
 
 
-def test_with_window_correlation_overlays_columns():
+def test_window_overlays_only_the_correlation_columns():
     config = stationary_config("exponential", lam=20.0, mu=2.0, years=(1, 50), seed=9)
     catalog = sr.simulate_catalog(config)
     series = sr.long_run_series(catalog)
-    windowed = sr.moving_window_correlation(catalog, window=10)
-    merged = with_window_correlation(series, windowed)
-    assert np.isnan(merged.rho[:9]).all()
-    assert np.allclose(merged.rho[9:], windowed.rho, equal_nan=True)
-    assert np.array_equal(merged.e_n, series.e_n)
+    windowed = sr.long_run_series(catalog, window=10)
+    for name in ("rho", "rho_lo", "rho_hi"):
+        assert np.isnan(getattr(windowed, name)[:9]).all()
+    for end in (10, 27, 50):
+        n, s = catalog.counts[end - 10 : end], catalog.sums[end - 10 : end]
+        reference = np.corrcoef(n, s)[0, 1]
+        assert windowed.rho[end - 1] == pytest.approx(reference, rel=1e-9)
+    for name in ("years", "e_n", "e_s", "e_x", "phi", "j2phi"):
+        assert np.array_equal(getattr(windowed, name), getattr(series, name), equal_nan=True)
 
 
 # --- Fisher intervals ----------------------------------------------------------
@@ -234,7 +238,7 @@ def test_expanding_correlation_replicate_mean_lognormal():
         config = stationary_config(
             "lognormal", lam=20.0, mu=1.0, shape=0.5, years=(1, 500), seed=seed
         )
-        series = sr.expanding_correlation(sr.simulate_catalog(config))
+        series = sr.long_run_series(sr.simulate_catalog(config))
         terminal.append(series.rho[-1])
     assert abs(np.mean(terminal) - target) <= 0.02
 

@@ -1,5 +1,6 @@
-"""Golden sha256 digests: the bytes of every CSV the CLI writes and the
-arrays of the seeded simulators, for one small model per severity family.
+"""Golden sha256 digests: the bytes of every CSV the CLI writes, the
+``verify`` JSON report and the arrays of the seeded simulators, for one
+small model per severity family.
 
 A change that alters a draw or a written byte fails here.  The digests
 are only ever regenerated for an intended output change:
@@ -40,6 +41,8 @@ SEVERITIES = {
 REPLICATES = _BATCH + 1234
 REPLICATE_YEAR = 20
 WINDOW = 7
+# The theory CSV is also pinned under a log-link rate.
+LOG_FREQUENCY = {"link": "log", "alpha0": 2.5, "alpha1": 0.01}
 # Enough events for several chunks of the event CSV writer.
 LARGE_FREQUENCY = {"link": "identity", "alpha0": 1000.0, "alpha1": 0.0}
 TABLE1_OVERRIDES = ("--gamma-shape", "3", "--lognormal-sigma", "0.5", "--gpd-shape", "0.1")
@@ -86,6 +89,20 @@ GOLDEN = {
         "exponential": "5d54879fc4f4a077fe1fe14c3afd026427977e7db0e0253ed064c1cab0431dd2",
         "lognormal": "54c41208d4ddb0a833acc6b672073d270469b184f0fd1af7276c876386736d6b",
         "gpd": "f451ca6f50bac87f0f6498c358d36334c15df73fb8c3a34c08ea5bae11c316a8",
+    },
+    "theory_log_csv": {
+        "uniform": "7ad90d84c4771974b4df2ef5dfd8fe032046dee7fa1d3caef40f693bd587cbfa",
+        "gamma": "40b60dfbe4487fcf0600a563e7d3b8c4bd9bd7021dfbe991a9edde1c0068a75b",
+        "exponential": "1fa52033476945f83390a62e34b736fd4e45482719a73a170fcfb9cdeb0dd137",
+        "lognormal": "396649c8f90aad280b63325f5c616971b7dc3e720ff852a8ca15b7587d9b2647",
+        "gpd": "5e72ecfd06a5a7aa6a86a9090d65ef8ebb5e2a56d5c72d86bdc07aedc8be6d60",
+    },
+    "verify_json": {
+        "uniform": "cb386f9f26d8135c08003902d196add0d9c4e64033e5fdd307341fc021fb9400",
+        "gamma": "498dcc18e43c114b8407a41a9fb39c63d5217055896cdc1216a0869aa10862ca",
+        "exponential": "9caf072c47ea82612ea19a93038394214504f70eff6db8e65a2f908b9a09af50",
+        "lognormal": "21a99db6a512bf1121978ba14614d78fd900a0390f55b4ce960c8cc643f0e3d2",
+        "gpd": "62aa2666c3b803c8bb67656cd3a3bce8f31928c14147c88da3d57297440cf17e",
     },
     "table1_csv": {
         "default": "fdaa6526fcddb9e6ba25b8fee57c6c7061d56a5bf050588a2a1718dcf87ce088",
@@ -177,6 +194,30 @@ def cli_digests(work: Path, family: str) -> dict[str, str]:
     }
 
 
+def theory_log_digest(work: Path, family: str) -> str:
+    cfg = _config(work, family, "theory", LOG_FREQUENCY)
+    return _run_csv(work, "theory-log.csv", ["theory", "--config", cfg])
+
+
+def verify_digest(work: Path, family: str) -> str:
+    """Digest of the full ``verify`` report: estimates, targets, standard
+    errors and pass flags."""
+    report = run(
+        [
+            "verify",
+            "--config",
+            _config(work, family, "verify"),
+            "--replicates",
+            str(REPLICATES),
+            "--year",
+            str(REPLICATE_YEAR),
+        ]
+    )
+    assert report.status in (ExitStatus.OK, ExitStatus.VERIFICATION_FAILURE)
+    text = json.dumps(report.payload, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def table1_digests(work: Path) -> dict[str, str]:
     return {
         "default": _run_csv(work, "t1.csv", ["theory", "--table1"]),
@@ -205,6 +246,16 @@ def test_cli_csv_bytes(tmp_path, family):
     assert digests == {kind: GOLDEN[kind][family] for kind in digests}
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_theory_csv_bytes_log_link(tmp_path, family):
+    assert theory_log_digest(tmp_path, family) == GOLDEN["theory_log_csv"][family]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_verify_report(tmp_path, family):
+    assert verify_digest(tmp_path, family) == GOLDEN["verify_json"][family]
+
+
 def test_table1_csv_bytes(tmp_path):
     assert table1_digests(tmp_path) == GOLDEN["table1_csv"]
 
@@ -222,6 +273,8 @@ def _regenerate() -> dict:
             golden["replicate"][family] = replicate_digest(family)
             for kind, digest in cli_digests(work, family).items():
                 golden[kind][family] = digest
+            golden["theory_log_csv"][family] = theory_log_digest(work, family)
+            golden["verify_json"][family] = verify_digest(work, family)
         golden["table1_csv"] = table1_digests(work)
         golden["large_events_csv"] = large_events_digest(work)
     return golden

@@ -169,13 +169,11 @@ def dump(tmp_path, obj, name="cfg.json"):
 
 
 def test_parse_config_minimal(tmp_path):
-    config = sr.parse_config(dump(tmp_path, minimal_simulate_config()))
-    assert config.mode is sr.RunMode.SIMULATE
+    config = sr.parse_config(dump(tmp_path, minimal_simulate_config()), "simulate")
+    assert isinstance(config, sr.SimulationConfig)
     assert config.years == (1, 60)
     assert config.seed == 1
     assert config.replicates == 1
-    assert config.window is None
-    assert config.ci_level == 0.95
     assert config.freq.link is sr.RateLink.LOG
     assert sr.rate(config.freq, 1) == pytest.approx(29.5, rel=1e-12)
     assert config.sev.family is sr.Family.EXPONENTIAL
@@ -185,56 +183,55 @@ def test_parse_config_rejects_infinite_variance_gpd(tmp_path):
     cfg = minimal_simulate_config()
     cfg["severity"] = {"family": "gpd", "beta0": 1.0, "beta1": 0.0, "shape": 0.6}
     with pytest.raises(ConfigError, match="< 0.5 for finite variance"):
-        sr.parse_config(dump(tmp_path, cfg))
+        sr.parse_config(dump(tmp_path, cfg), "simulate")
 
 
 def test_parse_config_rejects_nonpositive_identity_rate(tmp_path):
     cfg = minimal_simulate_config()
     cfg["frequency"] = {"link": "identity", "alpha0": 1.0, "alpha1": -0.1}
     with pytest.raises(ConfigError, match="non-positive at t=10"):
-        sr.parse_config(dump(tmp_path, cfg))
+        sr.parse_config(dump(tmp_path, cfg), "simulate")
 
 
 def test_parse_config_rejects_unknown_fields(tmp_path):
     cfg = minimal_simulate_config()
     cfg["extra"] = 1
     with pytest.raises(ConfigError, match="unknown field.*extra"):
-        sr.parse_config(dump(tmp_path, cfg))
+        sr.parse_config(dump(tmp_path, cfg), "simulate")
     cfg = minimal_simulate_config()
     cfg["severity"]["scale"] = 2.0
     with pytest.raises(ConfigError, match="severity.*unknown"):
-        sr.parse_config(dump(tmp_path, cfg))
+        sr.parse_config(dump(tmp_path, cfg), "simulate")
 
 
 def test_parse_config_locates_field_errors(tmp_path):
     cfg = minimal_simulate_config()
     del cfg["frequency"]["alpha0"]
     with pytest.raises(ConfigError, match="frequency.alpha0"):
-        sr.parse_config(dump(tmp_path, cfg))
+        sr.parse_config(dump(tmp_path, cfg), "simulate")
     cfg = minimal_simulate_config()
     cfg["mode"] = "other"
     with pytest.raises(ConfigError, match="mode"):
-        sr.parse_config(dump(tmp_path, cfg))
+        sr.parse_config(dump(tmp_path, cfg), "simulate")
+    with pytest.raises(ConfigError, match="config.mode: expected 'verify', got 'simulate'"):
+        sr.parse_config(dump(tmp_path, minimal_simulate_config()), "verify")
     cfg = minimal_simulate_config()
     cfg["years"] = [60, 1]
     with pytest.raises(ConfigError, match="years"):
-        sr.parse_config(dump(tmp_path, cfg))
-    cfg = minimal_simulate_config()
-    cfg["ci_level"] = 1.5
-    with pytest.raises(ConfigError, match="ci_level"):
-        sr.parse_config(dump(tmp_path, cfg))
+        sr.parse_config(dump(tmp_path, cfg), "simulate")
     with pytest.raises(ConfigError, match="JSON"):
-        sr.parse_config(write(tmp_path, "broken.json", "{not json"))
+        sr.parse_config(write(tmp_path, "broken.json", "{not json"), "simulate")
 
 
-def test_parse_config_analyze_requires_input(tmp_path):
-    with pytest.raises(ConfigError, match="input"):
-        sr.parse_config(dump(tmp_path, {"mode": "analyze"}))
-    config = sr.parse_config(
-        dump(tmp_path, {"mode": "analyze", "input": "events.csv", "window": 10})
-    )
-    assert config.input == "events.csv"
-    assert config.window == 10
+def test_parse_config_rejects_fields_no_command_reads(tmp_path):
+    for key, value in (("window", 10), ("ci_level", 0.9), ("input", "e.csv"), ("output", "o.csv")):
+        cfg = {**minimal_simulate_config(), key: value}
+        with pytest.raises(ConfigError, match=f"unknown field.*{key}"):
+            sr.parse_config(dump(tmp_path, cfg), "simulate")
+    # analyze reads no config, so no config may name it
+    cfg = {**minimal_simulate_config(), "mode": "analyze"}
+    with pytest.raises(ConfigError, match="expected 'simulate', got 'analyze'"):
+        sr.parse_config(dump(tmp_path, cfg), "simulate")
 
 
 def test_parse_config_never_panics_on_adversarial_inputs(tmp_path):
@@ -252,4 +249,5 @@ def test_parse_config_never_panics_on_adversarial_inputs(tmp_path):
     ]
     for i, text in enumerate(cases):
         with pytest.raises(ConfigError):
-            sr.parse_config(write(tmp_path, f"bad{i}.json", text))
+            mode = "verify" if '"verify"' in text else "simulate"
+            sr.parse_config(write(tmp_path, f"bad{i}.json", text), mode)

@@ -22,65 +22,61 @@ def pair(family, mu, lam, shape=None, n_years=60):
 # --- expectation and variance --------------------------------------------
 
 
+def summary(family, mu, lam, shape=None, n_years=60):
+    return sr.risk_summary(*pair(family, mu, lam, shape, n_years), 1)
+
+
+def phi_form_variance(e_n, phi, moments):
+    """Var(S) = E[N] (Var(X) + phi E[X]^2), the dispersion form."""
+    return e_n * (moments.variance + phi * moments.mean**2)
+
+
 def test_expected_aggregate_values():
-    assert sr.expected_aggregate(*pair("exponential", 2.0, 10.0), 1) == 20.0
+    assert summary("exponential", 2.0, 10.0).e_s == 20.0
     # rate times lognormal mean: 20 exp(1.125)
-    assert sr.expected_aggregate(*pair("lognormal", 1.0, 20.0, 0.5), 1) == pytest.approx(
+    assert summary("lognormal", 1.0, 20.0, 0.5).e_s == pytest.approx(
         61.60433697836062, rel=1e-12
     )
-    freq, sev = pair("gpd", 0.5, 7.0, 0.25)
-    assert sr.expected_aggregate(freq, sev, 1) == pytest.approx(
+    assert summary("gpd", 0.5, 7.0, 0.25).e_s == pytest.approx(
         7.0 * 2.6666666666666665, rel=1e-12
     )
 
 
 def test_variance_aggregate_values():
     # lognormal: lam exp(2 mu + 2 s^2)
-    assert sr.variance_aggregate(*pair("lognormal", 1.0, 20.0, 0.5), 1) == pytest.approx(
+    assert summary("lognormal", 1.0, 20.0, 0.5).var_s == pytest.approx(
         20.0 * math.exp(2.5), rel=1e-12
     )
     # uniform: lam mu^2 / 3
-    assert sr.variance_aggregate(*pair("uniform", 6.0, 3.0), 1) == pytest.approx(
-        36.0, rel=1e-12
-    )
+    assert summary("uniform", 6.0, 3.0).var_s == pytest.approx(36.0, rel=1e-12)
     # exponential at unit parameters: 2 lam mu^2
-    assert sr.variance_aggregate(*pair("exponential", 1.0, 1.0), 1) == pytest.approx(
-        2.0, rel=1e-12
-    )
+    assert summary("exponential", 1.0, 1.0).var_s == pytest.approx(2.0, rel=1e-12)
 
 
 def test_variance_phi_form():
     moments = severity_moments(pair("lognormal", 1.0, 20.0, 0.5)[1], 1)
-    assert sr.variance_aggregate_phi_form(20.0, 1.0, moments) == pytest.approx(
-        sr.variance_aggregate(*pair("lognormal", 1.0, 20.0, 0.5), 1), rel=1e-12
-    )
-    # phi = 0 leaves only the severity-variance term
-    assert sr.variance_aggregate_phi_form(10.0, 0.0, moments) == pytest.approx(
-        10.0 * moments.variance, rel=1e-12
+    assert phi_form_variance(20.0, 1.0, moments) == pytest.approx(
+        summary("lognormal", 1.0, 20.0, 0.5).var_s, rel=1e-12
     )
     exp_moments = severity_moments(pair("exponential", 1.0, 1.0)[1], 1)
-    assert sr.variance_aggregate_phi_form(10.0, 2.0, exp_moments) == pytest.approx(
-        30.0, rel=1e-12
+    assert phi_form_variance(10.0, 1.0, exp_moments) == pytest.approx(
+        summary("exponential", 1.0, 10.0).var_s, rel=1e-12
     )
-    with pytest.raises(ValueError):
-        sr.variance_aggregate_phi_form(0.0, 1.0, moments)
-    with pytest.raises(ValueError):
-        sr.variance_aggregate_phi_form(10.0, -0.5, moments)
 
 
 # --- covariance and correlation -------------------------------------------
 
 
 def test_cov_ns_values():
-    assert sr.cov_ns(*pair("exponential", 2.0, 10.0), 1) == 20.0
-    assert sr.cov_ns(*pair("uniform", 4.0, 5.0), 1) == 10.0
+    assert summary("exponential", 2.0, 10.0).cov_ns == 20.0
+    assert summary("uniform", 4.0, 5.0).cov_ns == 10.0
 
 
 def test_cov_ns_identities_on_random_models():
     rng = np.random.default_rng(23)
     for _ in range(100):
         freq, sev, t = random_model_pair(rng)
-        cov = sr.cov_ns(freq, sev, t)
+        cov = sr.risk_summary(freq, sev, t).cov_ns
         lam = sr.rate(freq, t)
         e_x = severity_moments(sev, t).mean
         phi = sr.theoretical_dispersion(freq)
@@ -88,43 +84,26 @@ def test_cov_ns_identities_on_random_models():
         assert rel_err(cov, phi * lam * e_x) <= 1e-12    # phi E[S]
 
 
-def test_cov_xs_and_cor_xs():
-    assert sr.cov_xs(pair("exponential", 2.0, 1.0)[1], 1) == 4.0
-    assert sr.cor_xs(*pair("exponential", 1.0, 1.0), 1) == pytest.approx(
-        math.sqrt(0.5), rel=1e-12
-    )
-    # correlation with one mark fades as the expected count grows
-    values = [sr.cor_xs(*pair("exponential", 1.0, lam), 1) for lam in (1, 10, 100)]
-    assert values[0] > values[1] > values[2]
-    assert all(0 < v <= 1 for v in values)
-
-
-def test_cor_xs_exceeds_one_below_rare_event_threshold():
-    # At rates under Var(X)/E[X^2] the formula leaves (0, 1]; the
-    # exponential family has that threshold at 1/2.
-    assert sr.cor_xs(*pair("exponential", 1.0, 0.2, n_years=1), 1) > 1.0
-    assert sr.cor_xs(*pair("exponential", 1.0, 0.5, n_years=1), 1) == pytest.approx(
-        1.0, rel=1e-12
-    )
-
-
 def test_cor_ns_reference_values():
     # lognormal: exp(-s^2/2), independent of rate and trend
     for lam in (1.0, 50.0):
-        freq, sev = pair("lognormal", 0.3, lam, 0.5)
-        assert sr.cor_ns(freq, sev, 1) == pytest.approx(
+        assert summary("lognormal", 0.3, lam, 0.5).cor_ns == pytest.approx(
             math.exp(-0.125), rel=1e-12
         )
-    assert sr.cor_ns(*pair("uniform", 3.0, 11.0), 1) == pytest.approx(
+    assert summary("uniform", 3.0, 11.0).cor_ns == pytest.approx(
         math.sqrt(3) / 2, rel=1e-12
     )
     # zero-shape heavy-tail model coincides with the exponential row
-    assert sr.cor_ns(*pair("gpd", 0.5, 4.0, 0.0), 1) == pytest.approx(
+    assert summary("gpd", 0.5, 4.0, 0.0).cor_ns == pytest.approx(
         math.sqrt(0.5), rel=1e-12
     )
-    assert sr.cor_ns(*pair("exponential", 2.0, 4.0), 1) == pytest.approx(
+    assert summary("exponential", 2.0, 4.0).cor_ns == pytest.approx(
         math.sqrt(0.5), rel=1e-12
     )
+
+
+def cor_ns(freq, sev, t):
+    return sr.risk_summary(freq, sev, t).cor_ns
 
 
 def test_cor_ns_invariant_to_trend_rescaling():
@@ -138,7 +117,7 @@ def test_cor_ns_invariant_to_trend_rescaling():
             horizon=sev.horizon,
             shape=sev.shape,
         )
-        assert rel_err(sr.cor_ns(freq, sev, t), sr.cor_ns(freq, scaled, t)) <= 1e-12
+        assert rel_err(cor_ns(freq, sev, t), cor_ns(freq, scaled, t)) <= 1e-12
     # log-scale family: invariant to location shifts instead
     freq, sev, t = random_model_pair(rng, "lognormal")
     shifted = sr.SeverityModel(
@@ -147,7 +126,7 @@ def test_cor_ns_invariant_to_trend_rescaling():
         horizon=sev.horizon,
         shape=sev.shape,
     )
-    assert rel_err(sr.cor_ns(freq, sev, t), sr.cor_ns(freq, shifted, t)) <= 1e-12
+    assert rel_err(cor_ns(freq, sev, t), cor_ns(freq, shifted, t)) <= 1e-12
 
 
 # --- correlation-dispersion identity ---------------------------------------
@@ -213,22 +192,18 @@ def test_identity_suite_random_models():
         freq, sev, t = random_model_pair(rng, family)
         lam = sr.rate(freq, t)
         m = severity_moments(sev, t)
+        s = sr.risk_summary(freq, sev, t)
 
-        e_s = sr.expected_aggregate(freq, sev, t)
-        assert rel_err(e_s, lam * m.mean) <= 1e-12
+        assert rel_err(s.e_s, lam * m.mean) <= 1e-12
+        assert rel_err(s.var_s, lam * m.second_moment) <= 1e-12  # Poisson shortcut
+        assert rel_err(s.var_s, phi_form_variance(lam, 1.0, m)) <= 1e-12
+        assert rel_err(s.cov_ns, m.mean * lam) <= 1e-12
+        assert rel_err(s.cov_ns, s.e_s) <= 1e-12  # phi = 1
 
-        var_s = sr.variance_aggregate(freq, sev, t)
-        assert rel_err(var_s, lam * m.second_moment) <= 1e-12
-        assert rel_err(var_s, sr.variance_aggregate_phi_form(lam, 1.0, m)) <= 1e-12
-
-        cov = sr.cov_ns(freq, sev, t)
-        assert rel_err(cov, m.mean * lam) <= 1e-12
-        assert rel_err(cov, e_s) <= 1e-12  # phi = 1
-
-        rho = sr.cor_ns(freq, sev, t)
-        rho_xs = sr.cor_xs(freq, sev, t)
+        rho = s.cor_ns
         assert 0 < rho <= 1
-        assert 0 < rho_xs <= 1
+        # dispersion form of the correlation
+        assert rel_err(rho, m.mean / math.sqrt(m.variance + m.mean**2)) <= 1e-12
         assert rel_err(
             sr.j_squared_from_correlation(rho, 1.0), sr.j_squared(sev)
         ) <= 1e-10

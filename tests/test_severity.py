@@ -135,6 +135,17 @@ def test_driver_positivity_enforced():
     make("exponential", 1.0, -0.1, horizon=(1, 9))
 
 
+def test_moments_must_be_finite_with_positive_variance_on_the_horizon():
+    # exp(710) overflows; 1 / (1e-300)^2 divides by zero; (1e-200)^2 underflows to 0
+    for family, beta0, shape in (("lognormal", 710.0, 1.0), ("gpd", 1e-300, 0.2), ("uniform", 1e-200, None)):
+        with pytest.raises(ValueError, match="not finite with positive variance"):
+            make(family, beta0, shape=shape)
+    # only the far endpoint leaves the range: E[X^2] = exp(2 (340 + t) + 2)
+    with pytest.raises(ValueError, match="t=20"):
+        make("lognormal", 340.0, 1.0, shape=1.0, horizon=(1, 20))
+    make("lognormal", 340.0, 1.0, shape=1.0, horizon=(1, 5))
+
+
 def test_horizon_violation_raises():
     model = make("exponential", 2.0, horizon=(1, 10))
     with pytest.raises(ValueError, match="horizon"):
