@@ -25,7 +25,6 @@ from .frequency import (
     RateLink,
     rate,
     sample_count,
-    theoretical_dispersion,
 )
 from .io import (
     CatalogFormatError,
@@ -46,7 +45,6 @@ from .severity import (
     Family,
     Moments,
     SeverityModel,
-    TrendParams,
     j_squared,
     sample_intensity,
     severity_moments,
@@ -72,7 +70,6 @@ __all__ = [
     "RateLink",
     "rate",
     "sample_count",
-    "theoretical_dispersion",
     "CatalogFormatError",
     "ConfigError",
     "parse_config",
@@ -87,7 +84,6 @@ __all__ = [
     "Family",
     "Moments",
     "SeverityModel",
-    "TrendParams",
     "j_squared",
     "sample_intensity",
     "severity_moments",

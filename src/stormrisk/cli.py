@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 
@@ -42,15 +42,14 @@ from .io import (
     write_events_stream,
     write_series_stream,
 )
-from .riskmodel import risk_summary, table1_row
+from .riskmodel import RiskSummary, risk_summary, table1_row
+from .severity import Family
 from .simulate import SimulationConfig, replicate_fixed_year, simulate_catalog
 from .verify import verification_checks
 
 __all__ = ["ExitStatus", "ExitReport", "run", "main"]
 
 SEED_ENV_VAR = "RANDSUM_SEED"
-
-_TABLE1_DEFAULT_SHAPES = {"gamma": 2.0, "lognormal": 1.0, "gpd": 0.25}
 
 
 class ExitStatus(Enum):
@@ -85,9 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the five-family reference table at unit scale and rate",
     )
-    p_theory.add_argument("--gamma-shape", type=float, default=None)
-    p_theory.add_argument("--lognormal-sigma", type=float, default=None)
-    p_theory.add_argument("--gpd-shape", type=float, default=None)
+    p_theory.add_argument("--gamma-shape", type=float, default=2.0)
+    p_theory.add_argument("--lognormal-sigma", type=float, default=1.0)
+    p_theory.add_argument("--gpd-shape", type=float, default=0.25)
 
     p_sim = sub.add_parser("simulate", help="generate a seeded event catalog")
     p_sim.add_argument("--config", required=True)
@@ -183,46 +182,46 @@ def _with_seed(config: SimulationConfig) -> SimulationConfig:
     if config.seed is not None:
         return config
     raw = os.environ.get(SEED_ENV_VAR)
-    if raw is not None:
-        try:
-            return replace(config, seed=int(raw))
-        except ValueError:
-            raise ConfigError(
-                f"{SEED_ENV_VAR}: expected an integer seed, got {raw!r}"
-            ) from None
-    raise ConfigError(
-        f"config.seed: required (or set {SEED_ENV_VAR}) for this mode"
-    )
+    if raw is None:
+        raise ConfigError(
+            f"config.seed: required (or set {SEED_ENV_VAR}) for this mode"
+        )
+    try:
+        seed = int(raw)
+    except ValueError:
+        raise ConfigError(
+            f"{SEED_ENV_VAR}: expected an integer seed, got {raw!r}"
+        ) from None
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{SEED_ENV_VAR}: must fit in unsigned 64 bits, got {seed}")
+    return replace(config, seed=seed)
 
 
 def _json_safe(v: float) -> float | None:
     return None if v is None or (isinstance(v, float) and math.isnan(v)) else v
 
 
-def _summary_values(summaries, names, count: int) -> np.ndarray:
-    """The float fields ``names`` of ``count`` summaries, one row per name."""
+def _write_summaries(out, header, leading, summaries) -> bool:
+    """Write CSV: the ``leading`` columns, then one float column per
+    remaining ``header`` name, that field of each summary.
+
+    Every summary is evaluated before the output is opened, so an error
+    leaves no file.  Returns True when the CSV went to stdout.
+    """
+    names = header[len(leading) :]
     rows = ([getattr(s, name) for name in names] for s in summaries)
-    return np.fromiter(rows, dtype=(np.float64, len(names)), count=count).T
+    count = len(leading[0])
+    values = np.fromiter(rows, dtype=(np.float64, len(names)), count=count).T
+    with _open_out(out) as (fh, on_stdout):
+        write_csv_rows(fh, header, [*leading, *values], na_rep="nan")
+    return on_stdout
 
 
 # --- subcommands --------------------------------------------------------
 
-_SUMMARY_COLUMNS = (
-    "year",
-    "t",
-    "e_n",
-    "e_x",
-    "e_s",
-    "var_n",
-    "var_x",
-    "var_s",
-    "cov_ns",
-    "cor_ns",
-    "phi",
-    "j_squared",
-)
+_SUMMARY_COLUMNS = ("year", *(f.name for f in fields(RiskSummary)))
 
-_TABLE1_FAMILIES = ("uniform", "gamma", "exponential", "lognormal", "gpd")
+_TABLE1_FAMILIES = tuple(f.value for f in Family)
 
 _TABLE1_COLUMNS = (
     "family",
@@ -246,15 +245,12 @@ def _cmd_theory(args) -> ExitReport:
     config = replace(parse_config(args.config, "theory"), seed=None)
     start, end = config.years
     index = range(1, config.n_years + 1)
-    summaries = (risk_summary(config.freq, config.sev, t) for t in index)
-    values = _summary_values(summaries, _SUMMARY_COLUMNS[2:], len(index))
-    with _open_out(args.out) as (fh, on_stdout):
-        write_csv_rows(
-            fh,
-            _SUMMARY_COLUMNS,
-            [range(start, end + 1), index, *values],
-            na_rep="nan",
-        )
+    on_stdout = _write_summaries(
+        args.out,
+        _SUMMARY_COLUMNS,
+        [range(start, end + 1), index],
+        (risk_summary(config.freq, config.sev, t) for t in index),
+    )
     payload = {
         "mode": "theory",
         "config": config.to_dict(),
@@ -270,29 +266,18 @@ def _cmd_theory(args) -> ExitReport:
 
 
 def _theory_table1(args) -> ExitReport:
-    shapes = dict(_TABLE1_DEFAULT_SHAPES)
-    if args.gamma_shape is not None:
-        shapes["gamma"] = args.gamma_shape
-    if args.lognormal_sigma is not None:
-        shapes["lognormal"] = args.lognormal_sigma
-    if args.gpd_shape is not None:
-        shapes["gpd"] = args.gpd_shape
-    summaries = (
-        table1_row(family, mu=1.0, lam=1.0, shape=shapes.get(family))
-        for family in _TABLE1_FAMILIES
+    shapes = {
+        "gamma": args.gamma_shape,
+        "lognormal": args.lognormal_sigma,
+        "gpd": args.gpd_shape,
+    }
+    shape_cells = [repr(shapes[f]) if f in shapes else "" for f in _TABLE1_FAMILIES]
+    on_stdout = _write_summaries(
+        args.out,
+        _TABLE1_COLUMNS,
+        [_TABLE1_FAMILIES, shape_cells],
+        (table1_row(f, mu=1.0, lam=1.0, shape=shapes.get(f)) for f in _TABLE1_FAMILIES),
     )
-    values = _summary_values(summaries, _TABLE1_COLUMNS[2:], len(_TABLE1_FAMILIES))
-    shape_cells = [
-        "" if shapes.get(family) is None else repr(shapes[family])
-        for family in _TABLE1_FAMILIES
-    ]
-    with _open_out(args.out) as (fh, on_stdout):
-        write_csv_rows(
-            fh,
-            _TABLE1_COLUMNS,
-            [_TABLE1_FAMILIES, shape_cells, *values],
-            na_rep="nan",
-        )
     payload = {
         "mode": "theory",
         "table1": True,
@@ -335,23 +320,16 @@ def _cmd_analyze(args) -> ExitReport:
     series = long_run_series(catalog, ci_level=args.level, window=args.window)
 
     diagnostics: dict = {}
-    try:
-        diagnostics["nx_independence"] = _json_safe(nx_independence(catalog))
-    except ValueError as exc:
-        diagnostics["nx_independence"] = None
-        diagnostics["nx_independence_note"] = str(exc)
-    try:
-        diagnostics["mailier_index"] = mailier_index(catalog.counts)
-    except ValueError as exc:
-        diagnostics["mailier_index"] = None
-        diagnostics["mailier_index_note"] = str(exc)
-    try:
-        diagnostics["season_activity"] = [
-            a.value for a in season_activity(catalog.counts)
-        ]
-    except ValueError as exc:
-        diagnostics["season_activity"] = None
-        diagnostics["season_activity_note"] = str(exc)
+    for name, call in (
+        ("nx_independence", lambda: _json_safe(nx_independence(catalog))),
+        ("mailier_index", lambda: mailier_index(catalog.counts)),
+        ("season_activity", lambda: [a.value for a in season_activity(catalog.counts)]),
+    ):
+        try:
+            diagnostics[name] = call()
+        except ValueError as exc:
+            diagnostics[name] = None
+            diagnostics[f"{name}_note"] = str(exc)
 
     with _open_out(args.out) as (fh, on_stdout):
         write_series_stream(series, fh)
@@ -383,8 +361,8 @@ def _cmd_verify(args) -> ExitReport:
             f"--replicates: need at least 1000 for stable standard errors, "
             f"got {replicates}"
         )
-    if args.sigma <= 0:
-        raise ConfigError(f"--sigma: must be positive, got {args.sigma}")
+    if not 0 < args.sigma < math.inf:
+        raise ConfigError(f"--sigma: must be positive and finite, got {args.sigma}")
     config = _with_seed(replace(config, replicates=replicates))
     t = args.year if args.year is not None else (1 + config.n_years) // 2
     if not 1 <= t <= config.n_years:

@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .catalog import EventCatalog
+from .catalog import EventCatalog, _frozen
 
 __all__ = [
     "LongRunSeries",
@@ -48,11 +48,6 @@ _ZERO_VAR_RTOL = 1e-12
 class SeasonActivity(str, Enum):
     ACTIVE = "active"
     INACTIVE = "inactive"
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,31 +150,18 @@ def _pearson_from_sums(t, sn, ss, snn, sss, sns):
     return np.clip(rho, -1.0, 1.0)
 
 
-def _expanding_rho(counts: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    t = np.arange(1, len(counts) + 1, dtype=np.float64)
-    n = counts.astype(np.float64)
-    rho = _pearson_from_sums(
-        t,
-        np.cumsum(n),
-        np.cumsum(sums),
-        np.cumsum(n * n),
-        np.cumsum(sums * sums),
-        np.cumsum(n * sums),
-    )
-    rho[: min(2, len(rho))] = np.nan  # need at least 3 pairs
-    return rho
-
-
 def long_run_series(
     catalog: EventCatalog, ci_level: float = 0.95, window: int | None = None
 ) -> LongRunSeries:
     """Expanding estimates over the catalog, one row per cutoff year.
 
-    Computed in a single pass from cumulative sums of the per-year
-    counts, sums, squares and cross-products plus the per-event squared
-    intensities.  With ``window`` the correlation columns cover the
-    trailing ``window`` years instead (NaN before the first full window);
-    the other columns stay expanding.
+    Computed in a single pass from one table of running sums of the
+    per-year counts, sums, squares and cross-products, plus the running
+    sum of the per-event squared intensities.  The correlation columns
+    sum over all years so far, or with ``window`` over the trailing
+    ``window`` years (NaN before the first full window); the other
+    columns stay expanding.  Raises ValueError, naming the year, where a
+    running sum overflows.
     """
     if not 0.0 < ci_level < 1.0:
         raise ValueError(f"ci_level must lie in (0, 1), got {ci_level}")
@@ -194,34 +176,44 @@ def long_run_series(
     t = np.arange(1, T + 1, dtype=np.float64)
     n = catalog.counts.astype(np.float64)
     s = catalog.sums
+    offsets = (catalog.event_years - catalog.start_year).astype(np.intp)
 
-    cum_n = np.cumsum(n)
-    cum_s = np.cumsum(s)
+    # Running sums of n, s, n*n, s*s and n*s after a zero column.  Every
+    # term is non-negative, so a finite last column bounds every year.
+    c = np.zeros((5, T + 1))
+    with np.errstate(over="ignore"):
+        np.cumsum((n, s, n * n, s * s, n * s), axis=1, out=c[:, 1:])
+        x2_by_year = np.bincount(offsets, weights=catalog.intensities**2, minlength=T)
+        cum_x2 = np.cumsum(x2_by_year)
+    if not (np.isfinite(c[:, -1]).all() and np.isfinite(cum_x2[-1])):
+        overflow = ~(np.isfinite(c[:, 1:]).all(axis=0) & np.isfinite(cum_x2))
+        year = catalog.start_year + int(np.argmax(overflow))
+        raise ValueError(
+            f"running sums of the counts and intensities overflow at year {year}"
+        )
+    cum_n, cum_s = c[0, 1:], c[1, 1:]
     e_n = cum_n / t
     e_s = cum_s / t
 
     with np.errstate(invalid="ignore", divide="ignore"):
         e_x = np.where(cum_n > 0, cum_s / cum_n, np.nan)
-        var_n = np.maximum(np.cumsum(n * n) / t - e_n**2, 0.0)
+        var_n = np.maximum(c[2, 1:] / t - e_n**2, 0.0)
         phi = np.where(e_n > 0, var_n / e_n, np.nan)
 
         # pooled intensity moments over all events up to each cutoff
-        offsets = (catalog.event_years - catalog.start_year).astype(np.intp)
-        x2_by_year = np.bincount(offsets, weights=catalog.intensities**2, minlength=T)
-        cum_x2 = np.cumsum(x2_by_year)
         mean_x2 = np.where(cum_n > 0, cum_x2 / cum_n, np.nan)
         var_x = np.maximum(mean_x2 - e_x**2, 0.0)
         j_hat = np.where(var_x > _ZERO_VAR_RTOL * mean_x2, e_x**2 / var_x, np.nan)
         j2phi = phi * j_hat**2
 
     if window is None:
-        rho = _expanding_rho(catalog.counts, catalog.sums)
-        rho_lo, rho_hi = _fisher_bounds_array(rho, t, ci_level)
+        sums, pairs = c[:, 1:], t
     else:
-        rho, rho_lo, rho_hi = (
-            np.concatenate((np.full(window - 1, np.nan), values))
-            for values in _moving_window_correlation(catalog, window, ci_level)
-        )
+        sums, pairs = c[:, window:] - c[:, :-window], float(window)
+    # a correlation needs at least 3 pairs
+    rho = np.where(pairs >= 3, _pearson_from_sums(pairs, *sums), np.nan)
+    rho = np.concatenate((np.full(T - len(rho), np.nan), rho))
+    rho_lo, rho_hi = _fisher_bounds_array(rho, pairs, ci_level)
     return LongRunSeries(
         years=catalog.years.astype(np.int64),
         e_n=e_n,
@@ -233,27 +225,6 @@ def long_run_series(
         rho_hi=rho_hi,
         j2phi=j2phi,
     )
-
-
-def _moving_window_correlation(
-    catalog: EventCatalog, window: int, ci_level: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pearson correlation and its bounds over each trailing window of
-    ``window`` years, one value per window end ``years[window - 1:]``."""
-
-    def rolling(v: np.ndarray) -> np.ndarray:
-        c = np.concatenate(([0.0], np.cumsum(v)))
-        return c[window:] - c[:-window]
-
-    n = catalog.counts.astype(np.float64)
-    s = catalog.sums
-    w = float(window)
-    rho = _pearson_from_sums(
-        w, rolling(n), rolling(s), rolling(n * n), rolling(s * s), rolling(n * s)
-    )
-    n_pairs = np.full(len(rho), window, dtype=np.float64)
-    lo, hi = _fisher_bounds_array(rho, n_pairs, ci_level)
-    return rho, lo, hi
 
 
 def nx_independence(catalog: EventCatalog) -> float:

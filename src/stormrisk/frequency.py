@@ -23,7 +23,6 @@ __all__ = [
     "FrequencyModel",
     "rate",
     "sample_count",
-    "theoretical_dispersion",
 ]
 
 
@@ -105,13 +104,3 @@ def sample_count(
     if size is None:
         return int(rng.poisson(lam))
     return rng.poisson(lam, size=int(size))
-
-
-def theoretical_dispersion(model: FrequencyModel) -> float:
-    """Var(N|t) / E[N|t], identically 1 for a Poisson count model.
-
-    Note this is the plain variance-to-mean ratio; the alternative
-    convention that subtracts 1 (zero for Poisson counts) is available
-    for observed counts as :func:`stormrisk.estimate.mailier_index`.
-    """
-    return 1.0

@@ -28,7 +28,7 @@ import numpy as np
 from .catalog import EventCatalog
 from .estimate import LongRunSeries
 from .frequency import FrequencyModel, RateLink
-from .severity import Family, SeverityModel, TrendParams
+from .severity import Family, SeverityModel
 from .simulate import SimulationConfig
 
 __all__ = [
@@ -389,10 +389,7 @@ def _parse_severity(obj, horizon: tuple[int, int]) -> SeverityModel:
         shape = _as_number(obj["shape"], "config.severity.shape")
     try:
         return SeverityModel(
-            family=family,
-            trend=TrendParams(beta0, beta1),
-            horizon=horizon,
-            shape=shape,
+            family=family, beta0=beta0, beta1=beta1, horizon=horizon, shape=shape
         )
     except ValueError as exc:
         raise ConfigError(f"config.severity: {exc}") from None

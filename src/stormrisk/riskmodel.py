@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .frequency import FrequencyModel, rate, theoretical_dispersion
-from .severity import Family, SeverityModel, TrendParams, j_squared, severity_moments
+from .frequency import FrequencyModel, rate
+from .severity import Family, SeverityModel, j_squared, severity_moments
 
 __all__ = [
     "RiskSummary",
@@ -78,12 +78,19 @@ def risk_summary(freq: FrequencyModel, sev: SeverityModel, t: float) -> RiskSumm
     Evaluates the rate and the intensity moments once.  The aggregate
     variance is the Blackwell-Girshick form with ``Var(N) = E[N]``; the
     tests check it against the Poisson shortcut and the dispersion form.
+    Raises ValueError where the aggregate variance is zero or overflows;
+    a finite ``var_s`` bounds ``e_s`` and ``cov_ns`` too.
     """
     lam = rate(freq, t)
     m = severity_moments(sev, t)
     var_s = lam * m.variance + lam * m.mean**2
     if var_s <= 0 or m.variance <= 0:
         raise ValueError("zero variance; correlation undefined")
+    if not math.isfinite(var_s):
+        raise ValueError(
+            f"aggregate variance overflows at t={t}: rate {lam} times "
+            f"E[X^2] {m.second_moment}"
+        )
     return RiskSummary(
         t=t,
         e_n=lam,
@@ -94,7 +101,7 @@ def risk_summary(freq: FrequencyModel, sev: SeverityModel, t: float) -> RiskSumm
         var_s=var_s,
         cov_ns=m.mean * lam,
         cor_ns=m.mean * math.sqrt(lam / var_s),
-        phi=theoretical_dispersion(freq),
+        phi=1.0,  # Poisson counts: Var(N) = E[N]
         j_squared=j_squared(sev),
     )
 
@@ -114,10 +121,7 @@ def table1_row(
     cor exp(-s^2/2); gpd cor sqrt((1-2xi)/(2-2xi)).
     """
     sev = SeverityModel(
-        family=Family(family),
-        trend=TrendParams(mu, 0.0),
-        horizon=(1, 1),
-        shape=shape,
+        family=Family(family), beta0=mu, beta1=0.0, horizon=(1, 1), shape=shape
     )
     freq = FrequencyModel(alpha0=lam, alpha1=0.0, link="identity", horizon=(1, 1))
     return risk_summary(freq, sev, 1)

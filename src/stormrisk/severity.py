@@ -32,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "Family",
-    "TrendParams",
     "Moments",
     "SeverityModel",
     "severity_moments",
@@ -61,18 +60,6 @@ _SHAPED = frozenset({Family.GAMMA, Family.LOGNORMAL, Family.GPD})
 
 
 @dataclass(frozen=True)
-class TrendParams:
-    """Linear trend ``beta0 + beta1 * t`` on the severity scale driver."""
-
-    beta0: float
-    beta1: float
-
-    def at(self, t: float) -> float:
-        """Driver value ``mu_t`` at year index ``t``."""
-        return self.beta0 + self.beta1 * t
-
-
-@dataclass(frozen=True)
 class Moments:
     """First two moments of a severity distribution at a fixed year.
 
@@ -90,7 +77,8 @@ class Moments:
 
 @dataclass(frozen=True, kw_only=True)
 class SeverityModel:
-    """Immutable severity model: family, trend and horizon.
+    """Immutable severity model: family, linear trend ``beta0 + beta1 * t``
+    on the scale driver, horizon and shape.
 
     ``horizon`` is the closed interval of year indices ``[t_min, t_max]``
     over which the model is valid.  Construction fails if the trend
@@ -99,7 +87,8 @@ class SeverityModel:
     """
 
     family: Family
-    trend: TrendParams
+    beta0: float
+    beta1: float
     horizon: tuple[float, float]
     shape: float | None = None
 
@@ -134,11 +123,11 @@ class SeverityModel:
         # monotone in the driver, so checks at both endpoints cover the
         # whole interval.
         for t in (t_min, t_max):
-            mu = self.trend.at(t)
+            mu = self.beta0 + self.beta1 * t
             if fam in _POSITIVE_DRIVER and mu <= 0:
                 raise ValueError(
                     f"scale driver is non-positive at t={t}: "
-                    f"{self.trend.beta0} + {self.trend.beta1}*{t} = {mu}"
+                    f"{self.beta0} + {self.beta1}*{t} = {mu}"
                 )
             try:
                 m = _moments(self, mu)
@@ -156,7 +145,7 @@ class SeverityModel:
         t_min, t_max = self.horizon
         if not (t_min <= t <= t_max):
             raise ValueError(f"year index {t} outside model horizon [{t_min}, {t_max}]")
-        mu = self.trend.at(t)
+        mu = self.beta0 + self.beta1 * t
         if self.family in _POSITIVE_DRIVER and mu <= 0:
             raise ValueError(f"scale driver non-positive at t={t}: {mu}")
         return mu

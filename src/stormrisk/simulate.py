@@ -92,8 +92,8 @@ class SimulationConfig:
             },
             "severity": {
                 "family": self.sev.family.value,
-                "beta0": self.sev.trend.beta0,
-                "beta1": self.sev.trend.beta1,
+                "beta0": self.sev.beta0,
+                "beta1": self.sev.beta1,
                 "shape": self.sev.shape,
             },
             "years": list(self.years),

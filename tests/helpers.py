@@ -33,7 +33,8 @@ def random_severity(rng, family=None, horizon=(1, 60)) -> sr.SeverityModel:
             shape = None
     return sr.SeverityModel(
         family=family,
-        trend=sr.TrendParams(beta0, beta1),
+        beta0=beta0,
+        beta1=beta1,
         horizon=horizon,
         shape=shape,
     )
@@ -70,7 +71,7 @@ def stationary_config(family, *, lam, mu, shape=None, years=(1, 60), seed=0, rep
     n = years[1] - years[0] + 1
     freq = sr.FrequencyModel(alpha0=lam, alpha1=0.0, link="identity", horizon=(1, n))
     sev = sr.SeverityModel(
-        family=family, trend=sr.TrendParams(mu, 0.0), horizon=(1, n), shape=shape
+        family=family, beta0=mu, beta1=0.0, horizon=(1, n), shape=shape
     )
     return sr.SimulationConfig(
         freq=freq, sev=sev, years=years, seed=seed, replicates=replicates

@@ -29,7 +29,6 @@ PUBLIC = [
     "RateLink",
     "rate",
     "sample_count",
-    "theoretical_dispersion",
     "CatalogFormatError",
     "ConfigError",
     "parse_config",
@@ -44,7 +43,6 @@ PUBLIC = [
     "Family",
     "Moments",
     "SeverityModel",
-    "TrendParams",
     "j_squared",
     "sample_intensity",
     "severity_moments",

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,42 @@ def test_severity_moments_out_of_range_are_input_errors(tmp_path, capsys, mode, 
     assert "Traceback" not in captured.err
 
 
+def test_theory_aggregate_variance_overflow_is_an_input_error(tmp_path, capsys):
+    # finite intensity moments, but E[N] E[X^2] overflows
+    cfg = write_config(
+        tmp_path,
+        simulate_config(
+            mode="theory",
+            frequency={"link": "identity", "alpha0": 1e10, "alpha1": 0.0},
+            severity={"family": "lognormal", "beta0": 350.0, "beta1": 0.0, "shape": 1.0},
+        ),
+    )
+    out = tmp_path / "theory.csv"
+    assert main(["theory", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out.strip().splitlines()[-1])
+    assert "aggregate variance overflows at t=1" in payload["error"]
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("big", ["1e308", "1e200"])
+def test_analyze_running_sum_overflow_is_an_input_error(tmp_path, capsys, big):
+    csv_path = tmp_path / "big.csv"
+    csv_path.write_text(
+        f"year,intensity\n2040,1.5\n2041,2.0\n2042,{big}\n2043,1.0\n", encoding="utf-8"
+    )
+    out = tmp_path / "series.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", "--input", str(csv_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out.strip().splitlines()[-1])
+    assert "overflow at year 2042" in payload["error"]
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 # --- verify ---------------------------------------------------------------------
 
 
@@ -257,6 +294,17 @@ def test_verify_rejects_tiny_replicate_counts(tmp_path):
     cfg = verify_config(tmp_path)
     report = run(["verify", "--config", cfg, "--replicates", "10"])
     assert report.status is ExitStatus.INPUT_ERROR
+
+
+@pytest.mark.parametrize("sigma", ["inf", "nan"])
+def test_verify_rejects_non_finite_sigma(tmp_path, capsys, sigma):
+    cfg = verify_config(tmp_path)
+    argv = ["verify", "--config", cfg, "--replicates", "1000", "--sigma", sigma]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out.strip().splitlines()[-1])
+    assert payload["error"].startswith("--sigma: ")
+    assert "Traceback" not in captured.err
 
 
 # --- dispatch and exit codes ------------------------------------------------------
@@ -322,3 +370,13 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     explicit = tmp_path / "explicit.csv"
     run(["simulate", "--config", write_config(tmp_path, simulate_config(), name="e.json"), "--out", str(explicit)])
     assert explicit.read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize("raw", ["-1", str(2**64)])
+def test_seed_env_out_of_range(tmp_path, monkeypatch, raw):
+    cfg = simulate_config()
+    del cfg["seed"]
+    monkeypatch.setenv("RANDSUM_SEED", raw)
+    report = run(["simulate", "--config", write_config(tmp_path, cfg)])
+    assert report.status is ExitStatus.INPUT_ERROR
+    assert report.payload["error"] == f"RANDSUM_SEED: must fit in unsigned 64 bits, got {raw}"

@@ -261,7 +261,7 @@ def test_mean_count_error_shrinks_with_time():
     mean rate, with error decaying in t (strong-law behaviour)."""
     freq = sr.FrequencyModel(alpha0=20.0, alpha1=0.01, link="identity", horizon=(1, 1000))
     sev = sr.SeverityModel(
-        family="exponential", trend=sr.TrendParams(1.0, 0.0), horizon=(1, 1000)
+        family="exponential", beta0=1.0, beta1=0.0, horizon=(1, 1000)
     )
     checkpoints = [50, 200, 1000]
     lam_bar = {

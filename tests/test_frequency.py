@@ -73,7 +73,6 @@ def test_sample_count_scalar_and_determinism():
 
 
 def test_theoretical_dispersion_is_one_for_poisson():
-    assert sr.theoretical_dispersion(log_model(2.0, 0.01)) == 1.0
-    assert sr.theoretical_dispersion(identity_model(20.0, 0.5)) == 1.0
-    # the subtract-one convention gives zero for the same models
-    assert sr.theoretical_dispersion(log_model(2.0, 0.01)) - 1.0 == 0.0
+    sev = sr.SeverityModel(family="exponential", beta0=1.0, beta1=0.0, horizon=(1, 60))
+    for freq in (log_model(2.0, 0.01), identity_model(20.0, 0.5)):
+        assert sr.risk_summary(freq, sev, 30).phi == 1.0

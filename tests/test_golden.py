@@ -1,5 +1,5 @@
-"""Golden sha256 digests: the bytes of every CSV the CLI writes, the
-``verify`` JSON report and the arrays of the seeded simulators, for one
+"""Golden sha256 digests: the bytes of every CSV the CLI writes, the JSON
+report of every command and the arrays of the seeded simulators, for one
 small model per severity family.
 
 A change that alters a draw or a written byte fails here.  The digests
@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 import tempfile
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -69,12 +70,26 @@ GOLDEN = {
         "lognormal": "aac340aea4897de19d57e4ec6cd9b773633586fdad4882b61e3f247247db72b0",
         "gpd": "2062197d2cc854252c6655431340a24e0eedbf0a7d7ced326f967df22850cf97",
     },
+    "simulate_json": {
+        "uniform": "71a2dfdee892a7d21bab73c3802fe78053885a99b4cebcf3f7448cef0ecac485",
+        "gamma": "6f11797dcfc9c9ca3bb2fe4d6c9da3c9c8ce0a68089a4691d9616d159803da99",
+        "exponential": "04f217dae38426710acf9ad7122a02f35c8cbd2c03eb7bdd8ed9a883c750ae58",
+        "lognormal": "d2b1366bd58f1db230ffcda222fe25a82407353586f92a9d0b9b0367db0c4fc3",
+        "gpd": "1b33b2fa81e3ae533c84932e090895449ae835e9a37e656821c77886905d9e42",
+    },
     "series_csv": {
         "uniform": "48aec95e1d0740341895ca3e222b68b8d42b4ec08efc3574dd7cf34d95c331e7",
         "gamma": "e1361aeb358483c24e042d8819d9718e93996eed1ab55ea1b421158d4ae5e757",
         "exponential": "35daac0c7438fc3d8520e0c6b716f2bb99de828c9f7ad2a7eace8a12f8eaba02",
         "lognormal": "e6e07dd8fe0f038ec8d5d5e2a1733b42837754de864ca499f00945b74d8fc471",
         "gpd": "96fc7b843d72625ed440f40abbb11e0de4a215bb6eb79fcf5984703fbd4bcb57",
+    },
+    "analyze_json": {
+        "uniform": "ad1f6f65214e3de6bf3225916c239bd03b496591ddaa0b6bf754412eac63315e",
+        "gamma": "dbea8de5b9f8f703dbc5d0b8740061e28af7240af7868e2972d3c65108d6a6e5",
+        "exponential": "0dea3cc6c30e08d57b419c789ff358a12727260ac67af5d0576a34e4e21f328a",
+        "lognormal": "b25cd91009ae3eea1df58a8eec55bead205794891d2665e462f0c5ef104000d6",
+        "gpd": "e3f564398541cc3514d7b36dc6968aa1f20b33bbecb4361ca84baf0b8ceda5f3",
     },
     "series_window_csv": {
         "uniform": "fdebb1f0153140c75e0f8039eeb7ac1fcdfe85bf42325062fa0fa683abb2d9a0",
@@ -83,12 +98,26 @@ GOLDEN = {
         "lognormal": "a84fb152ec2d6e8977e054b32179e7493d7193b85ba455401496bb828d421d17",
         "gpd": "60519b16cdc69c9ff838985f4978d180780d97980d380e642afb9ccec5dc51ed",
     },
+    "analyze_window_json": {
+        "uniform": "31268956f0f58e03181e3d07c191f14b24b506460a2a8d5d57989e44aa3f5b26",
+        "gamma": "d21511963909aedf6bdc47e6d51b3185d0d273296b2cd63399ed520a118d24c8",
+        "exponential": "ea91bae6c6a2507bb24bddb92f507b75b39ecd21e4eb0578eb66c67adc9ba0f4",
+        "lognormal": "93fc1bca883eb04e82ebaddf42fd53ab061d49be054eb80867701f3a5f5ab4ba",
+        "gpd": "ed86d1f3db909c3707e2ed3d89a4c0ac113885b08fb84b8e7820ba334be4d5b1",
+    },
     "theory_csv": {
         "uniform": "dd89f12d1c03f780c8a7b5c783c066007dfbb9a2b04ba760bbe2f9a1cd7c0d6b",
         "gamma": "4511fdd6c3db6b70e62b8e1f320abe68e7c7c3f4d178c274d557c19e23a37db0",
         "exponential": "5d54879fc4f4a077fe1fe14c3afd026427977e7db0e0253ed064c1cab0431dd2",
         "lognormal": "54c41208d4ddb0a833acc6b672073d270469b184f0fd1af7276c876386736d6b",
         "gpd": "f451ca6f50bac87f0f6498c358d36334c15df73fb8c3a34c08ea5bae11c316a8",
+    },
+    "theory_json": {
+        "uniform": "c3f8d3bd9a876057747e74d90dd754c4d0073a03574c34f3cf85967598b69f59",
+        "gamma": "ec78418f83222d1d10a4d8e93998833d9ee01fefdc00500feadac162bdf03ab7",
+        "exponential": "fff6db3ec6bfb3d11c50db794c39d0fddf1f73b90b9d60afd16abd23766ee0e1",
+        "lognormal": "369576ad0b96dc047a95e7c88e546b5e85701af0d9c9854d845b40485259cb20",
+        "gpd": "a0cb5421d4d1371b78a7a6975f13aabaadd4c328c33e2fc1f5bd989de96d385f",
     },
     "theory_log_csv": {
         "uniform": "7ad90d84c4771974b4df2ef5dfd8fe032046dee7fa1d3caef40f693bd587cbfa",
@@ -107,6 +136,10 @@ GOLDEN = {
     "table1_csv": {
         "default": "fdaa6526fcddb9e6ba25b8fee57c6c7061d56a5bf050588a2a1718dcf87ce088",
         "overrides": "bc8f22af71bff3e02d4fab2fb47939b63a49bccd00cdb633d01b235e26c69ce5",
+    },
+    "table1_json": {
+        "default": "57b95c679b2b6b062e7973f57b78f7323908549776481085c5b7ba6c5b543011",
+        "overrides": "4aa947a442fec73f936e2400cacf6e4614f3f6fb074ea639b6710a5533af9a60",
     },
     "large_events_csv": "3be2b8f832ee35434389335e886e707a4654318ba0f2c5ecccb50e96df7fa523",
 }
@@ -132,7 +165,8 @@ def _model(family: str) -> sr.SimulationConfig:
         ),
         sev=sr.SeverityModel(
             family=family,
-            trend=sr.TrendParams(sev["beta0"], sev["beta1"]),
+            beta0=sev["beta0"],
+            beta1=sev["beta1"],
             horizon=(1, n),
             shape=sev.get("shape"),
         ),
@@ -152,11 +186,18 @@ def replicate_digest(family: str) -> str:
     return _sha256(e.counts, e.sums, e.first_marks)
 
 
-def _run_csv(work: Path, name: str, argv: list[str]) -> str:
+def _report_digest(payload: dict) -> str:
+    """sha256 of a JSON report, its file paths replaced by a placeholder."""
+    payload = {k: "<path>" if k in ("input", "output") else v for k, v in payload.items()}
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def _run_csv(work: Path, name: str, argv: list[str]) -> tuple[str, str]:
+    """Digests of the CSV one CLI run writes and of its JSON report."""
     out = work / name
     report = run([*argv, "--out", str(out)])
     assert report.status is ExitStatus.OK, report.summary
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+    return hashlib.sha256(out.read_bytes()).hexdigest(), _report_digest(report.payload)
 
 
 def _config(work: Path, family: str, mode: str, frequency=FREQUENCY) -> str:
@@ -174,29 +215,33 @@ def _config(work: Path, family: str, mode: str, frequency=FREQUENCY) -> str:
 
 def cli_digests(work: Path, family: str) -> dict[str, str]:
     """Digests of the event, series (expanding and windowed) and theory
-    CSVs that the CLI writes for one family's model."""
+    CSVs that the CLI writes for one family's model, and of the JSON
+    reports of those runs."""
     events = str(work / f"events-{family}.csv")
-    return {
-        "events_csv": _run_csv(
-            work,
+    runs = {
+        ("events_csv", "simulate_json"): (
             f"events-{family}.csv",
             ["simulate", "--config", _config(work, family, "simulate")],
         ),
-        "series_csv": _run_csv(work, "series.csv", ["analyze", "--input", events]),
-        "series_window_csv": _run_csv(
-            work,
+        ("series_csv", "analyze_json"): ("series.csv", ["analyze", "--input", events]),
+        ("series_window_csv", "analyze_window_json"): (
             "series-window.csv",
             ["analyze", "--input", events, "--window", str(WINDOW)],
         ),
-        "theory_csv": _run_csv(
-            work, "theory.csv", ["theory", "--config", _config(work, family, "theory")]
+        ("theory_csv", "theory_json"): (
+            "theory.csv",
+            ["theory", "--config", _config(work, family, "theory")],
         ),
     }
+    digests = {}
+    for kinds, (name, argv) in runs.items():
+        digests.update(zip(kinds, _run_csv(work, name, argv)))
+    return digests
 
 
 def theory_log_digest(work: Path, family: str) -> str:
     cfg = _config(work, family, "theory", LOG_FREQUENCY)
-    return _run_csv(work, "theory-log.csv", ["theory", "--config", cfg])
+    return _run_csv(work, "theory-log.csv", ["theory", "--config", cfg])[0]
 
 
 def verify_digest(work: Path, family: str) -> str:
@@ -214,20 +259,24 @@ def verify_digest(work: Path, family: str) -> str:
         ]
     )
     assert report.status in (ExitStatus.OK, ExitStatus.VERIFICATION_FAILURE)
-    text = json.dumps(report.payload, sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return _report_digest(report.payload)
 
 
-def table1_digests(work: Path) -> dict[str, str]:
-    return {
-        "default": _run_csv(work, "t1.csv", ["theory", "--table1"]),
-        "overrides": _run_csv(work, "t1o.csv", ["theory", "--table1", *TABLE1_OVERRIDES]),
-    }
+def table1_digests(work: Path) -> dict[str, dict[str, str]]:
+    """``table1_csv`` and ``table1_json`` digests, default and overridden shapes."""
+    digests = {"table1_csv": {}, "table1_json": {}}
+    for case, extra in (("default", ()), ("overrides", TABLE1_OVERRIDES)):
+        csv_digest, json_digest = _run_csv(
+            work, f"t1-{case}.csv", ["theory", "--table1", *extra]
+        )
+        digests["table1_csv"][case] = csv_digest
+        digests["table1_json"][case] = json_digest
+    return digests
 
 
 def large_events_digest(work: Path) -> str:
     cfg = _config(work, "gpd", "simulate", LARGE_FREQUENCY)
-    return _run_csv(work, "large.csv", ["simulate", "--config", cfg])
+    return _run_csv(work, "large.csv", ["simulate", "--config", cfg])[0]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -257,7 +306,8 @@ def test_verify_report(tmp_path, family):
 
 
 def test_table1_csv_bytes(tmp_path):
-    assert table1_digests(tmp_path) == GOLDEN["table1_csv"]
+    digests = table1_digests(tmp_path)
+    assert digests == {kind: GOLDEN[kind] for kind in digests}
 
 
 def test_large_event_csv_bytes(tmp_path):
@@ -265,7 +315,7 @@ def test_large_event_csv_bytes(tmp_path):
 
 
 def _regenerate() -> dict:
-    golden = {kind: {} for kind in GOLDEN}
+    golden: dict = defaultdict(dict)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for family in FAMILIES:
@@ -275,9 +325,9 @@ def _regenerate() -> dict:
                 golden[kind][family] = digest
             golden["theory_log_csv"][family] = theory_log_digest(work, family)
             golden["verify_json"][family] = verify_digest(work, family)
-        golden["table1_csv"] = table1_digests(work)
+        golden.update(table1_digests(work))
         golden["large_events_csv"] = large_events_digest(work)
-    return golden
+    return dict(golden)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ def pair(family, mu, lam, shape=None, n_years=60):
         alpha0=lam, alpha1=0.0, link="identity", horizon=(1, n_years)
     )
     sev = sr.SeverityModel(
-        family=family, trend=sr.TrendParams(mu, 0.0), horizon=(1, n_years), shape=shape
+        family=family, beta0=mu, beta1=0.0, horizon=(1, n_years), shape=shape
     )
     return freq, sev
 
@@ -76,12 +76,11 @@ def test_cov_ns_identities_on_random_models():
     rng = np.random.default_rng(23)
     for _ in range(100):
         freq, sev, t = random_model_pair(rng)
-        cov = sr.risk_summary(freq, sev, t).cov_ns
+        rs = sr.risk_summary(freq, sev, t)
         lam = sr.rate(freq, t)
         e_x = severity_moments(sev, t).mean
-        phi = sr.theoretical_dispersion(freq)
-        assert rel_err(cov, e_x * lam) <= 1e-12          # E[X] Var(N)
-        assert rel_err(cov, phi * lam * e_x) <= 1e-12    # phi E[S]
+        assert rel_err(rs.cov_ns, e_x * lam) <= 1e-12           # E[X] Var(N)
+        assert rel_err(rs.cov_ns, rs.phi * lam * e_x) <= 1e-12  # phi E[S]
 
 
 def test_cor_ns_reference_values():
@@ -113,7 +112,8 @@ def test_cor_ns_invariant_to_trend_rescaling():
         c = rng.uniform(0.2, 5.0)
         scaled = sr.SeverityModel(
             family=sev.family,
-            trend=sr.TrendParams(c * sev.trend.beta0, c * sev.trend.beta1),
+            beta0=c * sev.beta0,
+            beta1=c * sev.beta1,
             horizon=sev.horizon,
             shape=sev.shape,
         )
@@ -122,7 +122,8 @@ def test_cor_ns_invariant_to_trend_rescaling():
     freq, sev, t = random_model_pair(rng, "lognormal")
     shifted = sr.SeverityModel(
         family=sev.family,
-        trend=sr.TrendParams(sev.trend.beta0 + 2.5, sev.trend.beta1),
+        beta0=sev.beta0 + 2.5,
+        beta1=sev.beta1,
         horizon=sev.horizon,
         shape=sev.shape,
     )
@@ -222,3 +223,10 @@ def test_risk_summary_is_internally_consistent():
         assert rel_err(
             s.cor_ns**2 / (s.phi * (1 - s.cor_ns**2)), s.j_squared
         ) <= 1e-10
+
+
+def test_risk_summary_rejects_aggregate_variance_overflow():
+    # E[X^2] is finite (about 7.5e304), but E[N] E[X^2] is not
+    freq, sev = pair("lognormal", 350.0, 1e10, shape=1.0)
+    with pytest.raises(ValueError, match="aggregate variance overflows"):
+        sr.risk_summary(freq, sev, 1)

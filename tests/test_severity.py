@@ -12,7 +12,7 @@ from helpers import FAMILIES, random_severity, rel_err
 
 def make(family, beta0, beta1=0.0, shape=None, horizon=(1, 60)):
     return sr.SeverityModel(
-        family=family, trend=sr.TrendParams(beta0, beta1), horizon=horizon, shape=shape
+        family=family, beta0=beta0, beta1=beta1, horizon=horizon, shape=shape
     )
 
 
@@ -100,12 +100,16 @@ def test_j_squared_invariant_to_trend_and_year():
             assert rel_err(m.mean**2 / m.variance, j) <= 1e-12
         # rescaling the trend (or shifting, for the log-scale family)
         if model.family is sr.Family.LOGNORMAL:
-            trend = sr.TrendParams(model.trend.beta0 + 3.0, model.trend.beta1)
+            beta0, beta1 = model.beta0 + 3.0, model.beta1
         else:
             c = rng.uniform(0.1, 10.0)
-            trend = sr.TrendParams(c * model.trend.beta0, c * model.trend.beta1)
+            beta0, beta1 = c * model.beta0, c * model.beta1
         rescaled = sr.SeverityModel(
-            family=model.family, trend=trend, horizon=model.horizon, shape=model.shape
+            family=model.family,
+            beta0=beta0,
+            beta1=beta1,
+            horizon=model.horizon,
+            shape=model.shape,
         )
         assert rel_err(sr.j_squared(rescaled), j) <= 1e-12
 

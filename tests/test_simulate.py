@@ -12,7 +12,7 @@ def gpd_trend_config(seed=0, years=(1, 60)):
     n = years[1] - years[0] + 1
     freq = sr.FrequencyModel(alpha0=20.0, alpha1=0.5, link="identity", horizon=(1, n))
     sev = sr.SeverityModel(
-        family="gpd", trend=sr.TrendParams(1.0, 0.01), horizon=(1, n), shape=0.2
+        family="gpd", beta0=1.0, beta1=0.01, horizon=(1, n), shape=0.2
     )
     return sr.SimulationConfig(freq=freq, sev=sev, years=years, seed=seed)
 
@@ -148,7 +148,7 @@ def test_trended_ensembles_track_their_year():
     # fixed-year draws must use that year's rate and scale, not year 1's
     freq = sr.FrequencyModel(alpha0=5.0, alpha1=1.0, link="identity", horizon=(1, 50))
     sev = sr.SeverityModel(
-        family="gamma", trend=sr.TrendParams(1.0, 0.1), horizon=(1, 50), shape=2.0
+        family="gamma", beta0=1.0, beta1=0.1, horizon=(1, 50), shape=2.0
     )
     config = sr.SimulationConfig(
         freq=freq, sev=sev, years=(1, 50), seed=4, replicates=200_000
@@ -185,7 +185,7 @@ def test_config_validation():
     n = 10
     freq = sr.FrequencyModel(alpha0=5.0, alpha1=0.0, link="identity", horizon=(1, n))
     sev = sr.SeverityModel(
-        family="exponential", trend=sr.TrendParams(1.0, 0.0), horizon=(1, n)
+        family="exponential", beta0=1.0, beta1=0.0, horizon=(1, n)
     )
     with pytest.raises(ValueError, match="start <= end"):
         sr.SimulationConfig(freq=freq, sev=sev, years=(5, 4), seed=0)
