@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .catalog import EventCatalog
 from .estimate import (
     LongRunSeries,
-    SeasonActivity,
     fisher_interval,
     long_run_series,
     mailier_index,
@@ -60,7 +59,6 @@ __all__ = [
     "__version__",
     "EventCatalog",
     "LongRunSeries",
-    "SeasonActivity",
     "fisher_interval",
     "long_run_series",
     "mailier_index",

@@ -14,8 +14,10 @@ import numpy as np
 
 __all__ = ["EventCatalog"]
 
-# Year offsets and per-year array lengths are int64.
-_MAX_YEARS = np.iinfo(np.int64).max
+# The row budget: the most years a catalog or a theory table may span,
+# and the most replicates an ensemble may hold.  Inputs past it are
+# rejected before any array is sized by them.
+_MAX_ROWS = 10**7
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -83,10 +85,10 @@ class EventCatalog:
             if len(years) and (years.min() < start or years.max() > end):
                 raise ValueError("events fall outside the requested year_range")
         n_years = end - start + 1  # a Python int: cannot overflow
-        if n_years > _MAX_YEARS:
+        if n_years > _MAX_ROWS:
             raise ValueError(
                 f"event years {start} to {end} span {n_years} years, more "
-                f"than the {_MAX_YEARS} a catalog can index"
+                f"than the {_MAX_ROWS} a catalog may hold"
             )
         order = np.argsort(years, kind="stable")
         years = years[order]

@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .catalog import _MAX_ROWS
 from .estimate import long_run_series, mailier_index, nx_independence, season_activity
 from .io import (
     CatalogFormatError,
@@ -167,16 +168,6 @@ def main(argv=None) -> int:
 # --- helpers ------------------------------------------------------------
 
 
-@contextlib.contextmanager
-def _open_out(path):
-    """Yield (writable text stream, wrote_to_stdout flag)."""
-    if path is None:
-        yield sys.stdout, True
-    else:
-        with Path(path).open("w", encoding="utf-8", newline="") as fh:
-            yield fh, False
-
-
 def _with_seed(config: SimulationConfig) -> SimulationConfig:
     """``config`` with its seed filled in from the environment if absent."""
     if config.seed is not None:
@@ -201,20 +192,35 @@ def _json_safe(v: float) -> float | None:
     return None if v is None or (isinstance(v, float) and math.isnan(v)) else v
 
 
-def _write_summaries(out, header, leading, summaries) -> bool:
-    """Write CSV: the ``leading`` columns, then one float column per
+def _emit(args, write, summary: str, payload: dict) -> ExitReport:
+    """Run ``write(fh)`` on ``--out``, else on stdout, and return the OK
+    report: ``payload`` plus ``mode``, ``output`` and ``csv_on_stdout``."""
+    if args.out is None:
+        write(sys.stdout)
+    else:
+        with Path(args.out).open("w", encoding="utf-8", newline="") as fh:
+            write(fh)
+    payload = {
+        "mode": args.command,
+        **payload,
+        "output": args.out,
+        "csv_on_stdout": args.out is None,
+    }
+    return ExitReport(ExitStatus.OK, summary, payload)
+
+
+def _write_summaries(header, leading, summaries):
+    """A writer of CSV: the ``leading`` columns, then one float column per
     remaining ``header`` name, that field of each summary.
 
-    Every summary is evaluated before the output is opened, so an error
-    leaves no file.  Returns True when the CSV went to stdout.
+    Every summary is evaluated here, before any output is opened, so an
+    error leaves no file.
     """
     names = header[len(leading) :]
     rows = ([getattr(s, name) for name in names] for s in summaries)
     count = len(leading[0])
     values = np.fromiter(rows, dtype=(np.float64, len(names)), count=count).T
-    with _open_out(out) as (fh, on_stdout):
-        write_csv_rows(fh, header, [*leading, *values], na_rep="nan")
-    return on_stdout
+    return lambda fh: write_csv_rows(fh, header, [*leading, *values], na_rep="nan")
 
 
 # --- subcommands --------------------------------------------------------
@@ -245,23 +251,15 @@ def _cmd_theory(args) -> ExitReport:
     config = replace(parse_config(args.config, "theory"), seed=None)
     start, end = config.years
     index = range(1, config.n_years + 1)
-    on_stdout = _write_summaries(
-        args.out,
-        _SUMMARY_COLUMNS,
-        [range(start, end + 1), index],
-        (risk_summary(config.freq, config.sev, t) for t in index),
-    )
-    payload = {
-        "mode": "theory",
-        "config": config.to_dict(),
-        "output": args.out,
-        "rows": len(index),
-        "csv_on_stdout": on_stdout,
-    }
-    return ExitReport(
-        ExitStatus.OK,
+    return _emit(
+        args,
+        _write_summaries(
+            _SUMMARY_COLUMNS,
+            [range(start, end + 1), index],
+            (risk_summary(config.freq, config.sev, t) for t in index),
+        ),
         f"theory: wrote {len(index)} yearly summaries over {start}-{end}",
-        payload,
+        {"config": config.to_dict(), "rows": len(index)},
     )
 
 
@@ -272,44 +270,34 @@ def _theory_table1(args) -> ExitReport:
         "gpd": args.gpd_shape,
     }
     shape_cells = [repr(shapes[f]) if f in shapes else "" for f in _TABLE1_FAMILIES]
-    on_stdout = _write_summaries(
-        args.out,
-        _TABLE1_COLUMNS,
-        [_TABLE1_FAMILIES, shape_cells],
-        (table1_row(f, mu=1.0, lam=1.0, shape=shapes.get(f)) for f in _TABLE1_FAMILIES),
-    )
-    payload = {
-        "mode": "theory",
-        "table1": True,
-        "shapes": shapes,
-        "output": args.out,
-        "csv_on_stdout": on_stdout,
-    }
-    return ExitReport(
-        ExitStatus.OK,
+    return _emit(
+        args,
+        _write_summaries(
+            _TABLE1_COLUMNS,
+            [_TABLE1_FAMILIES, shape_cells],
+            (
+                table1_row(f, mu=1.0, lam=1.0, shape=shapes.get(f))
+                for f in _TABLE1_FAMILIES
+            ),
+        ),
         "theory: five-family reference table at unit scale and unit rate",
-        payload,
+        {"table1": True, "shapes": shapes},
     )
 
 
 def _cmd_simulate(args) -> ExitReport:
     config = _with_seed(parse_config(args.config, "simulate"))
     catalog = simulate_catalog(config)
-    with _open_out(args.out) as (fh, on_stdout):
-        write_events_stream(catalog, fh)
-    payload = {
-        "mode": "simulate",
-        "config": config.to_dict(),
-        "output": args.out,
-        "n_events": catalog.n_events,
-        "n_years": catalog.n_years,
-        "csv_on_stdout": on_stdout,
-    }
-    return ExitReport(
-        ExitStatus.OK,
+    return _emit(
+        args,
+        lambda fh: write_events_stream(catalog, fh),
         f"simulate: {catalog.n_events} events over {catalog.n_years} years "
         f"(seed {config.seed})",
-        payload,
+        {
+            "config": config.to_dict(),
+            "n_events": catalog.n_events,
+            "n_years": catalog.n_years,
+        },
     )
 
 
@@ -323,7 +311,7 @@ def _cmd_analyze(args) -> ExitReport:
     for name, call in (
         ("nx_independence", lambda: _json_safe(nx_independence(catalog))),
         ("mailier_index", lambda: mailier_index(catalog.counts)),
-        ("season_activity", lambda: [a.value for a in season_activity(catalog.counts)]),
+        ("season_activity", lambda: season_activity(catalog.counts)),
     ):
         try:
             diagnostics[name] = call()
@@ -331,25 +319,20 @@ def _cmd_analyze(args) -> ExitReport:
             diagnostics[name] = None
             diagnostics[f"{name}_note"] = str(exc)
 
-    with _open_out(args.out) as (fh, on_stdout):
-        write_series_stream(series, fh)
-    payload = {
-        "mode": "analyze",
-        "input": args.input,
-        "output": args.out,
-        "window": args.window,
-        "ci_level": args.level,
-        "n_years": catalog.n_years,
-        "n_events": catalog.n_events,
-        "diagnostics": diagnostics,
-        "csv_on_stdout": on_stdout,
-    }
-    return ExitReport(
-        ExitStatus.OK,
+    return _emit(
+        args,
+        lambda fh: write_series_stream(series, fh),
         f"analyze: {catalog.n_events} events over {catalog.n_years} years "
         f"({'window ' + str(args.window) if args.window else 'expanding'} "
         f"correlation)",
-        payload,
+        {
+            "input": args.input,
+            "window": args.window,
+            "ci_level": args.level,
+            "n_years": catalog.n_years,
+            "n_events": catalog.n_events,
+            "diagnostics": diagnostics,
+        },
     )
 
 
@@ -360,6 +343,10 @@ def _cmd_verify(args) -> ExitReport:
         raise ConfigError(
             f"--replicates: need at least 1000 for stable standard errors, "
             f"got {replicates}"
+        )
+    if replicates > _MAX_ROWS:
+        raise ConfigError(
+            f"--replicates: at most {_MAX_ROWS} fit the row budget, got {replicates}"
         )
     if not 0 < args.sigma < math.inf:
         raise ConfigError(f"--sigma: must be positive and finite, got {args.sigma}")

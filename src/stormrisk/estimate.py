@@ -22,9 +22,7 @@ Conventions
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -32,7 +30,6 @@ from .catalog import EventCatalog, _frozen
 
 __all__ = [
     "LongRunSeries",
-    "SeasonActivity",
     "long_run_series",
     "fisher_interval",
     "nx_independence",
@@ -43,11 +40,6 @@ __all__ = [
 # Variances at or below this fraction of the second moment are treated
 # as exact zeros (degenerate, correlation undefined).
 _ZERO_VAR_RTOL = 1e-12
-
-
-class SeasonActivity(str, Enum):
-    ACTIVE = "active"
-    INACTIVE = "inactive"
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,28 +95,18 @@ def _normal_quantile(p: float) -> float:
     return float(norm.ppf(p))
 
 
-def fisher_interval(rho: float, n: int, level: float = 0.95) -> tuple[float, float]:
-    """Approximate confidence interval for a Pearson correlation.
+def fisher_interval(rho, n, level: float = 0.95):
+    """Approximate confidence bounds ``(lo, hi)`` for Pearson correlations.
 
-    Transforms to z = atanh(rho), adds normal-quantile multiples of the
-    standard deviation 1/sqrt(n - 3), and maps back through tanh.
-    Exact only for i.i.d. bivariate-normal pairs.
+    Elementwise over ``rho`` and ``n`` (a scalar is a 0-d array, and
+    scalars give scalars): transforms to z = atanh(rho), adds
+    normal-quantile multiples of the standard deviation 1/sqrt(n - 3),
+    and maps back through tanh.  Both bounds are NaN where the interval
+    is undefined (|rho| >= 1, rho NaN, or fewer than 4 pairs).  Exact
+    only for i.i.d. bivariate-normal pairs.
     """
-    if not -1.0 < rho < 1.0:
-        raise ValueError(f"|rho| must be < 1 for a Fisher interval, got {rho}")
-    if n <= 3:
-        raise ValueError(f"need at least 4 pairs, got {n}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
-    q = _normal_quantile(0.5 * (1.0 + level))
-    half_width = q / math.sqrt(n - 3)
-    z = math.atanh(rho)
-    return math.tanh(z - half_width), math.tanh(z + half_width)
-
-
-def _fisher_bounds_array(
-    rho: np.ndarray, n: np.ndarray, level: float
-) -> tuple[np.ndarray, np.ndarray]:
     q = _normal_quantile(0.5 * (1.0 + level))
     with np.errstate(invalid="ignore", divide="ignore"):
         ok = np.isfinite(rho) & (np.abs(rho) < 1.0) & (n >= 4)
@@ -132,12 +114,12 @@ def _fisher_bounds_array(
         hw = q / np.sqrt(np.maximum(n - 3, 1))
         lo = np.where(ok, np.tanh(z - hw), np.nan)
         hi = np.where(ok, np.tanh(z + hw), np.nan)
-    return lo, hi
+    return lo[()], hi[()]
 
 
 def _pearson_from_sums(t, sn, ss, snn, sss, sns):
     """Pearson correlation from running sums; NaN where degenerate."""
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         mn = sn / t
         ms = ss / t
         var_n = snn / t - mn**2
@@ -146,7 +128,10 @@ def _pearson_from_sums(t, sn, ss, snn, sss, sns):
         degenerate = (var_n <= _ZERO_VAR_RTOL * (snn / t)) | (
             var_s <= _ZERO_VAR_RTOL * (sss / t)
         )
-        rho = np.where(degenerate, np.nan, cov / np.sqrt(var_n * var_s))
+        # var_n * var_s can overflow while both factors are finite
+        scale = np.sqrt(var_n * var_s)
+        scale = np.where(np.isinf(scale), np.sqrt(var_n) * np.sqrt(var_s), scale)
+        rho = np.where(degenerate, np.nan, cov / scale)
     return np.clip(rho, -1.0, 1.0)
 
 
@@ -213,7 +198,7 @@ def long_run_series(
     # a correlation needs at least 3 pairs
     rho = np.where(pairs >= 3, _pearson_from_sums(pairs, *sums), np.nan)
     rho = np.concatenate((np.full(T - len(rho), np.nan), rho))
-    rho_lo, rho_hi = _fisher_bounds_array(rho, pairs, ci_level)
+    rho_lo, rho_hi = fisher_interval(rho, pairs, ci_level)
     return LongRunSeries(
         years=catalog.years.astype(np.int64),
         e_n=e_n,
@@ -254,8 +239,8 @@ def nx_independence(catalog: EventCatalog) -> float:
     )
 
 
-def season_activity(counts) -> list[SeasonActivity]:
-    """Classify each year as active or inactive.
+def season_activity(counts) -> list[str]:
+    """Label each year ``"active"`` or ``"inactive"``.
 
     A year is active when its count strictly exceeds the long-term mean
     plus one sample standard deviation; everything else, ties included,
@@ -265,10 +250,7 @@ def season_activity(counts) -> list[SeasonActivity]:
     if counts.ndim != 1 or len(counts) < 2:
         raise ValueError("need counts for at least 2 years")
     threshold = counts.mean() + counts.std(ddof=1)
-    return [
-        SeasonActivity.ACTIVE if c > threshold else SeasonActivity.INACTIVE
-        for c in counts
-    ]
+    return ["active" if c > threshold else "inactive" for c in counts]
 
 
 def mailier_index(counts) -> float:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import EventCatalog
+from .catalog import _MAX_ROWS, EventCatalog
 from .estimate import LongRunSeries
 from .frequency import FrequencyModel, RateLink
 from .severity import Family, SeverityModel
@@ -77,8 +77,8 @@ def read_events_csv(path) -> EventCatalog:
     return EventCatalog.from_events(body["year"], body["intensity"])
 
 
-def _is_event_header(row: list[str]) -> bool:
-    return [c.strip().lower() for c in row] == list(EVENT_COLUMNS)
+def _is_header(row: list[str], columns: tuple[str, ...]) -> bool:
+    return [c.strip().lower() for c in row] == list(columns)
 
 
 def _load_events_body(path: Path) -> np.ndarray | None:
@@ -95,7 +95,7 @@ def _load_events_body(path: Path) -> np.ndarray | None:
             warnings.simplefilter("error")
             with path.open("r", encoding="utf-8-sig", newline="") as fh:
                 header = next(csv.reader(fh), None)
-                if header is None or not _is_event_header(header):
+                if header is None or not _is_header(header, EVENT_COLUMNS):
                     return None
                 body = np.loadtxt(
                     fh, delimiter=",", dtype=_EVENT_DTYPE, comments=None, ndmin=1
@@ -108,38 +108,42 @@ def _load_events_body(path: Path) -> np.ndarray | None:
     return body
 
 
-def _read_events_lines(path: Path) -> EventCatalog:
-    """Line-by-line event CSV parser; errors name the offending line."""
+def _csv_body(path: Path, columns: tuple[str, ...]):
+    """Yield ``(line number, stripped fields)`` for each body row of a CSV
+    whose header is ``columns``, skipping blank rows.  A missing or wrong
+    header, a row with the wrong field count or a CSV syntax error raises
+    :class:`CatalogFormatError` naming the line."""
     with path.open("r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            return _parse_event_rows(path, reader)
+            header = next(reader, None)
+            if header is None:
+                raise CatalogFormatError(f"{path}: empty file")
+            if not _is_header(header, columns):
+                raise CatalogFormatError(
+                    f"{path}: line 1: expected header {','.join(columns)!r}, got "
+                    f"{','.join(header)!r}"
+                )
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue  # blank line
+                if len(row) != len(columns):
+                    raise CatalogFormatError(
+                        f"{path}: line {lineno}: expected {len(columns)} fields, "
+                        f"got {len(row)}"
+                    )
+                yield lineno, [c.strip() for c in row]
         except csv.Error as exc:
             raise CatalogFormatError(
                 f"{path}: line {reader.line_num}: {exc}"
             ) from None
 
 
-def _parse_event_rows(path: Path, reader) -> EventCatalog:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CatalogFormatError(f"{path}: empty file") from None
-    if not _is_event_header(header):
-        raise CatalogFormatError(
-            f"{path}: line 1: expected header 'year,intensity', got "
-            f"{','.join(header)!r}"
-        )
+def _read_events_lines(path: Path) -> EventCatalog:
+    """Line-by-line event CSV parser; errors name the offending line."""
     years: list[int] = []
     intensities: list[float] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue  # blank line
-        if len(row) != 2:
-            raise CatalogFormatError(
-                f"{path}: line {lineno}: expected 2 fields, got {len(row)}"
-            )
-        year_s, x_s = (c.strip() for c in row)
+    for lineno, (year_s, x_s) in _csv_body(path, EVENT_COLUMNS):
         try:
             year = int(year_s)
         except ValueError:
@@ -226,33 +230,14 @@ def write_series_csv(series: LongRunSeries, path) -> None:
 def read_series_csv(path) -> LongRunSeries:
     """Read back a series CSV; empty fields become NaN."""
     path = Path(path)
-    with path.open("r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+    rows: list[list[float]] = []
+    years: list[int] = []
+    for lineno, fields in _csv_body(path, SERIES_COLUMNS):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CatalogFormatError(f"{path}: empty file") from None
-        if [c.strip().lower() for c in header] != list(SERIES_COLUMNS):
-            raise CatalogFormatError(
-                f"{path}: line 1: expected header {','.join(SERIES_COLUMNS)!r}"
-            )
-        rows: list[list[float]] = []
-        years: list[int] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(SERIES_COLUMNS):
-                raise CatalogFormatError(
-                    f"{path}: line {lineno}: expected {len(SERIES_COLUMNS)} fields, "
-                    f"got {len(row)}"
-                )
-            try:
-                years.append(int(row[0]))
-                rows.append(
-                    [float(c) if c.strip() else math.nan for c in row[1:]]
-                )
-            except ValueError as exc:
-                raise CatalogFormatError(f"{path}: line {lineno}: {exc}") from None
+            years.append(int(fields[0]))
+            rows.append([float(c) if c else math.nan for c in fields[1:]])
+        except ValueError as exc:
+            raise CatalogFormatError(f"{path}: line {lineno}: {exc}") from None
     if not rows:
         raise CatalogFormatError(f"{path}: no data rows")
     data = np.array(rows, dtype=np.float64)
@@ -328,6 +313,11 @@ def parse_config(path, mode: str) -> SimulationConfig:
     end = _as_int(y[1], "config.years[1]")
     if start > end:
         raise ConfigError(f"config.years: start {start} exceeds end {end}")
+    if end - start + 1 > _MAX_ROWS:
+        raise ConfigError(
+            f"config.years: span {end - start + 1} years, more than the "
+            f"{_MAX_ROWS} a run may hold"
+        )
 
     seed = None
     if "seed" in raw:

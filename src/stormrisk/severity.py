@@ -224,30 +224,22 @@ def _gpd_ppf(u, scale, xi):
 
 
 def sample_intensity(
-    model: SeverityModel,
-    t: float,
-    rng: np.random.Generator,
-    size: int | None = None,
-):
-    """Draw intensities from the year-``t`` distribution.
+    model: SeverityModel, t: float, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """Draw ``size`` intensities from the year-``t`` distribution.
 
-    Returns a float when ``size`` is None, else an ndarray of length
-    ``size``.  Draws are deterministic given the generator state.
-    Uniform, exponential and GPD use the inverse CDF; gamma uses the
-    generator's rejection sampler; lognormal exponentiates a normal
-    draw.
+    Draws are deterministic given the generator state.  Uniform,
+    exponential and GPD use the inverse CDF; gamma uses the generator's
+    rejection sampler; lognormal exponentiates a normal draw.
     """
     mu = model.driver(t)
     fam = model.family
-    n = 1 if size is None else int(size)
     if fam is Family.UNIFORM:
-        x = _uniform_ppf(rng.random(size=n), mu)
-    elif fam is Family.GAMMA:
-        x = rng.gamma(model.shape, scale=mu, size=n)
-    elif fam is Family.EXPONENTIAL:
-        x = _exponential_ppf(rng.random(size=n), mu)
-    elif fam is Family.LOGNORMAL:
-        x = rng.lognormal(mean=mu, sigma=model.shape, size=n)
-    else:  # GPD with scale 1/mu
-        x = _gpd_ppf(rng.random(size=n), 1.0 / mu, model.shape)
-    return float(x[0]) if size is None else x
+        return _uniform_ppf(rng.random(size=size), mu)
+    if fam is Family.GAMMA:
+        return rng.gamma(model.shape, scale=mu, size=size)
+    if fam is Family.EXPONENTIAL:
+        return _exponential_ppf(rng.random(size=size), mu)
+    if fam is Family.LOGNORMAL:
+        return rng.lognormal(mean=mu, sigma=model.shape, size=size)
+    return _gpd_ppf(rng.random(size=size), 1.0 / mu, model.shape)  # GPD, scale 1/mu

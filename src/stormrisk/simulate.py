@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import EventCatalog
-from .frequency import FrequencyModel, rate, sample_count
+from .frequency import FrequencyModel, sample_count
 from .severity import SeverityModel, sample_intensity
 
 __all__ = [
@@ -160,7 +160,6 @@ def replicate_fixed_year(config: SimulationConfig, t: float) -> FixedYearSample:
     t_int = int(t)
     if t_int != t:
         raise ValueError(f"year index must be an integer, got {t}")
-    lam = rate(config.freq, t_int)
     r_total = config.replicates
     counts = np.empty(r_total, dtype=np.int64)
     sums = np.empty(r_total, dtype=np.float64)
@@ -168,9 +167,8 @@ def replicate_fixed_year(config: SimulationConfig, t: float) -> FixedYearSample:
     for lo in range(0, r_total, _BATCH):
         hi = min(lo + _BATCH, r_total)
         block = lo // _BATCH
-        n = _stream(seed, _REPLICATE_COUNTS, t_int, block).poisson(
-            lam, size=hi - lo
-        )
+        counts_rng = _stream(seed, _REPLICATE_COUNTS, t_int, block)
+        n = sample_count(config.freq, t_int, counts_rng, size=hi - lo)
         marks_rng = _stream(seed, _REPLICATE_MARKS, t_int, block)
         x = sample_intensity(config.sev, t_int, marks_rng, size=int(n.sum()))
         rep = np.repeat(np.arange(hi - lo), n)
@@ -179,4 +177,7 @@ def replicate_fixed_year(config: SimulationConfig, t: float) -> FixedYearSample:
         starts = np.concatenate(([0], np.cumsum(n)[:-1]))
         nonzero = n > 0
         first[lo:hi][nonzero] = x[starts[nonzero]]
+        # Free this block's marks before the next block draws its own, so
+        # two blocks' arrays never coexist on the heap.
+        del x, rep
     return FixedYearSample(counts=counts, sums=sums, first_marks=first)

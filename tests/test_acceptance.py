@@ -280,11 +280,8 @@ def test_criterion_5_fisher_coverage():
     ym = y - y.mean(axis=1, keepdims=True)
     r = (xm * ym).sum(axis=1) / np.sqrt((xm**2).sum(axis=1) * (ym**2).sum(axis=1))
 
-    covered = 0
-    for ri in r:
-        lo, hi = sr.fisher_interval(float(ri), n, level)
-        covered += lo <= rho <= hi
-    coverage = covered / trials
+    lo, hi = sr.fisher_interval(r, n, level)
+    coverage = float(np.mean((lo <= rho) & (rho <= hi)))
     ok = 0.93 <= coverage <= 0.97
     elapsed = time.perf_counter() - start
     _report(

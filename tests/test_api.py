@@ -19,7 +19,6 @@ PUBLIC = [
     "__version__",
     "EventCatalog",
     "LongRunSeries",
-    "SeasonActivity",
     "fisher_interval",
     "long_run_series",
     "mailier_index",

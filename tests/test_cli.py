@@ -246,6 +246,49 @@ def test_analyze_running_sum_overflow_is_an_input_error(tmp_path, capsys, big):
     assert not out.exists()
 
 
+def test_analyze_correlation_with_overflowing_variance_product(tmp_path, capsys):
+    # every running sum is finite, but var_n * var_s is not
+    rows = "".join(
+        f"{2040 + i},1e150\n" * (1 if i % 2 == 0 else 2000) for i in range(10)
+    )
+    csv_path = tmp_path / "heavy.csv"
+    csv_path.write_text("year,intensity\n" + rows, encoding="utf-8")
+    out = tmp_path / "series.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", "--input", str(csv_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err.count("\n") == 1  # the summary line only
+    rho = sr.read_series_csv(out).rho
+    assert np.all(rho[2:] > 0.99)
+
+
+def _input_error(capsys, argv) -> str:
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return json.loads(captured.out.strip().splitlines()[-1])["error"]
+
+
+def test_theory_years_past_row_budget_is_an_input_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, simulate_config(mode="theory", years=[1, 10**12]))
+    out = tmp_path / "theory.csv"
+    error = _input_error(capsys, ["theory", "--config", cfg, "--out", str(out)])
+    assert error.startswith("config.years: ")
+    assert not out.exists()
+
+
+def test_verify_replicates_past_row_budget_is_an_input_error(tmp_path, capsys):
+    argv = ["verify", "--config", verify_config(tmp_path), "--replicates", str(10**12)]
+    assert _input_error(capsys, argv).startswith("--replicates: ")
+
+
+def test_analyze_year_span_past_row_budget_is_an_input_error(tmp_path, capsys):
+    csv_path = tmp_path / "span.csv"
+    csv_path.write_text(f"year,intensity\n1,1.5\n{10**15},2.0\n", encoding="utf-8")
+    error = _input_error(capsys, ["analyze", "--input", str(csv_path)])
+    assert f"1 to {10**15}" in error
+
+
 # --- verify ---------------------------------------------------------------------
 
 

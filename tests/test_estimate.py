@@ -147,12 +147,21 @@ def test_fisher_interval_reference_values():
 
 
 def test_fisher_interval_validation():
-    with pytest.raises(ValueError):
-        sr.fisher_interval(1.0, 10)
-    with pytest.raises(ValueError):
-        sr.fisher_interval(0.5, 3)
+    # undefined intervals are NaN, as in the series columns
+    assert all(math.isnan(b) for b in sr.fisher_interval(1.0, 10))
+    assert all(math.isnan(b) for b in sr.fisher_interval(0.5, 3))
     with pytest.raises(ValueError):
         sr.fisher_interval(0.5, 10, level=1.0)
+
+
+def test_fisher_interval_is_elementwise():
+    rho = np.array([0.0, 0.5, 1.0, np.nan, 0.5])
+    n = np.array([7, 103, 10, 10, 3])
+    lo, hi = sr.fisher_interval(rho, n)
+    for i in range(len(rho)):
+        scalar = sr.fisher_interval(float(rho[i]), int(n[i]))
+        assert np.array_equal([lo[i], hi[i]], scalar, equal_nan=True)
+    assert np.isnan(lo[2:]).all() and np.isnan(hi[2:]).all()
 
 
 def test_fisher_interval_coverage_quick():
@@ -192,8 +201,7 @@ def test_nx_independence_skips_empty_years():
 
 
 def test_season_activity_examples():
-    inactive = sr.SeasonActivity.INACTIVE
-    active = sr.SeasonActivity.ACTIVE
+    inactive, active = "inactive", "active"
     assert sr.season_activity([5, 5, 5, 5]) == [inactive] * 4
     # mean 2.5, sample sd 5, threshold 7.5
     assert sr.season_activity([0, 0, 0, 10]) == [inactive, inactive, inactive, active]

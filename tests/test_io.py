@@ -149,6 +149,28 @@ def test_series_undefined_rho_serialized_empty(tmp_path):
     assert math.isnan(back.rho[0])
 
 
+def test_series_reader_names_the_line_of_an_oversized_field(tmp_path):
+    path = tmp_path / "long.csv"
+    row = ",".join(["1"] + ["1.0"] * 7 + ["1" * 200_000])
+    path.write_text("t,e_n,e_s,e_x,phi,rho,rho_lo,rho_hi,j2phi\n" + row + "\n")
+    with pytest.raises(sr.CatalogFormatError, match="line 2"):
+        sr.read_series_csv(path)
+
+
+def test_series_reader_skips_whitespace_only_lines(tmp_path):
+    catalog = sr.EventCatalog.from_events([1, 2, 2, 3, 4], [1.0, 2.0, 3.0, 1.5, 2.5])
+    series = sr.long_run_series(catalog)
+    path = tmp_path / "series.csv"
+    sr.write_series_csv(series, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1:1] = ["   "]
+    lines[3:3] = [" \t"]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    back = sr.read_series_csv(path)
+    assert np.array_equal(back.years, series.years)
+    assert np.array_equal(back.e_s, series.e_s)
+
+
 # --- run configuration -------------------------------------------------------
 
 

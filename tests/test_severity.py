@@ -155,7 +155,7 @@ def test_horizon_violation_raises():
     with pytest.raises(ValueError, match="horizon"):
         sr.severity_moments(model, 11)
     with pytest.raises(ValueError, match="horizon"):
-        sr.sample_intensity(model, 0, np.random.default_rng(0))
+        sr.sample_intensity(model, 0, np.random.default_rng(0), size=1)
 
 
 # --- sampling -------------------------------------------------------------
@@ -176,8 +176,6 @@ def test_sampling_is_deterministic_given_state():
     a = sr.sample_intensity(model, 3, np.random.default_rng(42), size=10)
     b = sr.sample_intensity(model, 3, np.random.default_rng(42), size=10)
     assert np.array_equal(a, b)
-    scalar = sr.sample_intensity(model, 3, np.random.default_rng(42))
-    assert scalar == a[0]
 
 
 SAMPLING_CASES = [
