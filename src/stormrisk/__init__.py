@@ -30,9 +30,6 @@ from .io import (
     ConfigError,
     parse_config,
     read_events_csv,
-    read_series_csv,
-    write_events_csv,
-    write_series_csv,
 )
 from .riskmodel import (
     RiskSummary,
@@ -72,9 +69,6 @@ __all__ = [
     "ConfigError",
     "parse_config",
     "read_events_csv",
-    "read_series_csv",
-    "write_events_csv",
-    "write_series_csv",
     "RiskSummary",
     "j_squared_from_correlation",
     "risk_summary",

@@ -229,6 +229,13 @@ _SUMMARY_COLUMNS = ("year", *(f.name for f in fields(RiskSummary)))
 
 _TABLE1_FAMILIES = tuple(f.value for f in Family)
 
+# Only the shaped families can be out of range at unit scale and rate.
+_TABLE1_SHAPE_FLAGS = {
+    "gamma": "--gamma-shape",
+    "lognormal": "--lognormal-sigma",
+    "gpd": "--gpd-shape",
+}
+
 _TABLE1_COLUMNS = (
     "family",
     "shape",
@@ -270,16 +277,17 @@ def _theory_table1(args) -> ExitReport:
         "gpd": args.gpd_shape,
     }
     shape_cells = [repr(shapes[f]) if f in shapes else "" for f in _TABLE1_FAMILIES]
+
+    def rows():
+        for f in _TABLE1_FAMILIES:
+            try:
+                yield table1_row(f, mu=1.0, lam=1.0, shape=shapes.get(f))
+            except ValueError as exc:
+                raise ConfigError(f"{_TABLE1_SHAPE_FLAGS[f]}: {exc}") from None
+
     return _emit(
         args,
-        _write_summaries(
-            _TABLE1_COLUMNS,
-            [_TABLE1_FAMILIES, shape_cells],
-            (
-                table1_row(f, mu=1.0, lam=1.0, shape=shapes.get(f))
-                for f in _TABLE1_FAMILIES
-            ),
-        ),
+        _write_summaries(_TABLE1_COLUMNS, [_TABLE1_FAMILIES, shape_cells], rows()),
         "theory: five-family reference table at unit scale and unit rate",
         {"table1": True, "shapes": shapes},
     )
@@ -338,15 +346,18 @@ def _cmd_analyze(args) -> ExitReport:
 
 def _cmd_verify(args) -> ExitReport:
     config = parse_config(args.config, "verify")
-    replicates = args.replicates if args.replicates is not None else config.replicates
+    if args.replicates is None:
+        source, replicates = "config.replicates", config.replicates
+    else:
+        source, replicates = "--replicates", args.replicates
     if replicates < 1000:
         raise ConfigError(
-            f"--replicates: need at least 1000 for stable standard errors, "
+            f"{source}: need at least 1000 for stable standard errors, "
             f"got {replicates}"
         )
     if replicates > _MAX_ROWS:
         raise ConfigError(
-            f"--replicates: at most {_MAX_ROWS} fit the row budget, got {replicates}"
+            f"{source}: at most {_MAX_ROWS} fit the row budget, got {replicates}"
         )
     if not 0 < args.sigma < math.inf:
         raise ConfigError(f"--sigma: must be positive and finite, got {args.sigma}")

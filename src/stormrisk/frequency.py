@@ -6,8 +6,9 @@ of two links on a linear predictor:
 * log link:       lambda_t = exp(alpha0 + alpha1 * t)
 * identity link:  lambda_t = alpha0 + alpha1 * t
 
-The identity link can go non-positive, so construction validates the
-rate over the model's declared horizon.
+Construction requires the rate to be positive and finite over the
+model's declared horizon, for either link: the identity rate can go
+non-positive or overflow, the log rate can overflow or underflow to 0.
 """
 
 from __future__ import annotations
@@ -48,23 +49,26 @@ class FrequencyModel:
         if t_min > t_max:
             raise ValueError(f"horizon must satisfy t_min <= t_max, got {self.horizon}")
 
+        # The linear predictor and exp are monotone in t, so a rate that is
+        # positive and finite at both endpoints is so on the whole horizon.
         if self.link is RateLink.IDENTITY:
-            # Linear rate: checking the endpoints covers the interval, but
-            # report the first violating integer year for a usable message.
+            # Report the first non-positive integer year for a usable message.
             if min(self._raw_rate(t_min), self._raw_rate(t_max)) <= 0:
                 t_bad = self._first_nonpositive_year()
                 raise ValueError(
                     f"identity-link rate non-positive at t={t_bad}: "
                     f"{self.alpha0} + {self.alpha1}*{t_bad} <= 0"
                 )
-        else:
-            for t in (t_min, t_max):
-                try:
-                    finite = math.isfinite(self._raw_rate(t))
-                except OverflowError:
-                    finite = False
-                if not finite:
-                    raise ValueError(f"log-link rate overflows at t={t}")
+        for t in (t_min, t_max):
+            try:
+                lam = self._raw_rate(t)
+            except OverflowError:
+                lam = math.inf
+            if not 0 < lam < math.inf:
+                raise ValueError(
+                    f"{self.link.value}-link rate at t={t} is {lam}, not positive "
+                    f"and finite"
+                )
 
     def _raw_rate(self, t: float) -> float:
         eta = self.alpha0 + self.alpha1 * t
@@ -87,10 +91,7 @@ def rate(model: FrequencyModel, t: float) -> float:
     t_min, t_max = model.horizon
     if not (t_min <= t <= t_max):
         raise ValueError(f"year index {t} outside model horizon [{t_min}, {t_max}]")
-    lam = model._raw_rate(t)
-    if lam <= 0:
-        raise ValueError(f"rate non-positive at t={t}: {lam}")
-    return lam
+    return model._raw_rate(t)
 
 
 def sample_count(

@@ -7,7 +7,7 @@ the earliest and latest event are materialised with zero events.
 UTF-8; read with LF, CRLF or CR line ends, written with CRLF as
 ``csv.writer`` does.
 
-Series CSV schema: header
+Series CSV schema (written, never read): header
 ``t,e_n,e_s,e_x,phi,rho,rho_lo,rho_hi,j2phi``; undefined values are
 written as empty fields.
 
@@ -35,11 +35,8 @@ __all__ = [
     "CatalogFormatError",
     "ConfigError",
     "read_events_csv",
-    "write_events_csv",
     "write_events_stream",
-    "write_series_csv",
     "write_series_stream",
-    "read_series_csv",
     "parse_config",
 ]
 
@@ -56,7 +53,7 @@ _CHUNK_CELLS = 32768
 
 
 class CatalogFormatError(ValueError):
-    """Malformed event or series CSV; message names the line."""
+    """Malformed event CSV; message names the line."""
 
 
 class ConfigError(ValueError):
@@ -108,66 +105,59 @@ def _load_events_body(path: Path) -> np.ndarray | None:
     return body
 
 
-def _csv_body(path: Path, columns: tuple[str, ...]):
-    """Yield ``(line number, stripped fields)`` for each body row of a CSV
-    whose header is ``columns``, skipping blank rows.  A missing or wrong
-    header, a row with the wrong field count or a CSV syntax error raises
-    :class:`CatalogFormatError` naming the line."""
+def _read_events_lines(path: Path) -> EventCatalog:
+    """Line-by-line event CSV parser; errors name the offending line."""
+    years: list[int] = []
+    intensities: list[float] = []
     with path.open("r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
             if header is None:
                 raise CatalogFormatError(f"{path}: empty file")
-            if not _is_header(header, columns):
+            if not _is_header(header, EVENT_COLUMNS):
                 raise CatalogFormatError(
-                    f"{path}: line 1: expected header {','.join(columns)!r}, got "
-                    f"{','.join(header)!r}"
+                    f"{path}: line 1: expected header {','.join(EVENT_COLUMNS)!r}, "
+                    f"got {','.join(header)!r}"
                 )
             for lineno, row in enumerate(reader, start=2):
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue  # blank line
-                if len(row) != len(columns):
+                if len(row) != len(EVENT_COLUMNS):
                     raise CatalogFormatError(
-                        f"{path}: line {lineno}: expected {len(columns)} fields, "
-                        f"got {len(row)}"
+                        f"{path}: line {lineno}: expected {len(EVENT_COLUMNS)} "
+                        f"fields, got {len(row)}"
                     )
-                yield lineno, [c.strip() for c in row]
+                year_s, x_s = (c.strip() for c in row)
+                try:
+                    year = int(year_s)
+                except ValueError:
+                    raise CatalogFormatError(
+                        f"{path}: line {lineno}: year must be an integer, got {year_s!r}"
+                    ) from None
+                if not _INT64_MIN <= year <= _INT64_MAX:
+                    raise CatalogFormatError(
+                        f"{path}: line {lineno}: year must fit in a signed 64-bit "
+                        f"integer, got {year_s}"
+                    )
+                try:
+                    x = float(x_s)
+                except ValueError:
+                    raise CatalogFormatError(
+                        f"{path}: line {lineno}: intensity must be a decimal, "
+                        f"got {x_s!r}"
+                    ) from None
+                if not math.isfinite(x) or x <= 0:
+                    raise CatalogFormatError(
+                        f"{path}: line {lineno}: intensity must be positive and "
+                        f"finite, got {x_s}"
+                    )
+                years.append(year)
+                intensities.append(x)
         except csv.Error as exc:
             raise CatalogFormatError(
                 f"{path}: line {reader.line_num}: {exc}"
             ) from None
-
-
-def _read_events_lines(path: Path) -> EventCatalog:
-    """Line-by-line event CSV parser; errors name the offending line."""
-    years: list[int] = []
-    intensities: list[float] = []
-    for lineno, (year_s, x_s) in _csv_body(path, EVENT_COLUMNS):
-        try:
-            year = int(year_s)
-        except ValueError:
-            raise CatalogFormatError(
-                f"{path}: line {lineno}: year must be an integer, got {year_s!r}"
-            ) from None
-        if not _INT64_MIN <= year <= _INT64_MAX:
-            raise CatalogFormatError(
-                f"{path}: line {lineno}: year must fit in a signed 64-bit "
-                f"integer, got {year_s}"
-            )
-        try:
-            x = float(x_s)
-        except ValueError:
-            raise CatalogFormatError(
-                f"{path}: line {lineno}: intensity must be a decimal, got {x_s!r}"
-            ) from None
-        if not math.isfinite(x) or x <= 0:
-            raise CatalogFormatError(
-                f"{path}: line {lineno}: intensity must be positive and "
-                f"finite, got {x_s}"
-            )
-        years.append(year)
-        intensities.append(x)
     if not years:
         raise CatalogFormatError(f"{path}: no event rows")
     return EventCatalog.from_events(years, intensities)
@@ -206,45 +196,12 @@ def write_events_stream(catalog: EventCatalog, fh) -> None:
     write_csv_rows(fh, EVENT_COLUMNS, [catalog.event_years, catalog.intensities])
 
 
-def write_events_csv(catalog: EventCatalog, path) -> None:
-    """Write a catalog as an event CSV (inverse of :func:`read_events_csv`)."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        write_events_stream(catalog, fh)
-
-
 def write_series_stream(series: LongRunSeries, fh) -> None:
     """Write a long-run series as CSV rows to an open text stream."""
     write_csv_rows(
         fh,
         SERIES_COLUMNS,
         [getattr(series, name) for name in LongRunSeries.column_names()],
-    )
-
-
-def write_series_csv(series: LongRunSeries, path) -> None:
-    """Write a long-run series; NaN becomes an empty field."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        write_series_stream(series, fh)
-
-
-def read_series_csv(path) -> LongRunSeries:
-    """Read back a series CSV; empty fields become NaN."""
-    path = Path(path)
-    rows: list[list[float]] = []
-    years: list[int] = []
-    for lineno, fields in _csv_body(path, SERIES_COLUMNS):
-        try:
-            years.append(int(fields[0]))
-            rows.append([float(c) if c else math.nan for c in fields[1:]])
-        except ValueError as exc:
-            raise CatalogFormatError(f"{path}: line {lineno}: {exc}") from None
-    if not rows:
-        raise CatalogFormatError(f"{path}: no data rows")
-    data = np.array(rows, dtype=np.float64)
-    names = LongRunSeries.column_names()[1:]
-    return LongRunSeries(
-        years=np.array(years, dtype=np.int64),
-        **{name: data[:, i].copy() for i, name in enumerate(names)},
     )
 
 

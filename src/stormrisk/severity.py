@@ -141,14 +141,11 @@ class SeverityModel:
                 )
 
     def driver(self, t: float) -> float:
-        """Validated driver ``mu_t``; raises outside the horizon."""
+        """Driver ``mu_t``; raises outside the horizon."""
         t_min, t_max = self.horizon
         if not (t_min <= t <= t_max):
             raise ValueError(f"year index {t} outside model horizon [{t_min}, {t_max}]")
-        mu = self.beta0 + self.beta1 * t
-        if self.family in _POSITIVE_DRIVER and mu <= 0:
-            raise ValueError(f"scale driver non-positive at t={t}: {mu}")
-        return mu
+        return self.beta0 + self.beta1 * t
 
 
 def severity_moments(model: SeverityModel, t: float) -> Moments:

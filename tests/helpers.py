@@ -1,15 +1,44 @@
-"""Shared helpers: relative error and randomized model generation."""
+"""Shared helpers: relative error, randomized model generation, extreme
+model coefficients for property tests and reading back the series CSV that ``analyze`` writes."""
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
+from hypothesis import strategies as st
 
 import stormrisk as sr
 
 FAMILIES = ("uniform", "gamma", "exponential", "lognormal", "gpd")
 
+# Coefficients at the edges of double arithmetic: exp overflow (709.78)
+# and underflow to 0 (-745.13), subnormals, +-1e308 and non-finite values,
+# plus ordinary ones.
+EXTREME_FLOATS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+         709.78, 709.79, -745.13, -745.14, 354.0, -372.0,
+         1e308, -1e308, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+    ),
+    st.floats(-760.0, 720.0),
+    st.floats(-1e-300, 1e-300),
+    st.floats(),
+)
+HORIZONS = st.tuples(st.integers(-2, 3), st.integers(0, 30)).map(
+    lambda h: (h[0], h[0] + h[1])
+)
+
 
 def rel_err(a: float, b: float) -> float:
     scale = max(abs(a), abs(b))
     return 0.0 if scale == 0.0 else abs(a - b) / scale
+
+
+def read_series(path) -> np.ndarray:
+    """A series CSV as a structured array with one field per column;
+    empty fields read as NaN."""
+    return np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
 
 
 def random_severity(rng, family=None, horizon=(1, 60)) -> sr.SeverityModel:

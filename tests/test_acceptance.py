@@ -19,7 +19,13 @@ import stormrisk as sr
 from stormrisk.cli import ExitStatus, run
 from stormrisk.io import CatalogFormatError
 
-from helpers import FAMILIES, random_model_pair, rel_err, stationary_config
+from helpers import (
+    FAMILIES,
+    random_model_pair,
+    read_series,
+    rel_err,
+    stationary_config,
+)
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -354,26 +360,32 @@ def test_criterion_7_independence_diagnostic():
 
 def test_criterion_8_io_round_trip(tmp_path):
     start = time.perf_counter()
-    config = stationary_config(
-        "lognormal", lam=15.0, mu=1.0, shape=0.5, years=(2040, 2099), seed=8001
-    )
-    catalog = sr.simulate_catalog(config)
+    config = {
+        "mode": "simulate",
+        "frequency": {"link": "identity", "alpha0": 15.0, "alpha1": 0.0},
+        "severity": {"family": "lognormal", "beta0": 1.0, "beta1": 0.0, "shape": 0.5},
+        "years": [2040, 2099],
+        "seed": 8001,
+    }
+    config_path = tmp_path / "simulate.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    catalog = sr.simulate_catalog(sr.parse_config(config_path, "simulate"))
 
     events_path = tmp_path / "events.csv"
-    sr.write_events_csv(catalog, events_path)
+    report = run(["simulate", "--config", str(config_path), "--out", str(events_path)])
+    assert report.status is ExitStatus.OK
     back = sr.read_events_csv(events_path)
     assert np.array_equal(back.event_years, catalog.event_years)
     assert np.array_equal(back.intensities, catalog.intensities)
 
     series = sr.long_run_series(catalog)
     series_path = tmp_path / "series.csv"
-    sr.write_series_csv(series, series_path)
-    again = sr.read_series_csv(series_path)
+    report = run(["analyze", "--input", str(events_path), "--out", str(series_path)])
+    assert report.status is ExitStatus.OK
+    again = read_series(series_path)
+    assert np.array_equal(again["t"], series.years)
     for name in type(series).column_names()[1:]:
-        a, b = getattr(series, name), getattr(again, name)
-        assert np.array_equal(np.isnan(a), np.isnan(b))
-        mask = ~np.isnan(a)
-        assert np.allclose(a[mask], b[mask], rtol=1e-9, atol=0)
+        assert np.array_equal(again[name], getattr(series, name), equal_nan=True)
 
     # malformed inputs produce located errors, never crashes
     cases = {

@@ -32,9 +32,6 @@ PUBLIC = [
     "ConfigError",
     "parse_config",
     "read_events_csv",
-    "read_series_csv",
-    "write_events_csv",
-    "write_series_csv",
     "RiskSummary",
     "j_squared_from_correlation",
     "risk_summary",
@@ -54,6 +51,7 @@ PUBLIC = [
 
 def test_public_names_are_exactly_the_listed_ones():
     assert sr.__all__ == PUBLIC
+    assert len(sr.__all__) == 30
     assert all(hasattr(sr, name) for name in PUBLIC)
 
 

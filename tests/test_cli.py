@@ -13,6 +13,8 @@ import pytest
 import stormrisk as sr
 from stormrisk.cli import ExitStatus, main, run
 
+from helpers import read_series
+
 
 def write_config(tmp_path, obj, name="cfg.json"):
     path = tmp_path / name
@@ -125,11 +127,14 @@ def test_simulate_then_analyze_pipeline(tmp_path):
     series_path = tmp_path / "series.csv"
     report = run(["analyze", "--input", str(events), "--out", str(series_path)])
     assert report.status is ExitStatus.OK
-    series = sr.read_series_csv(series_path)
-    defined = ~np.isnan(series.e_x)
+    series = read_series(series_path)
+    expected = sr.long_run_series(sr.read_events_csv(events))
+    for name in expected.column_names()[1:]:
+        assert np.array_equal(series[name], getattr(expected, name), equal_nan=True)
+    defined = ~np.isnan(series["e_x"])
     assert np.allclose(
-        series.e_n[defined] * series.e_x[defined],
-        series.e_s[defined],
+        series["e_n"][defined] * series["e_x"][defined],
+        series["e_s"][defined],
         rtol=1e-12,
         atol=0,
     )
@@ -146,11 +151,11 @@ def test_analyze_with_window(tmp_path):
     out = tmp_path / "windowed.csv"
     report = run(["analyze", "--input", str(events), "--window", "10", "--out", str(out)])
     assert report.status is ExitStatus.OK
-    series = sr.read_series_csv(out)
-    assert np.isnan(series.rho[:9]).all()
-    assert np.isfinite(series.rho[9:]).all()
+    series = read_series(out)
+    assert np.isnan(series["rho"][:9]).all()
+    assert np.isfinite(series["rho"][9:]).all()
     # other columns still expanding
-    assert series.e_n[0] == pytest.approx(float(sr.read_events_csv(events).counts[0]))
+    assert series["e_n"][0] == pytest.approx(float(sr.read_events_csv(events).counts[0]))
 
 
 def test_analyze_missing_file(tmp_path):
@@ -258,7 +263,7 @@ def test_analyze_correlation_with_overflowing_variance_product(tmp_path, capsys)
         warnings.simplefilter("error")
         assert main(["analyze", "--input", str(csv_path), "--out", str(out)]) == 0
     assert capsys.readouterr().err.count("\n") == 1  # the summary line only
-    rho = sr.read_series_csv(out).rho
+    rho = read_series(out)["rho"]
     assert np.all(rho[2:] > 0.99)
 
 
@@ -280,6 +285,49 @@ def test_theory_years_past_row_budget_is_an_input_error(tmp_path, capsys):
 def test_verify_replicates_past_row_budget_is_an_input_error(tmp_path, capsys):
     argv = ["verify", "--config", verify_config(tmp_path), "--replicates", str(10**12)]
     assert _input_error(capsys, argv).startswith("--replicates: ")
+
+
+FIELD_ERROR_CASES = {
+    # exp(-800) underflows to a zero rate
+    "log-rate-underflow": (
+        {"mode": "theory", "frequency": {"link": "log", "alpha0": -800.0, "alpha1": 0.0}},
+        [],
+        "config.frequency: log-link rate at t=1 is 0.0",
+    ),
+    "identity-rate-overflow": (
+        {
+            "frequency": {"link": "identity", "alpha0": 1e308, "alpha1": 1e308},
+            "years": [1, 2],
+        },
+        [],
+        "config.frequency: identity-link rate at t=1 is inf",
+    ),
+    "config-replicates-floor": (
+        {"mode": "verify", "replicates": 500}, [], "config.replicates: need at least 1000"
+    ),
+    "config-replicates-budget": (
+        {"mode": "verify", "replicates": 10**12}, [], "config.replicates: at most"
+    ),
+    "table1-gpd-shape": (None, ["--gpd-shape", "0.5"], "--gpd-shape: gpd shape must be"),
+    "table1-gamma-shape": (None, ["--gamma-shape", "nan"], "--gamma-shape: shape must be"),
+    "table1-lognormal-sigma": (
+        None, ["--lognormal-sigma", "40"], "--lognormal-sigma: intensity moments"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "overrides, flags, prefix", FIELD_ERROR_CASES.values(), ids=FIELD_ERROR_CASES.keys()
+)
+def test_input_errors_name_the_field_or_flag(tmp_path, capsys, overrides, flags, prefix):
+    out = tmp_path / "out"
+    if overrides is None:
+        argv = ["theory", "--table1", *flags, "--out", str(out)]
+    else:
+        cfg = simulate_config(**overrides)
+        argv = [cfg["mode"], "--config", write_config(tmp_path, cfg), "--out", str(out)]
+    assert _input_error(capsys, argv).startswith(prefix)
+    assert not out.exists()
 
 
 def test_analyze_year_span_past_row_budget_is_an_input_error(tmp_path, capsys):

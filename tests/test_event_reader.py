@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stormrisk as sr
-from stormrisk.io import _load_events_body, _read_events_lines
+from stormrisk.io import _load_events_body, _read_events_lines, write_events_stream
 
 from helpers import stationary_config
 
@@ -180,7 +180,8 @@ def test_bulk_pass_reads_written_catalogs(tmp_path):
         stationary_config("lognormal", lam=400.0, mu=1.0, shape=1.0, years=(1, 60))
     )
     path = tmp_path / "e.csv"
-    sr.write_events_csv(catalog, path)
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        write_events_stream(catalog, fh)
     body = _load_events_body(path)
     assert body is not None
     assert np.array_equal(body["year"], catalog.event_years)

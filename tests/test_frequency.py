@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stormrisk as sr
+
+from helpers import EXTREME_FLOATS, HORIZONS
 
 
 def log_model(alpha0, alpha1, horizon=(1, 60)):
@@ -38,13 +42,37 @@ def test_identity_link_positivity_validated_at_construction():
     identity_model(1.0, -0.1, horizon=(1, 9))
     with pytest.raises(ValueError, match="non-positive"):
         identity_model(0.0, 0.0)
+    with pytest.raises(ValueError, match="identity-link rate at t=1 is inf"):
+        identity_model(1e308, 1e308, horizon=(1, 2))
 
 
 def test_log_link_always_positive():
     model = log_model(-30.0, 0.0)
     assert sr.rate(model, 1) > 0
-    with pytest.raises(ValueError, match="overflow"):
+    with pytest.raises(ValueError, match="log-link rate at t=1 is inf"):
         log_model(1000.0, 0.0)
+    # exp(-800) underflows to 0
+    with pytest.raises(ValueError, match="log-link rate at t=1 is 0.0"):
+        log_model(-800.0, 0.0)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    link=st.sampled_from(["log", "identity"]),
+    alpha0=EXTREME_FLOATS,
+    alpha1=EXTREME_FLOATS,
+    horizon=HORIZONS,
+)
+def test_constructed_rate_is_positive_and_finite_at_every_year(
+    link, alpha0, alpha1, horizon
+):
+    # rate() checks only the horizon: construction must guarantee the rest
+    try:
+        model = sr.FrequencyModel(alpha0=alpha0, alpha1=alpha1, link=link, horizon=horizon)
+    except ValueError:
+        return
+    for t in range(horizon[0], horizon[1] + 1):
+        assert 0 < sr.rate(model, t) < math.inf
 
 
 def test_sample_count_near_zero_rate():

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import stormrisk as sr
 from stormrisk.severity import _exponential_ppf, _gpd_ppf, _uniform_ppf
 
-from helpers import FAMILIES, random_severity, rel_err
+from helpers import EXTREME_FLOATS, FAMILIES, HORIZONS, random_severity, rel_err
 
 
 def make(family, beta0, beta1=0.0, shape=None, horizon=(1, 60)):
@@ -148,6 +150,40 @@ def test_moments_must_be_finite_with_positive_variance_on_the_horizon():
     with pytest.raises(ValueError, match="t=20"):
         make("lognormal", 340.0, 1.0, shape=1.0, horizon=(1, 20))
     make("lognormal", 340.0, 1.0, shape=1.0, horizon=(1, 5))
+
+
+SHAPES = {
+    "gamma": st.floats(0.0, 30.0),
+    "lognormal": st.floats(0.0, 30.0),
+    "gpd": st.floats(-2.0, 0.5),
+}
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(
+    data=st.data(),
+    family=st.sampled_from(FAMILIES),
+    beta0=EXTREME_FLOATS,
+    beta1=EXTREME_FLOATS,
+    horizon=HORIZONS,
+)
+def test_constructed_model_has_usable_moments_at_every_year(
+    data, family, beta0, beta1, horizon
+):
+    # driver() checks only the horizon: construction must guarantee the rest
+    shape = None
+    if family in SHAPES:
+        shape = data.draw(st.one_of(EXTREME_FLOATS, SHAPES[family]))
+    try:
+        model = make(family, beta0, beta1, shape=shape, horizon=horizon)
+    except ValueError:
+        return
+    for t in range(horizon[0], horizon[1] + 1):
+        m = sr.severity_moments(model, t)
+        assert math.isfinite(m.mean) and math.isfinite(m.second_moment)
+        assert 0 < m.variance < math.inf
+        if family != "lognormal":
+            assert model.driver(t) > 0
 
 
 def test_horizon_violation_raises():
