@@ -12,8 +12,8 @@ Primary data (CSV) goes to ``--out`` when given, else to stdout.  Human
 summaries go to stderr; a machine-readable JSON report (embedding the
 effective configuration and seed) goes to stdout whenever stdout is not
 already carrying CSV.  Exit codes: 0 ok, 1 verification failure,
-2 input error.  The environment variable ``RANDSUM_SEED`` supplies the
-seed when the configuration omits it.
+2 input error.  A config holds the models, years and seed, with the seed
+rule of `io.parse_config`; per-run values such as the ensemble size are flags.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ import contextlib
 import io as _stdio
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -45,12 +44,10 @@ from .io import (
 )
 from .riskmodel import RiskSummary, risk_summary, table1_row
 from .severity import Family
-from .simulate import SimulationConfig, replicate_fixed_year, simulate_catalog
+from .simulate import replicate_fixed_year, simulate_catalog
 from .verify import verification_checks
 
 __all__ = ["ExitStatus", "ExitReport", "run", "main"]
-
-SEED_ENV_VAR = "RANDSUM_SEED"
 
 
 class ExitStatus(Enum):
@@ -107,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="Monte Carlo check of the closed forms")
     p_ver.add_argument("--config", required=True)
-    p_ver.add_argument("--replicates", type=int, default=None)
+    p_ver.add_argument("--replicates", type=int, required=True, help="ensemble size")
     p_ver.add_argument(
         "--sigma",
         type=float,
@@ -166,26 +163,6 @@ def main(argv=None) -> int:
 
 
 # --- helpers ------------------------------------------------------------
-
-
-def _with_seed(config: SimulationConfig) -> SimulationConfig:
-    """``config`` with its seed filled in from the environment if absent."""
-    if config.seed is not None:
-        return config
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        raise ConfigError(
-            f"config.seed: required (or set {SEED_ENV_VAR}) for this mode"
-        )
-    try:
-        seed = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{SEED_ENV_VAR}: expected an integer seed, got {raw!r}"
-        ) from None
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"{SEED_ENV_VAR}: must fit in unsigned 64 bits, got {seed}")
-    return replace(config, seed=seed)
 
 
 def _json_safe(v: float) -> float | None:
@@ -254,8 +231,7 @@ def _cmd_theory(args) -> ExitReport:
         return _theory_table1(args)
     if not args.config:
         raise ConfigError("theory: --config is required unless --table1 is given")
-    # The closed forms draw nothing, so the report carries no seed.
-    config = replace(parse_config(args.config, "theory"), seed=None)
+    config = parse_config(args.config, "theory")
     start, end = config.years
     index = range(1, config.n_years + 1)
     return _emit(
@@ -294,7 +270,7 @@ def _theory_table1(args) -> ExitReport:
 
 
 def _cmd_simulate(args) -> ExitReport:
-    config = _with_seed(parse_config(args.config, "simulate"))
+    config = parse_config(args.config, "simulate")
     catalog = simulate_catalog(config)
     return _emit(
         args,
@@ -312,7 +288,13 @@ def _cmd_simulate(args) -> ExitReport:
 def _cmd_analyze(args) -> ExitReport:
     if not 0.0 < args.level < 1.0:
         raise ConfigError(f"--level: must lie in (0, 1), got {args.level}")
+    if args.window is not None and args.window < 3:
+        raise ConfigError(f"--window: must be at least 3 years, got {args.window}")
     catalog = read_events_csv(args.input)
+    if args.window is not None and args.window > catalog.n_years:
+        raise ConfigError(
+            f"--window: exceeds the {catalog.n_years}-year catalog, got {args.window}"
+        )
     series = long_run_series(catalog, ci_level=args.level, window=args.window)
 
     diagnostics: dict = {}
@@ -346,22 +328,18 @@ def _cmd_analyze(args) -> ExitReport:
 
 def _cmd_verify(args) -> ExitReport:
     config = parse_config(args.config, "verify")
-    if args.replicates is None:
-        source, replicates = "config.replicates", config.replicates
-    else:
-        source, replicates = "--replicates", args.replicates
+    replicates = args.replicates
     if replicates < 1000:
         raise ConfigError(
-            f"{source}: need at least 1000 for stable standard errors, "
+            "--replicates: need at least 1000 for stable standard errors, "
             f"got {replicates}"
         )
     if replicates > _MAX_ROWS:
         raise ConfigError(
-            f"{source}: at most {_MAX_ROWS} fit the row budget, got {replicates}"
+            f"--replicates: at most {_MAX_ROWS} fit the row budget, got {replicates}"
         )
     if not 0 < args.sigma < math.inf:
         raise ConfigError(f"--sigma: must be positive and finite, got {args.sigma}")
-    config = _with_seed(replace(config, replicates=replicates))
     t = args.year if args.year is not None else (1 + config.n_years) // 2
     if not 1 <= t <= config.n_years:
         raise ConfigError(
@@ -369,7 +347,7 @@ def _cmd_verify(args) -> ExitReport:
         )
 
     summary = risk_summary(config.freq, config.sev, t)
-    ens = replicate_fixed_year(config, t)
+    ens = replicate_fixed_year(config, t, replicates)
     checks = verification_checks(ens, summary, args.sigma)
 
     failed = [c for c in checks if not c["passed"]]

@@ -11,8 +11,11 @@ Series CSV schema (written, never read): header
 ``t,e_n,e_s,e_x,phi,rho,rho_lo,rho_hi,j2phi``; undefined values are
 written as empty fields.
 
-Parse errors carry the offending location (line number or JSON field
-path) and never escape as bare exceptions from deeper layers.
+JSON run config: the models, year span and seed of one run; ``simulate``
+and ``verify`` take an omitted seed from ``RANDSUM_SEED``; ``theory`` uses none.
+
+Parse errors carry the offending location (line number, JSON field path
+or variable name) and never escape as bare exceptions from deeper layers.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import warnings
 from pathlib import Path
 
@@ -207,7 +211,9 @@ def write_series_stream(series: LongRunSeries, fh) -> None:
 
 # --- run configuration -------------------------------------------------
 
-_TOP_FIELDS = {"mode", "frequency", "severity", "years", "seed", "replicates"}
+SEED_ENV_VAR = "RANDSUM_SEED"
+
+_TOP_FIELDS = {"mode", "frequency", "severity", "years", "seed"}
 _FREQ_FIELDS = {"link", "alpha0", "alpha1"}
 _SEV_FIELDS = {"family", "beta0", "beta1", "shape"}
 
@@ -238,14 +244,34 @@ def _as_int(v, where: str) -> int:
     return v
 
 
+def _run_seed(raw: dict, mode: str) -> int | None:
+    """The seed ``mode`` runs with, a checked unsigned 64-bit integer: the
+    config's, else ``SEED_ENV_VAR``'s, and none for ``theory``."""
+    if "seed" in raw:
+        where, seed = "config.seed", _as_int(raw["seed"], "config.seed")
+    elif mode == "theory":
+        return None
+    elif (text := os.environ.get(SEED_ENV_VAR)) is None:
+        raise ConfigError(f"config.seed: required (or set {SEED_ENV_VAR}) for this mode")
+    else:
+        where = SEED_ENV_VAR
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ConfigError(f"{where}: expected an integer seed, got {text!r}") from None
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{where}: must fit in unsigned 64 bits, got {seed}")
+    return None if mode == "theory" else seed
+
+
 def parse_config(path, mode: str) -> SimulationConfig:
-    """Parse and validate a JSON run configuration for command ``mode``.
+    """Parse and validate the JSON run configuration of command ``mode``.
 
     The config's ``mode`` must name the command.  Unknown fields are
     rejected.  Model parameters are validated by constructing the models
     against the configured year span, so for example a GPD shape of 0.6
     is rejected here with the violated constraint ('shape must be < 0.5
-    for finite variance').  An omitted seed is returned as None.
+    for finite variance').  The seed follows the mode's rule (`_run_seed`).
     """
     path = Path(path)
     try:
@@ -276,25 +302,13 @@ def parse_config(path, mode: str) -> SimulationConfig:
             f"{_MAX_ROWS} a run may hold"
         )
 
-    seed = None
-    if "seed" in raw:
-        seed = _as_int(raw["seed"], "config.seed")
-        if not 0 <= seed < 2**64:
-            raise ConfigError(f"config.seed: must fit in unsigned 64 bits, got {seed}")
-
-    replicates = 1
-    if "replicates" in raw:
-        replicates = _as_int(raw["replicates"], "config.replicates")
-        if replicates < 1:
-            raise ConfigError(f"config.replicates: must be positive, got {replicates}")
-
+    seed = _run_seed(raw, mode)
     horizon = (1, end - start + 1)
     return SimulationConfig(
         freq=_parse_frequency(_require(raw, "frequency", "config"), horizon),
         sev=_parse_severity(_require(raw, "severity", "config"), horizon),
         years=(start, end),
         seed=seed,
-        replicates=replicates,
     )
 
 

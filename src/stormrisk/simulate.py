@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import EventCatalog
+from .catalog import _MAX_ROWS, EventCatalog
 from .frequency import FrequencyModel, sample_count
 from .severity import SeverityModel, sample_intensity
 
@@ -44,20 +44,19 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass(frozen=True, kw_only=True)
 class SimulationConfig:
-    """A frequency/severity pair, an inclusive year span, a seed and a
-    replicate count: one validated run configuration.
+    """A frequency/severity pair, an inclusive year span and a seed: one
+    validated run configuration.
 
     Year ``y`` maps to the model year index ``t = y - start + 1``; both
-    model horizons must cover ``[1, end - start + 1]``.  ``seed`` may be
-    None for the closed forms, which draw nothing; the simulators
-    require it.
+    model horizons must cover ``[1, end - start + 1]``, a span of at most
+    ``_MAX_ROWS`` years.  ``seed`` may be None for the closed forms,
+    which draw nothing; the simulators require it.
     """
 
     freq: FrequencyModel
     sev: SeverityModel
     years: tuple[int, int]
     seed: int | None = None
-    replicates: int = 1
 
     def __post_init__(self) -> None:
         start, end = self.years
@@ -65,11 +64,11 @@ class SimulationConfig:
             raise ValueError(f"years must be integers, got {self.years}")
         if start > end:
             raise ValueError(f"years must satisfy start <= end, got {self.years}")
+        n = end - start + 1
+        if n > _MAX_ROWS:
+            raise ValueError(f"years span {n} years, more than the {_MAX_ROWS} allowed")
         if self.seed is not None and not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must fit in an unsigned 64-bit int, got {self.seed}")
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be positive, got {self.replicates}")
-        n = end - start + 1
         for name, model in (("frequency", self.freq), ("severity", self.sev)):
             t_min, t_max = model.horizon
             if t_min > 1 or t_max < n:
@@ -147,25 +146,27 @@ def simulate_catalog(config: SimulationConfig) -> EventCatalog:
     return EventCatalog.from_events(years, intensities, year_range=(start, end))
 
 
-def replicate_fixed_year(config: SimulationConfig, t: float) -> FixedYearSample:
-    """Draw ``config.replicates`` independent (N, S) pairs at year ``t``.
+def replicate_fixed_year(
+    config: SimulationConfig, t: float, replicates: int
+) -> FixedYearSample:
+    """Draw ``replicates`` independent (N, S) pairs at year ``t``.
 
-    ``t`` is a model year index (offset coordinates).  Counts and marks
-    come from separate per-block substreams, so results for replicate r
-    do not depend on how many replicates follow it.
+    ``t`` is a model year index (offset coordinates); ``replicates``, in
+    ``[2, _MAX_ROWS]``, is checked before any allocation.  Counts and
+    marks come from separate per-block substreams, so results for
+    replicate r do not depend on how many replicates follow it.
     """
     seed = _seed(config)
-    if config.replicates < 2:
-        raise ValueError("ensemble mode needs at least 2 replicates")
+    if not 2 <= replicates <= _MAX_ROWS:
+        raise ValueError(f"replicates must lie in [2, {_MAX_ROWS}], got {replicates}")
     t_int = int(t)
     if t_int != t:
         raise ValueError(f"year index must be an integer, got {t}")
-    r_total = config.replicates
-    counts = np.empty(r_total, dtype=np.int64)
-    sums = np.empty(r_total, dtype=np.float64)
-    first = np.full(r_total, np.nan)
-    for lo in range(0, r_total, _BATCH):
-        hi = min(lo + _BATCH, r_total)
+    counts = np.empty(replicates, dtype=np.int64)
+    sums = np.empty(replicates, dtype=np.float64)
+    first = np.full(replicates, np.nan)
+    for lo in range(0, replicates, _BATCH):
+        hi = min(lo + _BATCH, replicates)
         block = lo // _BATCH
         counts_rng = _stream(seed, _REPLICATE_COUNTS, t_int, block)
         n = sample_count(config.freq, t_int, counts_rng, size=hi - lo)

@@ -95,13 +95,11 @@ def random_model_pair(rng, family=None, horizon=(1, 60)):
     return freq, sev, t
 
 
-def stationary_config(family, *, lam, mu, shape=None, years=(1, 60), seed=0, replicates=1):
+def stationary_config(family, *, lam, mu, shape=None, years=(1, 60), seed=0):
     """Simulation config with constant rate and constant severity scale."""
     n = years[1] - years[0] + 1
     freq = sr.FrequencyModel(alpha0=lam, alpha1=0.0, link="identity", horizon=(1, n))
     sev = sr.SeverityModel(
         family=family, beta0=mu, beta1=0.0, horizon=(1, n), shape=shape
     )
-    return sr.SimulationConfig(
-        freq=freq, sev=sev, years=years, seed=seed, replicates=replicates
-    )
+    return sr.SimulationConfig(freq=freq, sev=sev, years=years, seed=seed)

@@ -151,11 +151,9 @@ def test_criterion_3_monte_carlo_oracle():
     replicates = 1_000_000
     lines = []
     for k, (family, mu, shape) in enumerate(MC_CASES):
-        config = stationary_config(
-            family, lam=20.0, mu=mu, shape=shape, seed=3000 + k, replicates=replicates
-        )
+        config = stationary_config(family, lam=20.0, mu=mu, shape=shape, seed=3000 + k)
         summary = sr.risk_summary(config.freq, config.sev, 1)
-        ens = sr.replicate_fixed_year(config, 1)
+        ens = sr.replicate_fixed_year(config, 1, replicates)
         n = ens.counts.astype(np.float64)
         s = ens.sums
 

@@ -198,16 +198,20 @@ def test_analyze_year_span_beyond_int64_is_an_input_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "mode, severity",
+    "mode, severity, flags",
     [
-        ("theory", {"family": "lognormal", "beta0": 710.0, "beta1": 0.0, "shape": 1.0}),
-        ("verify", {"family": "gpd", "beta0": 1e-300, "beta1": 0.0, "shape": 0.2}),
+        ("theory", {"family": "lognormal", "beta0": 710.0, "beta1": 0.0, "shape": 1.0}, []),
+        (
+            "verify",
+            {"family": "gpd", "beta0": 1e-300, "beta1": 0.0, "shape": 0.2},
+            ["--replicates", "1000"],
+        ),
     ],
     ids=["theory-lognormal-overflow", "verify-gpd-zero-division"],
 )
-def test_severity_moments_out_of_range_are_input_errors(tmp_path, capsys, mode, severity):
+def test_severity_moments_out_of_range_are_input_errors(tmp_path, capsys, mode, severity, flags):
     cfg = write_config(tmp_path, simulate_config(mode=mode, severity=severity))
-    assert main([mode, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert main([mode, "--config", cfg, *flags, "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     payload = json.loads(captured.out.strip().splitlines()[-1])
     assert payload["error"].startswith("config.severity: ")
@@ -302,11 +306,11 @@ FIELD_ERROR_CASES = {
         [],
         "config.frequency: identity-link rate at t=1 is inf",
     ),
-    "config-replicates-floor": (
-        {"mode": "verify", "replicates": 500}, [], "config.replicates: need at least 1000"
+    "replicates-floor": (
+        {"mode": "verify"}, ["--replicates", "500"], "--replicates: need at least 1000"
     ),
-    "config-replicates-budget": (
-        {"mode": "verify", "replicates": 10**12}, [], "config.replicates: at most"
+    "replicates-budget": (
+        {"mode": "verify"}, ["--replicates", str(10**12)], "--replicates: at most"
     ),
     "table1-gpd-shape": (None, ["--gpd-shape", "0.5"], "--gpd-shape: gpd shape must be"),
     "table1-gamma-shape": (None, ["--gamma-shape", "nan"], "--gamma-shape: shape must be"),
@@ -325,8 +329,29 @@ def test_input_errors_name_the_field_or_flag(tmp_path, capsys, overrides, flags,
         argv = ["theory", "--table1", *flags, "--out", str(out)]
     else:
         cfg = simulate_config(**overrides)
-        argv = [cfg["mode"], "--config", write_config(tmp_path, cfg), "--out", str(out)]
+        argv = [cfg["mode"], "--config", write_config(tmp_path, cfg), *flags, "--out", str(out)]
     assert _input_error(capsys, argv).startswith(prefix)
+    assert not out.exists()
+
+
+def test_verify_requires_replicates(tmp_path, capsys):
+    error = _input_error(capsys, ["verify", "--config", verify_config(tmp_path)])
+    assert error.startswith("usage: stormrisk verify")
+    assert "the following arguments are required: --replicates" in error
+
+
+@pytest.mark.parametrize(
+    "window, message",
+    [("2", "--window: must be at least 3 years, got 2"),
+     ("6", "--window: exceeds the 5-year catalog, got 6")],
+    ids=["below-3", "past-the-catalog"],
+)
+def test_analyze_window_errors_name_the_flag(tmp_path, capsys, window, message):
+    csv_path = tmp_path / "events.csv"
+    csv_path.write_text("year,intensity\n2040,1.5\n2044,2.0\n", encoding="utf-8")
+    out = tmp_path / "series.csv"
+    argv = ["analyze", "--input", str(csv_path), "--window", window, "--out", str(out)]
+    assert _input_error(capsys, argv) == message
     assert not out.exists()
 
 

@@ -172,7 +172,6 @@ def _model(family: str) -> sr.SimulationConfig:
         ),
         years=YEARS,
         seed=SEED,
-        replicates=REPLICATES,
     )
 
 
@@ -182,7 +181,7 @@ def catalog_digest(family: str) -> str:
 
 
 def replicate_digest(family: str) -> str:
-    e = sr.replicate_fixed_year(_model(family), REPLICATE_YEAR)
+    e = sr.replicate_fixed_year(_model(family), REPLICATE_YEAR, REPLICATES)
     return _sha256(e.counts, e.sums, e.first_marks)
 
 

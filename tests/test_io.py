@@ -192,7 +192,6 @@ def test_parse_config_minimal(tmp_path):
     assert isinstance(config, sr.SimulationConfig)
     assert config.years == (1, 60)
     assert config.seed == 1
-    assert config.replicates == 1
     assert config.freq.link is sr.RateLink.LOG
     assert sr.rate(config.freq, 1) == pytest.approx(29.5, rel=1e-12)
     assert config.sev.family is sr.Family.EXPONENTIAL
@@ -243,14 +242,60 @@ def test_parse_config_locates_field_errors(tmp_path):
 
 
 def test_parse_config_rejects_fields_no_command_reads(tmp_path):
-    for key, value in (("window", 10), ("ci_level", 0.9), ("input", "e.csv"), ("output", "o.csv")):
-        cfg = {**minimal_simulate_config(), key: value}
-        with pytest.raises(ConfigError, match=f"unknown field.*{key}"):
-            sr.parse_config(dump(tmp_path, cfg), "simulate")
+    for key, value in (
+        ("window", 10), ("ci_level", 0.9), ("input", "e.csv"), ("output", "o.csv"),
+        ("replicates", 1000),
+    ):
+        for mode in ("theory", "simulate", "verify"):
+            cfg = {**minimal_simulate_config(), "mode": mode, key: value}
+            with pytest.raises(ConfigError, match=f"unknown field.*{key}"):
+                sr.parse_config(dump(tmp_path, cfg), mode)
     # analyze reads no config, so no config may name it
     cfg = {**minimal_simulate_config(), "mode": "analyze"}
     with pytest.raises(ConfigError, match="expected 'simulate', got 'analyze'"):
         sr.parse_config(dump(tmp_path, cfg), "simulate")
+
+
+def test_parse_config_theory_runs_unseeded_and_ignores_the_seed_variable(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setenv("RANDSUM_SEED", "abc")
+    cfg = {**minimal_simulate_config(), "mode": "theory"}
+    assert sr.parse_config(dump(tmp_path, cfg), "theory").seed is None
+    del cfg["seed"]
+    assert sr.parse_config(dump(tmp_path, cfg), "theory").seed is None
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        ("abc", "config.seed: expected an integer, got 'abc'"),
+        (2**64, f"config.seed: must fit in unsigned 64 bits, got {2**64}"),
+    ],
+)
+def test_parse_config_theory_still_checks_a_present_seed(tmp_path, seed, message):
+    cfg = {**minimal_simulate_config(), "mode": "theory", "seed": seed}
+    with pytest.raises(ConfigError) as excinfo:
+        sr.parse_config(dump(tmp_path, cfg), "theory")
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("mode", ["simulate", "verify"])
+def test_parse_config_seed_falls_back_to_the_seed_variable(tmp_path, monkeypatch, mode):
+    cfg = {**minimal_simulate_config(), "mode": mode}
+    monkeypatch.setenv("RANDSUM_SEED", "11")
+    assert sr.parse_config(dump(tmp_path, cfg), mode).seed == 1  # the config wins
+    del cfg["seed"]
+    path = dump(tmp_path, cfg, name="unseeded.json")
+    assert sr.parse_config(path, mode).seed == 11
+    monkeypatch.setenv("RANDSUM_SEED", "abc")
+    with pytest.raises(ConfigError) as excinfo:
+        sr.parse_config(path, mode)
+    assert str(excinfo.value) == "RANDSUM_SEED: expected an integer seed, got 'abc'"
+    monkeypatch.delenv("RANDSUM_SEED")
+    with pytest.raises(ConfigError) as excinfo:
+        sr.parse_config(path, mode)
+    assert str(excinfo.value) == "config.seed: required (or set RANDSUM_SEED) for this mode"
 
 
 def test_parse_config_never_panics_on_adversarial_inputs(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,29 +78,20 @@ def test_intensities_positive_and_years_contiguous():
 
 
 def test_replicates_deterministic_and_prefix_stable():
-    config = stationary_config(
-        "lognormal", lam=20.0, mu=1.0, shape=0.5, seed=21, replicates=50_000
-    )
-    a = sr.replicate_fixed_year(config, 7)
-    b = sr.replicate_fixed_year(config, 7)
+    config = stationary_config("lognormal", lam=20.0, mu=1.0, shape=0.5, seed=21)
+    a = sr.replicate_fixed_year(config, 7, 50_000)
+    b = sr.replicate_fixed_year(config, 7, 50_000)
     assert np.array_equal(a.counts, b.counts)
     assert np.array_equal(a.sums, b.sums)
     # a shorter run is a prefix of a longer one
-    small = sr.replicate_fixed_year(
-        stationary_config(
-            "lognormal", lam=20.0, mu=1.0, shape=0.5, seed=21, replicates=1_000
-        ),
-        7,
-    )
+    small = sr.replicate_fixed_year(config, 7, 1_000)
     assert np.array_equal(small.counts, a.counts[:1000])
     assert np.array_equal(small.sums, a.sums[:1000])
 
 
 def test_replicate_moments_lognormal():
-    config = stationary_config(
-        "lognormal", lam=20.0, mu=1.0, shape=0.5, seed=2, replicates=1_000_000
-    )
-    ens = sr.replicate_fixed_year(config, 1)
+    config = stationary_config("lognormal", lam=20.0, mu=1.0, shape=0.5, seed=2)
+    ens = sr.replicate_fixed_year(config, 1, 1_000_000)
     summary = sr.risk_summary(config.freq, config.sev, 1)
 
     se_mean = math.sqrt(summary.var_s / len(ens))
@@ -114,11 +106,9 @@ def test_fixed_year_covariances_per_family(family):
     rng = np.random.default_rng(sum(map(ord, family)))
     sev = random_severity(rng, family)
     freq = sr.FrequencyModel(alpha0=15.0, alpha1=0.1, link="identity", horizon=(1, 60))
-    config = sr.SimulationConfig(
-        freq=freq, sev=sev, years=(1, 60), seed=37, replicates=200_000
-    )
+    config = sr.SimulationConfig(freq=freq, sev=sev, years=(1, 60), seed=37)
     t = 30
-    ens = sr.replicate_fixed_year(config, t)
+    ens = sr.replicate_fixed_year(config, t, 200_000)
     summary = sr.risk_summary(freq, sev, t)
     r = len(ens)
 
@@ -150,11 +140,9 @@ def test_trended_ensembles_track_their_year():
     sev = sr.SeverityModel(
         family="gamma", beta0=1.0, beta1=0.1, horizon=(1, 50), shape=2.0
     )
-    config = sr.SimulationConfig(
-        freq=freq, sev=sev, years=(1, 50), seed=4, replicates=200_000
-    )
+    config = sr.SimulationConfig(freq=freq, sev=sev, years=(1, 50), seed=4)
     for t in (1, 25, 50):
-        ens = sr.replicate_fixed_year(config, t)
+        ens = sr.replicate_fixed_year(config, t, 200_000)
         summary = sr.risk_summary(freq, sev, t)
         se = math.sqrt(summary.var_s / len(ens))
         assert abs(ens.sums.mean() - summary.e_s) <= 4 * se
@@ -164,10 +152,8 @@ def test_trended_ensembles_track_their_year():
 
 
 def test_first_marks_nan_only_for_empty_replicates():
-    config = stationary_config(
-        "exponential", lam=0.7, mu=2.0, seed=5, replicates=20_000
-    )
-    ens = sr.replicate_fixed_year(config, 1)
+    config = stationary_config("exponential", lam=0.7, mu=2.0, seed=5)
+    ens = sr.replicate_fixed_year(config, 1, 20_000)
     empty = ens.counts == 0
     assert np.all(np.isnan(ens.first_marks[empty]))
     assert not np.any(np.isnan(ens.first_marks[~empty]))
@@ -193,15 +179,38 @@ def test_config_validation():
         sr.SimulationConfig(freq=freq, sev=sev, years=(1, 11), seed=0)
     with pytest.raises(ValueError, match="seed"):
         sr.SimulationConfig(freq=freq, sev=sev, years=(1, 10), seed=-1)
-    with pytest.raises(ValueError, match="replicates"):
-        sr.SimulationConfig(freq=freq, sev=sev, years=(1, 10), seed=0, replicates=0)
+    # the ensemble size is an argument of the ensemble, not a config field
+    with pytest.raises(TypeError, match="replicates"):
+        sr.SimulationConfig(freq=freq, sev=sev, years=(1, 10), seed=0, replicates=2)
     config = sr.SimulationConfig(freq=freq, sev=sev, years=(1, 10), seed=0)
     with pytest.raises(ValueError, match="replicates"):
-        sr.replicate_fixed_year(config, 1)
+        sr.replicate_fixed_year(config, 1, 1)
     # the closed forms need no seed; the simulators do
-    unseeded = sr.SimulationConfig(freq=freq, sev=sev, years=(1, 10), replicates=2)
+    unseeded = sr.SimulationConfig(freq=freq, sev=sev, years=(1, 10))
     assert unseeded.seed is None
     with pytest.raises(ValueError, match="seed"):
         sr.simulate_catalog(unseeded)
     with pytest.raises(ValueError, match="seed"):
-        sr.replicate_fixed_year(unseeded, 1)
+        sr.replicate_fixed_year(unseeded, 1, 2)
+
+
+def test_config_rejects_a_year_span_past_the_row_budget():
+    n = 2 * 10**7
+    freq = sr.FrequencyModel(alpha0=5.0, alpha1=0.0, link="identity", horizon=(1, n))
+    sev = sr.SeverityModel(family="exponential", beta0=1.0, beta1=0.0, horizon=(1, n))
+    with pytest.raises(ValueError, match=f"years span {n} years, more than the 10000000"):
+        sr.SimulationConfig(freq=freq, sev=sev, years=(1, n), seed=0)
+    sr.SimulationConfig(freq=freq, sev=sev, years=(1, 10**7), seed=0)
+
+
+@pytest.mark.parametrize("replicates", [10**7 + 1, 10**9])
+def test_replicate_count_past_the_row_budget_raises_before_allocating(replicates):
+    config = stationary_config("exponential", lam=5.0, mu=1.0, seed=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"replicates must lie in .*, got {replicates}"):
+            sr.replicate_fixed_year(config, 1, replicates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
