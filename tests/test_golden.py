@@ -47,6 +47,12 @@ LOG_FREQUENCY = {"link": "log", "alpha0": 2.5, "alpha1": 0.01}
 # Enough events for several chunks of the event CSV writer.
 LARGE_FREQUENCY = {"link": "identity", "alpha0": 1000.0, "alpha1": 0.0}
 TABLE1_OVERRIDES = ("--gamma-shape", "3", "--lognormal-sigma", "0.5", "--gpd-shape", "0.1")
+# Catalogs are also pinned under the log-link rate, for trending GPD
+# drivers with a positive, zero (the log1p branch) and negative shape,
+# and at the largest seed, whose two entropy words make a catalog key
+# four words long and a replicate key five.
+GPD_TREND_SHAPES = {"positive": 0.2, "zero": 0.0, "negative": -0.3}
+MAX_SEED = 2**64 - 1
 
 GOLDEN = {
     "catalog": {
@@ -63,6 +69,26 @@ GOLDEN = {
         "lognormal": "b70f26c0e661418e06e5c7da95f21f2810cf234cda2ae3c66b8d10acb70b4a49",
         "gpd": "612c361015fa270bc311e9c32797274a2b6adb737fd52b0926404885db5a3538",
     },
+    "catalog_log": {
+        "uniform": "c85a4f59b0bad53bb1267b1689ca05a42b10ee0c500c859d9abbbe4ae481a091",
+        "gamma": "32f7addbbd5909a7f0b6e8570f42d85a1d5b3f2f085d3cf1f727ca3e9cc651c7",
+        "exponential": "3b57d54336616285d08995373d9f0018ec2445853d65e4b95f5886f8ae647747",
+        "lognormal": "cb4d4ccf3707c0229845bde4b77c6edacd7d92deb12ef0b310bd4774f92aae23",
+        "gpd": "2aaa07e6763e70297ddc25cc6527cc2ca14eb7a474158a0b51de4837474be1ad",
+    },
+    "catalog_gpd_trend": {
+        "positive": "bcfec4ac610edf7f2a380f57da0edc19a2da087c59782a1f386d1008cdb48722",
+        "zero": "9d124eba18a7369539477672166a15c732deace8ea3ab61f0861f4006f9271df",
+        "negative": "571e3569ec7aca3a43ef4e57cf08a77625aa5b39b26576919c0192d2d755ca02",
+    },
+    "catalog_max_seed": {
+        "uniform": "07d59ed6722afc715086b620460c194060ffbd55e663feb25c426e4ead476c82",
+        "gamma": "c32b039a008ad382f952e76cf8bbf8905146f3de8feb1c44a279d0d8cded9d05",
+        "exponential": "92c4c6a346a40c2a7c79f5177e33a70505c10908576e1a81d067a5103956b464",
+        "lognormal": "9245d439e6a2af9633a1f6f653d4ed3a9b8e536494e17481f6eb801d09047d3b",
+        "gpd": "c5b21bcaeeab2d1dff475c311e9daa40049fe29721f8f2d5f57eb45bc20443db",
+    },
+    "replicate_max_seed": "cf3b5b23ee891cc3be5b26d4c3b42376d3890f5f6c7e79485b7e7bce1b1ead63",
     "events_csv": {
         "uniform": "bed815a53e482c637e07d7e900cf148d4241980832afa7010293731e77781cc8",
         "gamma": "66fd3d5a01bf0c04d6c9cdae405c452cd753b768305b2eb104864da790e853d6",
@@ -153,14 +179,16 @@ def _sha256(*arrays: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def _model(family: str) -> sr.SimulationConfig:
-    sev = SEVERITIES[family]
+def _model(
+    family: str, *, frequency=FREQUENCY, severity=None, seed=SEED
+) -> sr.SimulationConfig:
+    sev = SEVERITIES[family] if severity is None else severity
     n = YEARS[1] - YEARS[0] + 1
     return sr.SimulationConfig(
         freq=sr.FrequencyModel(
-            alpha0=FREQUENCY["alpha0"],
-            alpha1=FREQUENCY["alpha1"],
-            link=FREQUENCY["link"],
+            alpha0=frequency["alpha0"],
+            alpha1=frequency["alpha1"],
+            link=frequency["link"],
             horizon=(1, n),
         ),
         sev=sr.SeverityModel(
@@ -171,18 +199,23 @@ def _model(family: str) -> sr.SimulationConfig:
             shape=sev.get("shape"),
         ),
         years=YEARS,
-        seed=SEED,
+        seed=seed,
     )
 
 
-def catalog_digest(family: str) -> str:
-    c = sr.simulate_catalog(_model(family))
+def catalog_digest(family: str, **model) -> str:
+    c = sr.simulate_catalog(_model(family, **model))
     return _sha256(c.counts, c.sums, c.event_years, c.intensities)
 
 
-def replicate_digest(family: str) -> str:
-    e = sr.replicate_fixed_year(_model(family), REPLICATE_YEAR, REPLICATES)
+def replicate_digest(family: str, **model) -> str:
+    e = sr.replicate_fixed_year(_model(family, **model), REPLICATE_YEAR, REPLICATES)
     return _sha256(e.counts, e.sums, e.first_marks)
+
+
+def gpd_trend_digest(shape: str) -> str:
+    severity = {"beta0": 1.0, "beta1": 0.02, "shape": GPD_TREND_SHAPES[shape]}
+    return catalog_digest("gpd", severity=severity)
 
 
 def _report_digest(payload: dict) -> str:
@@ -289,6 +322,25 @@ def test_replicate_fixed_year_across_block_boundary(family):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
+def test_simulate_catalog_arrays_log_link(family):
+    assert catalog_digest(family, frequency=LOG_FREQUENCY) == GOLDEN["catalog_log"][family]
+
+
+@pytest.mark.parametrize("shape", GPD_TREND_SHAPES)
+def test_simulate_catalog_arrays_trending_gpd(shape):
+    assert gpd_trend_digest(shape) == GOLDEN["catalog_gpd_trend"][shape]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_simulate_catalog_arrays_max_seed(family):
+    assert catalog_digest(family, seed=MAX_SEED) == GOLDEN["catalog_max_seed"][family]
+
+
+def test_replicate_fixed_year_max_seed_across_block_boundary():
+    assert replicate_digest("gpd", seed=MAX_SEED) == GOLDEN["replicate_max_seed"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_cli_csv_bytes(tmp_path, family):
     digests = cli_digests(tmp_path, family)
     assert digests == {kind: GOLDEN[kind][family] for kind in digests}
@@ -320,12 +372,17 @@ def _regenerate() -> dict:
         for family in FAMILIES:
             golden["catalog"][family] = catalog_digest(family)
             golden["replicate"][family] = replicate_digest(family)
+            golden["catalog_log"][family] = catalog_digest(family, frequency=LOG_FREQUENCY)
+            golden["catalog_max_seed"][family] = catalog_digest(family, seed=MAX_SEED)
             for kind, digest in cli_digests(work, family).items():
                 golden[kind][family] = digest
             golden["theory_log_csv"][family] = theory_log_digest(work, family)
             golden["verify_json"][family] = verify_digest(work, family)
         golden.update(table1_digests(work))
         golden["large_events_csv"] = large_events_digest(work)
+    for shape in GPD_TREND_SHAPES:
+        golden["catalog_gpd_trend"][shape] = gpd_trend_digest(shape)
+    golden["replicate_max_seed"] = replicate_digest("gpd", seed=MAX_SEED)
     return dict(golden)
 
 
