@@ -220,6 +220,27 @@ def _gpd_ppf(u, scale, xi):
     return (scale / xi) * (np.power(1.0 - u, -xi) - 1.0)
 
 
+#: Families sampled by the inverse CDF of one uniform draw per mark.
+_INVERSE_CDF = frozenset({Family.UNIFORM, Family.EXPONENTIAL, Family.GPD})
+
+
+def _inverse_cdf(model: SeverityModel, u: np.ndarray, mu) -> np.ndarray:
+    """Intensities at uniforms ``u`` for a family in ``_INVERSE_CDF``.
+
+    ``mu`` is the driver: one float, or an array aligned with ``u``.
+    Every step is elementwise, so one pass over several years' draws,
+    with each year's driver repeated per draw, gives the bits of one
+    pass per year as long as numpy's ``log1p`` and ``power`` do not
+    depend on an element's place in the array (tests check that).
+    """
+    fam = model.family
+    if fam is Family.UNIFORM:
+        return _uniform_ppf(u, mu)
+    if fam is Family.EXPONENTIAL:
+        return _exponential_ppf(u, mu)
+    return _gpd_ppf(u, 1.0 / mu, model.shape)  # GPD, scale 1/mu
+
+
 def sample_intensity(
     model: SeverityModel, t: float, rng: np.random.Generator, size: int
 ) -> np.ndarray:
@@ -231,12 +252,8 @@ def sample_intensity(
     """
     mu = model.driver(t)
     fam = model.family
-    if fam is Family.UNIFORM:
-        return _uniform_ppf(rng.random(size=size), mu)
+    if fam in _INVERSE_CDF:
+        return _inverse_cdf(model, rng.random(size=size), mu)
     if fam is Family.GAMMA:
         return rng.gamma(model.shape, scale=mu, size=size)
-    if fam is Family.EXPONENTIAL:
-        return _exponential_ppf(rng.random(size=size), mu)
-    if fam is Family.LOGNORMAL:
-        return rng.lognormal(mean=mu, sigma=model.shape, size=size)
-    return _gpd_ppf(rng.random(size=size), 1.0 / mu, model.shape)  # GPD, scale 1/mu
+    return rng.lognormal(mean=mu, sigma=model.shape, size=size)

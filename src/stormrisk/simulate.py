@@ -1,8 +1,9 @@
 """Seeded Monte Carlo generation of event catalogs and replicate ensembles.
 
-Reproducibility contract: every draw comes from a substream derived by
-hashing ``(seed, domain tag, index)`` through `numpy.random.SeedSequence`,
-so identical configurations give bit-identical output regardless of how
+Reproducibility contract: every draw comes from a substream keyed by
+``(seed, domain tag, *index)``, the PCG64 generator that
+``numpy.random.default_rng([seed, tag, *index])`` would return, so
+identical configurations give bit-identical output regardless of how
 the work is ordered or split.
 
 * Catalogs use one substream per year (keyed by the year offset), so
@@ -10,17 +11,25 @@ the work is ordered or split.
 * Fixed-year ensembles use one pair of substreams (counts, marks) per
   block of ``_BATCH`` replicates, so the first R results are a prefix of
   any longer run and blocks can be generated independently.
+
+The key is hashed here exactly as `numpy.random.SeedSequence` hashes
+it, vectorised over the keys, and one reused generator is moved to each
+substream's PCG64 state: a ``default_rng`` call per year would cost
+more than the year's draws.  NEP 19 keeps both algorithms fixed across
+numpy versions, and tests compare the states with ``default_rng``.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .catalog import _MAX_ROWS, EventCatalog
 from .frequency import FrequencyModel, sample_count
-from .severity import SeverityModel, sample_intensity
+from .severity import _INVERSE_CDF, SeverityModel, _inverse_cdf, sample_intensity
 
 __all__ = [
     "SimulationConfig",
@@ -38,8 +47,99 @@ _REPLICATE_MARKS = 3
 _BATCH = 32768
 
 
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng([seed, *key])
+# numpy.random.SeedSequence's hash constants and pool size (uint32
+# arithmetic), and the PCG64 multiplier (mod 2**128).
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = (1 << 128) - 1
+
+# Keys hashed at a time, so the 128-bit states of a long catalog are
+# never all held at once.
+_CHUNK = 1024
+
+
+def _words(n: int) -> list[int]:
+    """``n`` as SeedSequence splits an entropy integer: little-endian
+    uint32 words, ``[0]`` for 0."""
+    if n < 0:
+        raise ValueError(f"substream keys must be non-negative integers, got {n}")
+    words = [n & _M32]
+    n >>= 32
+    while n:
+        words.append(n & _M32)
+        n >>= 32
+    return words
+
+
+def _seed_sequence_words(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)``, one uint32
+    array per entropy word and one uint64 array per output word, so each
+    element is one key.  uint32 arrays wrap without the warning that
+    numpy scalars give."""
+    h = _INIT_A
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ h
+        h = h * _MULT_A & _M32
+        v = v * h
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        r = _MIX_L * x - _MIX_R * y
+        return r ^ (r >> 16)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h = _INIT_B
+    out = []
+    for i in range(2 * _POOL):
+        v = pool[i % _POOL] ^ h
+        h = h * _MULT_B & _M32
+        v = v * h
+        out.append((v ^ (v >> 16)).astype(np.uint64))
+    return [lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])]
+
+
+def _stream(rng: np.random.Generator, state: int, inc: int) -> np.random.Generator:
+    """Move ``rng`` to the start of one substream, given its PCG64 state."""
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
+def _streams(prefix: tuple[int, ...], keys: range) -> Iterator[np.random.Generator]:
+    """The substream ``default_rng([*prefix, k])`` for each ``k`` in
+    ``keys``, in order, all on one reused generator: use each before
+    taking the next.  Keys lie in ``[0, 2**32)``, one entropy word each."""
+    head = [w for n in prefix for w in _words(n)]
+    rng = np.random.Generator(np.random.PCG64(0))  # state replaced before any draw
+    for lo in range(0, len(keys), _CHUNK):
+        chunk = keys[lo : lo + _CHUNK]
+        last = np.arange(chunk.start, chunk.stop, chunk.step, dtype=np.uint32)
+        entropy = [np.full(len(last), w, dtype=np.uint32) for w in head] + [last]
+        words = _seed_sequence_words(entropy)
+        # PCG64 seeding: inc = 2 * seq + 1, then two LCG steps around
+        # adding the initial state.
+        for w0, w1, w2, w3 in zip(*(w.tolist() for w in words)):
+            inc = ((w2 << 64 | w3) << 1 | 1) & _M128
+            state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _M128
+            yield _stream(rng, state, inc)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -128,22 +228,28 @@ def simulate_catalog(config: SimulationConfig) -> EventCatalog:
     """
     seed = _seed(config)
     start, end = config.years
-    all_years: list[np.ndarray] = []
-    all_x: list[np.ndarray] = []
-    for t in range(1, config.n_years + 1):
-        rng = _stream(seed, _CATALOG, t)
+    sev = config.sev
+    inverse_cdf = sev.family in _INVERSE_CDF
+    years = range(1, config.n_years + 1)
+    counts = np.zeros(len(years), dtype=np.int64)
+    draws: list[np.ndarray] = []
+    drivers: list[float] = []
+    for t, rng in zip(years, _streams((seed, _CATALOG), years)):
         n_t = sample_count(config.freq, t, rng)
         if n_t > 0:
-            x = sample_intensity(config.sev, t, rng, size=n_t)
-            all_years.append(np.full(n_t, start + t - 1, dtype=np.int64))
-            all_x.append(x)
-    if all_years:
-        years = np.concatenate(all_years)
-        intensities = np.concatenate(all_x)
-    else:
-        years = np.empty(0, dtype=np.int64)
-        intensities = np.empty(0, dtype=np.float64)
-    return EventCatalog.from_events(years, intensities, year_range=(start, end))
+            counts[t - 1] = n_t
+            if inverse_cdf:
+                # marks follow after the loop, one inverse-CDF pass for all
+                draws.append(rng.random(n_t))
+                drivers.append(sev.driver(t))
+            else:
+                draws.append(sample_intensity(sev, t, rng, size=n_t))
+    intensities = np.concatenate(draws) if draws else np.empty(0, dtype=np.float64)
+    if inverse_cdf:
+        mu = np.repeat(np.array(drivers, dtype=np.float64), counts[counts > 0])
+        intensities = _inverse_cdf(sev, intensities, mu)
+    event_years = np.repeat(np.arange(start, end + 1, dtype=np.int64), counts)
+    return EventCatalog.from_events(event_years, intensities, year_range=(start, end))
 
 
 def replicate_fixed_year(
@@ -157,6 +263,10 @@ def replicate_fixed_year(
     replicate r do not depend on how many replicates follow it.
     """
     seed = _seed(config)
+    try:
+        replicates = operator.index(replicates)
+    except TypeError:
+        raise ValueError(f"replicates must be an integer, got {replicates!r}") from None
     if not 2 <= replicates <= _MAX_ROWS:
         raise ValueError(f"replicates must lie in [2, {_MAX_ROWS}], got {replicates}")
     t_int = int(t)
@@ -165,12 +275,13 @@ def replicate_fixed_year(
     counts = np.empty(replicates, dtype=np.int64)
     sums = np.empty(replicates, dtype=np.float64)
     first = np.full(replicates, np.nan)
-    for lo in range(0, replicates, _BATCH):
+    blocks = range(-(-replicates // _BATCH))
+    counts_streams = _streams((seed, _REPLICATE_COUNTS, t_int), blocks)
+    marks_streams = _streams((seed, _REPLICATE_MARKS, t_int), blocks)
+    for block, counts_rng, marks_rng in zip(blocks, counts_streams, marks_streams):
+        lo = block * _BATCH
         hi = min(lo + _BATCH, replicates)
-        block = lo // _BATCH
-        counts_rng = _stream(seed, _REPLICATE_COUNTS, t_int, block)
         n = sample_count(config.freq, t_int, counts_rng, size=hi - lo)
-        marks_rng = _stream(seed, _REPLICATE_MARKS, t_int, block)
         x = sample_intensity(config.sev, t_int, marks_rng, size=int(n.sum()))
         rep = np.repeat(np.arange(hi - lo), n)
         counts[lo:hi] = n

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import stormrisk as sr
-from stormrisk.severity import _exponential_ppf, _gpd_ppf, _uniform_ppf
+from stormrisk.severity import _exponential_ppf, _gpd_ppf, _inverse_cdf, _uniform_ppf
 
 from helpers import EXTREME_FLOATS, FAMILIES, HORIZONS, random_severity, rel_err
 
@@ -205,6 +205,22 @@ def test_inverse_cdf_reference_points():
     # small-shape continuity with the limit
     u = 0.7
     assert _gpd_ppf(u, 1.0, 1e-10) == pytest.approx(_gpd_ppf(u, 1.0, 0.0), rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "family,shape",
+    [("uniform", None), ("exponential", None), ("gpd", 0.2), ("gpd", 0.0), ("gpd", -0.3)],
+)
+def test_one_inverse_cdf_pass_matches_per_year_sampling(family, shape):
+    # simulate_catalog draws each year's uniforms from its own stream and
+    # maps all years' draws at once; year t here draws t marks, so the
+    # 1..64 lengths put every array position in a SIMD tail somewhere.
+    model = make(family, 2.0, beta1=0.05, shape=shape, horizon=(1, 64))
+    years = range(1, 65)
+    per_year = [sr.sample_intensity(model, t, np.random.default_rng(t), size=t) for t in years]
+    u = np.concatenate([np.random.default_rng(t).random(t) for t in years])
+    mu = np.repeat(np.array([model.driver(t) for t in years]), years)
+    assert _inverse_cdf(model, u, mu).tobytes() == np.concatenate(per_year).tobytes()
 
 
 def test_sampling_is_deterministic_given_state():

@@ -1,10 +1,21 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import stormrisk as sr
+from stormrisk.catalog import _MAX_ROWS
+from stormrisk.simulate import (
+    _CATALOG,
+    _CHUNK,
+    _REPLICATE_COUNTS,
+    _REPLICATE_MARKS,
+    _streams,
+)
 
 from helpers import FAMILIES, random_severity, stationary_config
 
@@ -16,6 +27,44 @@ def gpd_trend_config(seed=0, years=(1, 60)):
         family="gpd", beta0=1.0, beta1=0.01, horizon=(1, n), shape=0.2
     )
     return sr.SimulationConfig(freq=freq, sev=sev, years=years, seed=seed)
+
+
+# --- substream keying ---------------------------------------------------------
+
+SEED_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    seed=st.one_of(st.sampled_from(SEED_EDGES), st.integers(0, 2**64 - 1)),
+    tag=st.sampled_from([_CATALOG, _REPLICATE_COUNTS, _REPLICATE_MARKS]),
+    year=st.one_of(st.none(), st.integers(0, _MAX_ROWS)),
+    first=st.integers(0, _MAX_ROWS),
+    n_keys=st.sampled_from([1, 3, _CHUNK + 1]),
+)
+# entropies of 3, 4 (one- and two-word seeds) and 5 words
+@example(seed=0, tag=_CATALOG, year=None, first=1, n_keys=3)
+@example(seed=2**32 - 1, tag=_REPLICATE_COUNTS, year=20, first=0, n_keys=3)
+@example(seed=2**32, tag=_CATALOG, year=None, first=_MAX_ROWS - 2, n_keys=3)
+@example(seed=2**64 - 1, tag=_REPLICATE_MARKS, year=_MAX_ROWS, first=0, n_keys=_CHUNK + 1)
+def test_keyed_streams_match_default_rng(seed, tag, year, first, n_keys):
+    prefix = (seed, tag) if year is None else (seed, tag, year)
+    keys = range(first, first + n_keys)
+    for key, rng in zip(keys, _streams(prefix, keys), strict=True):
+        expected = np.random.default_rng([*prefix, key]).bit_generator.state
+        assert rng.bit_generator.state == expected, key
+
+
+def test_keyed_stream_is_reset_between_keys():
+    # a draw that leaves half a 64-bit word buffered must not leak into
+    # the next substream
+    keys = range(1, 3)
+    for key, rng in zip(keys, _streams((7, _CATALOG), keys)):
+        reference = np.random.default_rng([7, _CATALOG, key])
+        assert rng.integers(0, 2**31, dtype=np.uint32) == reference.integers(
+            0, 2**31, dtype=np.uint32
+        )
+        assert rng.random() == reference.random()
 
 
 # --- catalog generation -----------------------------------------------------
@@ -201,6 +250,15 @@ def test_config_rejects_a_year_span_past_the_row_budget():
     with pytest.raises(ValueError, match=f"years span {n} years, more than the 10000000"):
         sr.SimulationConfig(freq=freq, sev=sev, years=(1, n), seed=0)
     sr.SimulationConfig(freq=freq, sev=sev, years=(1, 10**7), seed=0)
+
+
+@pytest.mark.parametrize("replicates", [1e4, 2.5, "100", None])
+def test_replicate_count_must_be_an_integer(replicates):
+    config = stationary_config("exponential", lam=5.0, mu=1.0, seed=0)
+    message = f"replicates must be an integer, got {re.escape(repr(replicates))}"
+    with pytest.raises(ValueError, match=message):
+        sr.replicate_fixed_year(config, 1, replicates)
+    assert len(sr.replicate_fixed_year(config, 1, np.int64(3))) == 3
 
 
 @pytest.mark.parametrize("replicates", [10**7 + 1, 10**9])
