@@ -15,8 +15,9 @@ import numpy as np
 __all__ = ["EventCatalog"]
 
 # The row budget: the most years a catalog or a theory table may span,
-# and the most replicates an ensemble may hold.  Inputs past it are
-# rejected before any array is sized by them.
+# the most events a simulated catalog may expect and the most replicates
+# an ensemble may hold.  Inputs past it are rejected before any array is
+# sized by them.
 _MAX_ROWS = 10**7
 
 

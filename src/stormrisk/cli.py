@@ -186,20 +186,6 @@ def _emit(args, write, summary: str, payload: dict) -> ExitReport:
     return ExitReport(ExitStatus.OK, summary, payload)
 
 
-def _write_summaries(header, leading, summaries):
-    """A writer of CSV: the ``leading`` columns, then one float column per
-    remaining ``header`` name, that field of each summary.
-
-    Every summary is evaluated here, before any output is opened, so an
-    error leaves no file.
-    """
-    names = header[len(leading) :]
-    rows = ([getattr(s, name) for name in names] for s in summaries)
-    count = len(leading[0])
-    values = np.fromiter(rows, dtype=(np.float64, len(names)), count=count).T
-    return lambda fh: write_csv_rows(fh, header, [*leading, *values], na_rep="nan")
-
-
 # --- subcommands --------------------------------------------------------
 
 _SUMMARY_COLUMNS = ("year", *(f.name for f in fields(RiskSummary)))
@@ -233,16 +219,15 @@ def _cmd_theory(args) -> ExitReport:
         raise ConfigError("theory: --config is required unless --table1 is given")
     config = parse_config(args.config, "theory")
     start, end = config.years
-    index = range(1, config.n_years + 1)
+    # All years in one evaluation, before any output is opened, so an
+    # error leaves no file.
+    s = risk_summary(config.freq, config.sev, np.arange(1, config.n_years + 1))
+    columns = [range(start, end + 1), *(getattr(s, f.name) for f in fields(s))]
     return _emit(
         args,
-        _write_summaries(
-            _SUMMARY_COLUMNS,
-            [range(start, end + 1), index],
-            (risk_summary(config.freq, config.sev, t) for t in index),
-        ),
-        f"theory: wrote {len(index)} yearly summaries over {start}-{end}",
-        {"config": config.to_dict(), "rows": len(index)},
+        lambda fh: write_csv_rows(fh, _SUMMARY_COLUMNS, columns, na_rep="nan"),
+        f"theory: wrote {config.n_years} yearly summaries over {start}-{end}",
+        {"config": config.to_dict(), "rows": config.n_years},
     )
 
 
@@ -254,16 +239,17 @@ def _theory_table1(args) -> ExitReport:
     }
     shape_cells = [repr(shapes[f]) if f in shapes else "" for f in _TABLE1_FAMILIES]
 
-    def rows():
-        for f in _TABLE1_FAMILIES:
-            try:
-                yield table1_row(f, mu=1.0, lam=1.0, shape=shapes.get(f))
-            except ValueError as exc:
-                raise ConfigError(f"{_TABLE1_SHAPE_FLAGS[f]}: {exc}") from None
-
+    rows = []
+    for f in _TABLE1_FAMILIES:
+        try:
+            rows.append(table1_row(f, mu=1.0, lam=1.0, shape=shapes.get(f)))
+        except ValueError as exc:
+            raise ConfigError(f"{_TABLE1_SHAPE_FLAGS[f]}: {exc}") from None
+    values = (np.array([getattr(r, name) for r in rows]) for name in _TABLE1_COLUMNS[2:])
+    columns = [_TABLE1_FAMILIES, shape_cells, *values]
     return _emit(
         args,
-        _write_summaries(_TABLE1_COLUMNS, [_TABLE1_FAMILIES, shape_cells], rows()),
+        lambda fh: write_csv_rows(fh, _TABLE1_COLUMNS, columns, na_rep="nan"),
         "theory: five-family reference table at unit scale and unit rate",
         {"table1": True, "shapes": shapes},
     )

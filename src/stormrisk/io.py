@@ -33,7 +33,7 @@ from .catalog import _MAX_ROWS, EventCatalog
 from .estimate import LongRunSeries
 from .frequency import FrequencyModel, RateLink
 from .severity import Family, SeverityModel
-from .simulate import SimulationConfig
+from .simulate import ConfigError, SimulationConfig
 
 __all__ = [
     "CatalogFormatError",
@@ -58,10 +58,6 @@ _CHUNK_CELLS = 32768
 
 class CatalogFormatError(ValueError):
     """Malformed event CSV; message names the line."""
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration; message names the field."""
 
 
 def read_events_csv(path) -> EventCatalog:
@@ -175,13 +171,16 @@ def write_csv_rows(fh, header, columns, *, na_rep: str = "") -> None:
     cell is written as ``str(cell)``.  Cells are written unquoted, so none
     may contain ``,``, ``"`` or a line break, and lines end in CRLF: the
     bytes are those ``csv.writer`` writes for the same cells.  Only about
-    ``_CHUNK_CELLS`` cells are held as strings at once.
+    ``_CHUNK_CELLS`` cells are held as strings at once, and a column
+    object passed more than once is formatted once per chunk.
     """
     fh.write(",".join(header) + _EOL)
+    distinct = {id(col): col for col in columns}
     step = max(1, _CHUNK_CELLS // len(columns))
     for lo in range(0, len(columns[0]), step):
-        cells = [_format_cells(col[lo : lo + step], na_rep) for col in columns]
-        fh.write(_EOL.join(map(",".join, zip(*cells))) + _EOL)
+        cells = {k: _format_cells(c[lo : lo + step], na_rep) for k, c in distinct.items()}
+        rows = zip(*(cells[id(col)] for col in columns))
+        fh.write(_EOL.join(map(",".join, rows)) + _EOL)
 
 
 def _format_cells(part, na_rep: str) -> list[str]:
@@ -189,6 +188,10 @@ def _format_cells(part, na_rep: str) -> list[str]:
         return list(map(str, part))
     if part.dtype.kind != "f":
         return list(map(str, part.tolist()))
+    # One bit pattern throughout (0.0 and -0.0 differ): format one cell.
+    bits = part.view(f"u{part.itemsize}")
+    if len(bits) > 1 and bits[0] == bits[-1] and (bits == bits[0]).all():
+        return _format_cells(part[:1], na_rep) * len(part)
     cells = list(map(repr, part.tolist()))
     for i in np.flatnonzero(np.isnan(part)).tolist():
         cells[i] = na_rep

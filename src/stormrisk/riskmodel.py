@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .frequency import FrequencyModel, rate
 from .severity import Family, SeverityModel, j_squared, severity_moments
 
@@ -38,7 +40,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RiskSummary:
-    """All closed-form one-year moments for a frequency/severity pair.
+    """All closed-form one-year moments for a frequency/severity pair:
+    floats for one year, or aligned arrays over an array of years.
 
     Satisfies Wald (`e_s == e_n * e_x`), Blackwell-Girshick
     (`var_s == e_n * var_x + var_n * e_x**2`), the covariance identities
@@ -72,38 +75,57 @@ def j_squared_from_correlation(rho: float, phi: float) -> float:
     return rho**2 / (phi * (1.0 - rho**2))
 
 
-def risk_summary(freq: FrequencyModel, sev: SeverityModel, t: float) -> RiskSummary:
-    """Fully populated :class:`RiskSummary` at year ``t``.
+def risk_summary(freq: FrequencyModel, sev: SeverityModel, t) -> RiskSummary:
+    """Fully populated :class:`RiskSummary` at year ``t``, or over a 1-D
+    integer array of years, with each year's bits those of its own call.
 
     Evaluates the rate and the intensity moments once.  The aggregate
     variance is the Blackwell-Girshick form with ``Var(N) = E[N]``; the
     tests check it against the Poisson shortcut and the dispersion form.
-    Raises ValueError where the aggregate variance is zero or overflows;
-    a finite ``var_s`` bounds ``e_s`` and ``cov_ns`` too.
+    Raises ValueError at the first year whose aggregate variance is zero
+    or overflows; a finite ``var_s`` bounds ``e_s`` and ``cov_ns`` too.
+    numpy's ``exp`` and ``x**2`` (a multiply) differ from libm's ``exp``
+    and ``pow`` in the last bit on some inputs, so arrays take those two
+    from libm per element; ``+ - * /`` and ``sqrt`` round alike.
     """
     lam = rate(freq, t)
     m = severity_moments(sev, t)
-    var_s = lam * m.variance + lam * m.mean**2
-    if var_s <= 0 or m.variance <= 0:
-        raise ValueError("zero variance; correlation undefined")
-    if not math.isfinite(var_s):
-        raise ValueError(
-            f"aggregate variance overflows at t={t}: rate {lam} times "
-            f"E[X^2] {m.second_moment}"
-        )
+    each = isinstance(t, np.ndarray)
+    if each:
+        with np.errstate(over="ignore"):
+            var_s = lam * m.variance + lam * np.array([v**2 for v in m.mean.tolist()])
+        bad = np.flatnonzero((var_s <= 0) | (m.variance <= 0) | ~np.isfinite(var_s))
+        if len(bad):
+            year = (t, lam, m.variance, m.second_moment, var_s)
+            _check_variance(*(a[bad[0]].item() for a in year))
+    else:
+        var_s = lam * m.variance + lam * m.mean**2
+        _check_variance(t, lam, m.variance, m.second_moment, var_s)
+    e_s, j2 = lam * m.mean, j_squared(sev)
     return RiskSummary(
         t=t,
         e_n=lam,
         e_x=m.mean,
-        e_s=lam * m.mean,
+        e_s=e_s,
         var_n=lam,
         var_x=m.variance,
         var_s=var_s,
-        cov_ns=m.mean * lam,
-        cor_ns=m.mean * math.sqrt(lam / var_s),
-        phi=1.0,  # Poisson counts: Var(N) = E[N]
-        j_squared=j_squared(sev),
+        cov_ns=e_s,  # E[X] Var(N); lam * E[X] has the bits of E[X] * lam
+        cor_ns=m.mean * (np.sqrt if each else math.sqrt)(lam / var_s),
+        phi=np.broadcast_to(1.0, t.shape) if each else 1.0,  # Var(N) = E[N]
+        j_squared=np.broadcast_to(j2, t.shape) if each else j2,
     )
+
+
+def _check_variance(t, lam, variance, second_moment, var_s) -> None:
+    """Raise where one year's aggregate variance is zero or overflows."""
+    if var_s <= 0 or variance <= 0:
+        raise ValueError("zero variance; correlation undefined")
+    if not math.isfinite(var_s):
+        raise ValueError(
+            f"aggregate variance overflows at t={t}: rate {lam} times "
+            f"E[X^2] {second_moment}"
+        )
 
 
 def table1_row(

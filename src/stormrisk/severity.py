@@ -30,6 +30,8 @@ from enum import Enum
 
 import numpy as np
 
+from .frequency import _check_horizon, _exp
+
 __all__ = [
     "Family",
     "Moments",
@@ -61,7 +63,8 @@ _SHAPED = frozenset({Family.GAMMA, Family.LOGNORMAL, Family.GPD})
 
 @dataclass(frozen=True)
 class Moments:
-    """First two moments of a severity distribution at a fixed year.
+    """First two moments of a severity distribution at a fixed year, or
+    aligned arrays of them over several years.
 
     ``variance == second_moment - mean**2`` holds by construction.
     """
@@ -71,8 +74,10 @@ class Moments:
     second_moment: float
 
     def __post_init__(self) -> None:
-        if self.variance < 0:
-            raise ValueError(f"variance must be non-negative, got {self.variance}")
+        v = self.variance
+        low = np.min(v).item() if isinstance(v, np.ndarray) else v
+        if low < 0:
+            raise ValueError(f"variance must be non-negative, got {low}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -140,16 +145,15 @@ class SeverityModel:
                     f"with positive variance"
                 )
 
-    def driver(self, t: float) -> float:
-        """Driver ``mu_t``; raises outside the horizon."""
-        t_min, t_max = self.horizon
-        if not (t_min <= t <= t_max):
-            raise ValueError(f"year index {t} outside model horizon [{t_min}, {t_max}]")
+    def driver(self, t):
+        """Driver ``mu_t`` at a year or an array of years; raises outside the horizon."""
+        _check_horizon(self.horizon, t)
         return self.beta0 + self.beta1 * t
 
 
-def severity_moments(model: SeverityModel, t: float) -> Moments:
-    """Mean, variance and second moment of the intensity at year ``t``.
+def severity_moments(model: SeverityModel, t) -> Moments:
+    """Mean, variance and second moment of the intensity at year ``t``,
+    or elementwise over a 1-D array of years (``exp`` as in `_exp`).
 
     Closed forms per family (mu = driver at t, shape as in the table):
 
@@ -176,8 +180,8 @@ def _moments(model: SeverityModel, mu: float) -> Moments:
         var = mu * mu
     elif fam is Family.LOGNORMAL:
         s2 = model.shape**2
-        mean = math.exp(mu + 0.5 * s2)
-        var = math.expm1(s2) * math.exp(2.0 * mu + s2)
+        mean = _exp(mu + 0.5 * s2)
+        var = math.expm1(s2) * _exp(2.0 * mu + s2)
     else:  # GPD
         xi = model.shape
         mean = 1.0 / (mu * (1.0 - xi))

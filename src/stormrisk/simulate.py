@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import _MAX_ROWS, EventCatalog
-from .frequency import FrequencyModel, sample_count
+from .frequency import FrequencyModel, rate, sample_count
 from .severity import _INVERSE_CDF, SeverityModel, _inverse_cdf, sample_intensity
 
 __all__ = [
@@ -142,6 +142,10 @@ def _streams(prefix: tuple[int, ...], keys: range) -> Iterator[np.random.Generat
             yield _stream(rng, state, inc)
 
 
+class ConfigError(ValueError):
+    """Invalid run configuration; message names the field."""
+
+
 @dataclass(frozen=True, kw_only=True)
 class SimulationConfig:
     """A frequency/severity pair, an inclusive year span and a seed: one
@@ -224,9 +228,17 @@ def simulate_catalog(config: SimulationConfig) -> EventCatalog:
 
     Per year: draw the count, then that many i.i.d. intensities, all
     from the year's own substream.  Years with zero events remain
-    present in the per-year view.
+    present in the per-year view.  A config expecting more than
+    ``_MAX_ROWS`` events in all is rejected before any draw.
     """
     seed = _seed(config)
+    with np.errstate(over="ignore"):  # an infinite total is rejected below
+        expected = float(np.sum(rate(config.freq, np.arange(1, config.n_years + 1))))
+    if not expected <= _MAX_ROWS:
+        raise ConfigError(
+            f"config.frequency: expects {expected:.6g} events over "
+            f"{config.n_years} years, more than the {_MAX_ROWS} a catalog may hold"
+        )
     start, end = config.years
     sev = config.sev
     inverse_cdf = sev.family in _INVERSE_CDF
@@ -257,10 +269,11 @@ def replicate_fixed_year(
 ) -> FixedYearSample:
     """Draw ``replicates`` independent (N, S) pairs at year ``t``.
 
-    ``t`` is a model year index (offset coordinates); ``replicates``, in
-    ``[2, _MAX_ROWS]``, is checked before any allocation.  Counts and
-    marks come from separate per-block substreams, so results for
-    replicate r do not depend on how many replicates follow it.
+    ``t``, a model year index in ``[1, config.n_years]``, and
+    ``replicates``, in ``[2, _MAX_ROWS]``, are checked before any
+    allocation.  Counts and marks come from separate per-block
+    substreams, so results for replicate r do not depend on how many
+    replicates follow it.
     """
     seed = _seed(config)
     try:
@@ -272,6 +285,8 @@ def replicate_fixed_year(
     t_int = int(t)
     if t_int != t:
         raise ValueError(f"year index must be an integer, got {t}")
+    if not 1 <= t_int <= config.n_years:
+        raise ValueError(f"year index t={t_int} must lie in [1, {config.n_years}]")
     counts = np.empty(replicates, dtype=np.int64)
     sums = np.empty(replicates, dtype=np.float64)
     first = np.full(replicates, np.nan)

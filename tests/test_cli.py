@@ -220,22 +220,23 @@ def test_severity_moments_out_of_range_are_input_errors(tmp_path, capsys, mode, 
 
 
 def test_theory_aggregate_variance_overflow_is_an_input_error(tmp_path, capsys):
-    # finite intensity moments, but E[N] E[X^2] overflows
-    cfg = write_config(
-        tmp_path,
-        simulate_config(
-            mode="theory",
-            frequency={"link": "identity", "alpha0": 1e10, "alpha1": 0.0},
-            severity={"family": "lognormal", "beta0": 350.0, "beta1": 0.0, "shape": 1.0},
-        ),
-    )
-    out = tmp_path / "theory.csv"
-    assert main(["theory", "--config", cfg, "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    payload = json.loads(captured.out.strip().splitlines()[-1])
-    assert "aggregate variance overflows at t=1" in payload["error"]
-    assert "Traceback" not in captured.err
-    assert not out.exists()
+    # finite intensity moments (E[X^2] is about 7.5e304), but E[N] E[X^2]
+    # overflows: from the first year, or first at the interior year 14,
+    # where the rate 1000 + 100 t reaches 2400
+    severity = {"family": "lognormal", "beta0": 350.0, "beta1": 0.0, "shape": 1.0}
+    for alpha0, alpha1, message in [
+        (1e10, 0.0, "t=1: rate 10000000000.0"),
+        (1000.0, 100.0, "t=14: rate 2400.0"),
+    ]:
+        frequency = {"link": "identity", "alpha0": alpha0, "alpha1": alpha1}
+        cfg = write_config(
+            tmp_path, simulate_config(mode="theory", frequency=frequency, severity=severity)
+        )
+        out = tmp_path / "theory.csv"
+        assert _input_error(capsys, ["theory", "--config", cfg, "--out", str(out)]) == (
+            f"aggregate variance overflows at {message} times E[X^2] 7.494217549770649e+304"
+        )
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("big", ["1e308", "1e200"])
@@ -305,6 +306,19 @@ FIELD_ERROR_CASES = {
         },
         [],
         "config.frequency: identity-link rate at t=1 is inf",
+    ),
+    # past numpy's Poisson limit: numpy's bare "lam value too large"
+    "event-budget": (
+        {"frequency": {"link": "identity", "alpha0": 1e19, "alpha1": 0.0}, "years": [1, 2]},
+        [],
+        "config.frequency: expects 2e+19 events over 2 years, more than the "
+        "10000000 a catalog may hold",
+    ),
+    # every rate is finite, their sum is not
+    "event-budget-overflow": (
+        {"frequency": {"link": "identity", "alpha0": 1e308, "alpha1": 0.0}, "years": [1, 2]},
+        [],
+        "config.frequency: expects inf events over 2 years",
     ),
     "replicates-floor": (
         {"mode": "verify"}, ["--replicates", "500"], "--replicates: need at least 1000"

@@ -132,6 +132,43 @@ def test_csv_rows_match_csv_writer_across_chunks():
     assert fh.getvalue() == expected.getvalue()
 
 
+def csv_writer_bytes(header, columns, na_rep):
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    for row in zip(*(c.tolist() for c in columns)):
+        writer.writerow([na_rep if math.isnan(v) else repr(v) for v in row])
+    return expected.getvalue()
+
+
+def test_csv_rows_format_constant_and_repeated_columns(monkeypatch):
+    # 4 cells a chunk: 2 rows of the 2 columns
+    monkeypatch.setattr(sr.io, "_CHUNK_CELLS", 4)
+    n = 9
+    constant = np.full(n, 0.1 + 0.2)
+    signed_zeros = np.array([0.0, -0.0] * 4 + [0.0])
+    all_nan = np.full(n, math.nan)
+    # a constant run over rows 1-6 crosses the chunk boundaries after rows 1, 3, 5
+    run = np.array([1.5, 7.25, 7.25, 7.25, 7.25, 7.25, 7.25, -2.0, 3.0])
+    mixed = np.linspace(-1.0, 1.0, n)
+    cases = [
+        ([constant, mixed], ""),
+        ([signed_zeros, mixed], ""),
+        ([all_nan, mixed], "nan"),
+        ([all_nan, mixed], ""),
+        ([mixed, mixed], ""),
+        ([run, constant], "nan"),
+    ]
+    for columns, na_rep in cases:
+        fh = io.StringIO(newline="")
+        write_csv_rows(fh, ("a", "b"), columns, na_rep=na_rep)
+        assert fh.getvalue() == csv_writer_bytes(("a", "b"), columns, na_rep)
+    fh = io.StringIO(newline="")
+    write_csv_rows(fh, ("z",), [signed_zeros])
+    assert fh.getvalue().split("\r\n")[1:3] == ["0.0", "-0.0"]
+
+
+
 # --- series CSV -----------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -230,3 +231,95 @@ def test_risk_summary_rejects_aggregate_variance_overflow():
     freq, sev = pair("lognormal", 350.0, 1e10, shape=1.0)
     with pytest.raises(ValueError, match="aggregate variance overflows"):
         sr.risk_summary(freq, sev, 1)
+
+
+# --- one evaluation over an array of years ----------------------------------
+
+
+def reference_summary(freq, sev, t):
+    """One year's closed forms in Python floats, with libm's exp, expm1,
+    pow and sqrt as a per-year evaluation computes them; the fields in
+    RiskSummary order."""
+    eta = freq.alpha0 + freq.alpha1 * t
+    lam = math.exp(eta) if freq.link is sr.RateLink.LOG else eta
+    mu = sev.beta0 + sev.beta1 * t
+    family, shape = sev.family.value, sev.shape
+    if family == "uniform":
+        mean, var, j2 = 0.5 * mu, mu * mu / 12.0, 3.0
+    elif family == "gamma":
+        mean, var, j2 = shape * mu, shape * mu * mu, float(shape)
+    elif family == "exponential":
+        mean, var, j2 = mu, mu * mu, 1.0
+    elif family == "lognormal":
+        s2 = shape**2
+        mean = math.exp(mu + 0.5 * s2)
+        var = math.expm1(s2) * math.exp(2.0 * mu + s2)
+        j2 = 1.0 / math.expm1(shape**2)
+    else:
+        xi = shape
+        mean = 1.0 / (mu * (1.0 - xi))
+        var = 1.0 / (mu * mu * (1.0 - xi) ** 2 * (1.0 - 2.0 * xi))
+        j2 = 1.0 - 2.0 * xi
+    var_s = lam * var + lam * mean**2
+    cor = mean * math.sqrt(lam / var_s)
+    return (t, lam, mean, lam * mean, lam, var, var_s, mean * lam, cor, 1.0, j2)
+
+
+ARRAY_YEARS = 10**4
+ARRAY_FREQUENCIES = {
+    "log": dict(alpha0=0.4321, alpha1=2.345e-4, link="log"),
+    "identity": dict(alpha0=3.217, alpha1=1.0713e-3, link="identity"),
+}
+ARRAY_SEVERITIES = {
+    "uniform": dict(family="uniform", beta0=3.1, beta1=7.13e-4),
+    "gamma": dict(family="gamma", beta0=2.03, beta1=3.17e-4, shape=1.5),
+    "exponential": dict(family="exponential", beta0=2.5, beta1=-1.09e-4),
+    "lognormal": dict(family="lognormal", beta0=0.57, beta1=1.13e-4, shape=0.8),
+    "gpd-positive": dict(family="gpd", beta0=1.07, beta1=2.11e-4, shape=0.2),
+    "gpd-zero": dict(family="gpd", beta0=1.07, beta1=2.11e-4, shape=0.0),
+    "gpd-negative": dict(family="gpd", beta0=1.07, beta1=2.11e-4, shape=-0.3),
+}
+
+
+@pytest.mark.parametrize("link", ARRAY_FREQUENCIES)
+@pytest.mark.parametrize("severity", ARRAY_SEVERITIES)
+def test_array_of_years_has_the_bits_of_per_year_evaluation(link, severity):
+    horizon = (1, ARRAY_YEARS)
+    freq = sr.FrequencyModel(**ARRAY_FREQUENCIES[link], horizon=horizon)
+    sev = sr.SeverityModel(**ARRAY_SEVERITIES[severity], horizon=horizon)
+    years = np.arange(1, ARRAY_YEARS + 1)
+    s = sr.risk_summary(freq, sev, years)
+    reference = np.array([reference_summary(freq, sev, t) for t in range(1, ARRAY_YEARS + 1)])
+    names = [f.name for f in fields(sr.RiskSummary)]
+    assert np.array_equal(s.t, years)
+    for k, name in enumerate(names[1:], start=1):
+        got = np.asarray(getattr(s, name), dtype=np.float64)
+        assert got.shape == years.shape, name
+        assert np.array_equal(got.view(np.uint64), reference[:, k].view(np.uint64)), name
+    assert s.var_n is s.e_n and s.cov_ns is s.e_s
+
+
+def test_scalar_year_gives_python_floats():
+    freq = sr.FrequencyModel(**ARRAY_FREQUENCIES["log"], horizon=(1, 30))
+    sev = sr.SeverityModel(**ARRAY_SEVERITIES["lognormal"], horizon=(1, 30))
+    s = sr.risk_summary(freq, sev, 7)
+    assert s.t == 7 and s.phi == 1.0
+    assert all(type(getattr(s, f.name)) is float for f in fields(s) if f.name != "t")
+    assert s == sr.RiskSummary(*reference_summary(freq, sev, 7))
+
+
+def test_array_of_years_names_the_first_failing_year():
+    # E[X^2] is about 7.5e304, so the aggregate variance overflows once
+    # the rate 1000 + 100 t reaches 2400, at t = 14
+    freq = sr.FrequencyModel(alpha0=1000.0, alpha1=100.0, link="identity", horizon=(1, 60))
+    sev = sr.SeverityModel(
+        family="lognormal", beta0=350.0, beta1=0.0, horizon=(1, 60), shape=1.0
+    )
+    with pytest.raises(ValueError) as scalar:
+        sr.risk_summary(freq, sev, 14)
+    with pytest.raises(ValueError) as array:
+        sr.risk_summary(freq, sev, np.arange(1, 61))
+    assert str(array.value) == str(scalar.value)
+    assert str(array.value).startswith("aggregate variance overflows at t=14: rate 2400.0 ")
+    with pytest.raises(ValueError, match=r"^year index 61 outside model horizon \[1, 60\]$"):
+        sr.risk_summary(freq, sev, np.arange(55, 70))

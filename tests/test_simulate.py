@@ -272,3 +272,31 @@ def test_replicate_count_past_the_row_budget_raises_before_allocating(replicates
     finally:
         tracemalloc.stop()
     assert peak < 10**6
+
+
+@pytest.mark.parametrize("t", [-1, 0, 17, 18])
+def test_ensemble_year_outside_the_run_is_rejected(t):
+    # the models accept years -5..20, the run holds year indices 1..16
+    freq = sr.FrequencyModel(alpha0=5.0, alpha1=0.0, link="identity", horizon=(-5, 20))
+    sev = sr.SeverityModel(family="exponential", beta0=1.0, beta1=0.0, horizon=(-5, 20))
+    config = sr.SimulationConfig(freq=freq, sev=sev, years=(1, 16), seed=0)
+    with pytest.raises(ValueError, match=rf"^year index t={t} must lie in \[1, 16\]$"):
+        sr.replicate_fixed_year(config, t, 10)
+    assert len(sr.replicate_fixed_year(config, 16, 10)) == 10
+
+
+def test_catalog_past_the_event_budget_is_rejected_before_drawing():
+    # 2501 years at a rate of 4000 expect 4000 events past the budget
+    config = stationary_config("exponential", lam=4000.0, mu=1.0, years=(1, 2501))
+    with pytest.raises(
+        sr.ConfigError, match=r"^config\.frequency: expects 1\.0004e\+07 events over 2501"
+    ):
+        sr.simulate_catalog(config)
+    log_config = sr.SimulationConfig(
+        freq=sr.FrequencyModel(alpha0=700.0, alpha1=0.0, link="log", horizon=(1, 2)),
+        sev=config.sev,
+        years=(1, 2),
+        seed=0,
+    )
+    with pytest.raises(sr.ConfigError, match=r"expects 2\.02846e\+304 events"):
+        sr.simulate_catalog(log_config)
