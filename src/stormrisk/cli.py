@@ -257,7 +257,10 @@ def _theory_table1(args) -> ExitReport:
 
 def _cmd_simulate(args) -> ExitReport:
     config = parse_config(args.config, "simulate")
-    catalog = simulate_catalog(config)
+    try:
+        catalog = simulate_catalog(config)
+    except ValueError as exc:  # the event budget, set by the rate
+        raise ConfigError(f"config.frequency: {exc}") from None
     return _emit(
         args,
         lambda fh: write_events_stream(catalog, fh),

@@ -86,11 +86,21 @@ class FrequencyModel:
         return min(t, t_max)
 
 
+# Elements per chunk in `_each`: the most Python floats it holds at once.
+_EACH_CHUNK = 1 << 12
+
+
+def _each(f, x: np.ndarray) -> np.ndarray:
+    """``f``, a function of one Python float, over each element of ``x``."""
+    out = np.empty(len(x))
+    for lo in range(0, len(x), _EACH_CHUNK):
+        out[lo : lo + _EACH_CHUNK] = list(map(f, x[lo : lo + _EACH_CHUNK].tolist()))
+    return out
+
+
 def _exp(x):
     """libm's ``exp`` of a number, or of each element of a 1-D array."""
-    if isinstance(x, np.ndarray):
-        return np.array(list(map(math.exp, x.tolist())))
-    return math.exp(x)
+    return _each(math.exp, x) if isinstance(x, np.ndarray) else math.exp(x)
 
 
 def _check_horizon(horizon: tuple[float, float], t) -> None:

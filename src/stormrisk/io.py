@@ -33,7 +33,7 @@ from .catalog import _MAX_ROWS, EventCatalog
 from .estimate import LongRunSeries
 from .frequency import FrequencyModel, RateLink
 from .severity import Family, SeverityModel
-from .simulate import ConfigError, SimulationConfig
+from .simulate import SimulationConfig
 
 __all__ = [
     "CatalogFormatError",
@@ -58,6 +58,10 @@ _CHUNK_CELLS = 32768
 
 class CatalogFormatError(ValueError):
     """Malformed event CSV; message names the line."""
+
+
+class ConfigError(ValueError):
+    """Invalid run configuration; message names the field."""
 
 
 def read_events_csv(path) -> EventCatalog:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frequency import FrequencyModel, rate
+from .frequency import FrequencyModel, _each, rate
 from .severity import Family, SeverityModel, j_squared, severity_moments
 
 __all__ = [
@@ -93,14 +93,19 @@ def risk_summary(freq: FrequencyModel, sev: SeverityModel, t) -> RiskSummary:
     each = isinstance(t, np.ndarray)
     if each:
         with np.errstate(over="ignore"):
-            var_s = lam * m.variance + lam * np.array([v**2 for v in m.mean.tolist()])
+            var_s = lam * m.variance + lam * _each(lambda v: v**2, m.mean)
         bad = np.flatnonzero((var_s <= 0) | (m.variance <= 0) | ~np.isfinite(var_s))
-        if len(bad):
-            year = (t, lam, m.variance, m.second_moment, var_s)
-            _check_variance(*(a[bad[0]].item() for a in year))
+        if len(bad):  # the first failing year's own call raises its error
+            risk_summary(freq, sev, t[bad[0]].item())
     else:
         var_s = lam * m.variance + lam * m.mean**2
-        _check_variance(t, lam, m.variance, m.second_moment, var_s)
+        if var_s <= 0 or m.variance <= 0:
+            raise ValueError("zero variance; correlation undefined")
+        if not math.isfinite(var_s):
+            raise ValueError(
+                f"aggregate variance overflows at t={t}: rate {lam} times "
+                f"E[X^2] {m.second_moment}"
+            )
     e_s, j2 = lam * m.mean, j_squared(sev)
     return RiskSummary(
         t=t,
@@ -115,17 +120,6 @@ def risk_summary(freq: FrequencyModel, sev: SeverityModel, t) -> RiskSummary:
         phi=np.broadcast_to(1.0, t.shape) if each else 1.0,  # Var(N) = E[N]
         j_squared=np.broadcast_to(j2, t.shape) if each else j2,
     )
-
-
-def _check_variance(t, lam, variance, second_moment, var_s) -> None:
-    """Raise where one year's aggregate variance is zero or overflows."""
-    if var_s <= 0 or variance <= 0:
-        raise ValueError("zero variance; correlation undefined")
-    if not math.isfinite(var_s):
-        raise ValueError(
-            f"aggregate variance overflows at t={t}: rate {lam} times "
-            f"E[X^2] {second_moment}"
-        )
 
 
 def table1_row(

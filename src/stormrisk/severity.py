@@ -74,8 +74,7 @@ class Moments:
     second_moment: float
 
     def __post_init__(self) -> None:
-        v = self.variance
-        low = np.min(v).item() if isinstance(v, np.ndarray) else v
+        low = np.min(self.variance).item()
         if low < 0:
             raise ValueError(f"variance must be non-negative, got {low}")
 

@@ -142,10 +142,6 @@ def _streams(prefix: tuple[int, ...], keys: range) -> Iterator[np.random.Generat
             yield _stream(rng, state, inc)
 
 
-class ConfigError(ValueError):
-    """Invalid run configuration; message names the field."""
-
-
 @dataclass(frozen=True, kw_only=True)
 class SimulationConfig:
     """A frequency/severity pair, an inclusive year span and a seed: one
@@ -232,12 +228,13 @@ def simulate_catalog(config: SimulationConfig) -> EventCatalog:
     ``_MAX_ROWS`` events in all is rejected before any draw.
     """
     seed = _seed(config)
+    index = np.arange(1, config.n_years + 1)
     with np.errstate(over="ignore"):  # an infinite total is rejected below
-        expected = float(np.sum(rate(config.freq, np.arange(1, config.n_years + 1))))
+        expected = float(np.sum(rate(config.freq, index)))
     if not expected <= _MAX_ROWS:
-        raise ConfigError(
-            f"config.frequency: expects {expected:.6g} events over "
-            f"{config.n_years} years, more than the {_MAX_ROWS} a catalog may hold"
+        raise ValueError(
+            f"expects {expected:.6g} events over {config.n_years} years, "
+            f"more than the {_MAX_ROWS} a catalog may hold"
         )
     start, end = config.years
     sev = config.sev
@@ -245,7 +242,6 @@ def simulate_catalog(config: SimulationConfig) -> EventCatalog:
     years = range(1, config.n_years + 1)
     counts = np.zeros(len(years), dtype=np.int64)
     draws: list[np.ndarray] = []
-    drivers: list[float] = []
     for t, rng in zip(years, _streams((seed, _CATALOG), years)):
         n_t = sample_count(config.freq, t, rng)
         if n_t > 0:
@@ -253,12 +249,11 @@ def simulate_catalog(config: SimulationConfig) -> EventCatalog:
             if inverse_cdf:
                 # marks follow after the loop, one inverse-CDF pass for all
                 draws.append(rng.random(n_t))
-                drivers.append(sev.driver(t))
             else:
                 draws.append(sample_intensity(sev, t, rng, size=n_t))
     intensities = np.concatenate(draws) if draws else np.empty(0, dtype=np.float64)
     if inverse_cdf:
-        mu = np.repeat(np.array(drivers, dtype=np.float64), counts[counts > 0])
+        mu = np.repeat(sev.driver(index), counts)
         intensities = _inverse_cdf(sev, intensities, mu)
     event_years = np.repeat(np.arange(start, end + 1, dtype=np.int64), counts)
     return EventCatalog.from_events(event_years, intensities, year_range=(start, end))

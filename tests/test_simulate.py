@@ -288,9 +288,7 @@ def test_ensemble_year_outside_the_run_is_rejected(t):
 def test_catalog_past_the_event_budget_is_rejected_before_drawing():
     # 2501 years at a rate of 4000 expect 4000 events past the budget
     config = stationary_config("exponential", lam=4000.0, mu=1.0, years=(1, 2501))
-    with pytest.raises(
-        sr.ConfigError, match=r"^config\.frequency: expects 1\.0004e\+07 events over 2501"
-    ):
+    with pytest.raises(ValueError, match=r"^expects 1\.0004e\+07 events over 2501"):
         sr.simulate_catalog(config)
     log_config = sr.SimulationConfig(
         freq=sr.FrequencyModel(alpha0=700.0, alpha1=0.0, link="log", horizon=(1, 2)),
@@ -298,5 +296,5 @@ def test_catalog_past_the_event_budget_is_rejected_before_drawing():
         years=(1, 2),
         seed=0,
     )
-    with pytest.raises(sr.ConfigError, match=r"expects 2\.02846e\+304 events"):
+    with pytest.raises(ValueError, match=r"^expects 2\.02846e\+304 events"):
         sr.simulate_catalog(log_config)
