@@ -53,6 +53,11 @@ TABLE1_OVERRIDES = ("--gamma-shape", "3", "--lognormal-sigma", "0.5", "--gpd-sha
 # four words long and a replicate key five.
 GPD_TREND_SHAPES = {"positive": 0.2, "zero": 0.0, "negative": -0.3}
 MAX_SEED = 2**64 - 1
+# Every rate above is at least 10, where numpy's Poisson draw uses PTRS;
+# below 10 it uses the multiplication method.  These catalogs pin that
+# path: a stationary rate of 2, and a GPD rate that crosses 10 at t = 20.
+LOW_FREQUENCY = {"link": "identity", "alpha0": 2.0, "alpha1": 0.0}
+CROSSING_FREQUENCY = {"link": "identity", "alpha0": 8.0, "alpha1": 0.1}
 
 GOLDEN = {
     "catalog": {
@@ -88,6 +93,21 @@ GOLDEN = {
         "lognormal": "9245d439e6a2af9633a1f6f653d4ed3a9b8e536494e17481f6eb801d09047d3b",
         "gpd": "c5b21bcaeeab2d1dff475c311e9daa40049fe29721f8f2d5f57eb45bc20443db",
     },
+    "catalog_low_rate": {
+        "uniform": "878d6ced403697f9489be44cc50c87269740f9c1be19c135c3a0403abc7a7c17",
+        "gamma": "de89c352d38d4804f897a9ee2a0881fdc62cbdeac485931fe894958a5a68aba2",
+        "exponential": "eb9e46d86961bb9d811fe67563bd95cbe3e452e324cbca27ee881e4d96834842",
+        "lognormal": "ca416e9840c88b8ec1e2d19f2a07093d3f1e86a6e17fae9862a629d33f15b0e6",
+        "gpd": "c665d3cd25b80f5291587b0f357636c42460e241bbe754100d8d5a042c6a46b0",
+    },
+    "catalog_low_rate_max_seed": {
+        "uniform": "396a9fdc5f04705bce0090cb8a17a6178db340711e0f19c195d66f2bc21ebb91",
+        "gamma": "e1e360dd7b8a24eded1bef03a710359d9f80ed6735af1b925e852b0246d3dcac",
+        "exponential": "a65898337142ef7e3beb5549a859dfcb81cc7c9621b85cd40a300764348d4775",
+        "lognormal": "4415c728975765078b561151cfe714093b2cd89fbddcebdb5e48e013aeeeb78b",
+        "gpd": "0af1a2ee0dca0bbea2d281a15014dd5d7cbbef211883b372cde386677a1421de",
+    },
+    "catalog_rate_crossing": "dfb890f75758e651b316245ca3db78cc0c41e451de1b2ed6759e299e28ae8454",
     "replicate_max_seed": "cf3b5b23ee891cc3be5b26d4c3b42376d3890f5f6c7e79485b7e7bce1b1ead63",
     "events_csv": {
         "uniform": "bed815a53e482c637e07d7e900cf148d4241980832afa7010293731e77781cc8",
@@ -336,6 +356,23 @@ def test_simulate_catalog_arrays_max_seed(family):
     assert catalog_digest(family, seed=MAX_SEED) == GOLDEN["catalog_max_seed"][family]
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_simulate_catalog_arrays_low_rate(family):
+    digest = catalog_digest(family, frequency=LOW_FREQUENCY)
+    assert digest == GOLDEN["catalog_low_rate"][family]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_simulate_catalog_arrays_low_rate_max_seed(family):
+    digest = catalog_digest(family, frequency=LOW_FREQUENCY, seed=MAX_SEED)
+    assert digest == GOLDEN["catalog_low_rate_max_seed"][family]
+
+
+def test_simulate_catalog_arrays_rate_crossing_ten():
+    digest = catalog_digest("gpd", frequency=CROSSING_FREQUENCY)
+    assert digest == GOLDEN["catalog_rate_crossing"]
+
+
 def test_replicate_fixed_year_max_seed_across_block_boundary():
     assert replicate_digest("gpd", seed=MAX_SEED) == GOLDEN["replicate_max_seed"]
 
@@ -374,6 +411,12 @@ def _regenerate() -> dict:
             golden["replicate"][family] = replicate_digest(family)
             golden["catalog_log"][family] = catalog_digest(family, frequency=LOG_FREQUENCY)
             golden["catalog_max_seed"][family] = catalog_digest(family, seed=MAX_SEED)
+            golden["catalog_low_rate"][family] = catalog_digest(
+                family, frequency=LOW_FREQUENCY
+            )
+            golden["catalog_low_rate_max_seed"][family] = catalog_digest(
+                family, frequency=LOW_FREQUENCY, seed=MAX_SEED
+            )
             for kind, digest in cli_digests(work, family).items():
                 golden[kind][family] = digest
             golden["theory_log_csv"][family] = theory_log_digest(work, family)
@@ -382,6 +425,7 @@ def _regenerate() -> dict:
         golden["large_events_csv"] = large_events_digest(work)
     for shape in GPD_TREND_SHAPES:
         golden["catalog_gpd_trend"][shape] = gpd_trend_digest(shape)
+    golden["catalog_rate_crossing"] = catalog_digest("gpd", frequency=CROSSING_FREQUENCY)
     golden["replicate_max_seed"] = replicate_digest("gpd", seed=MAX_SEED)
     return dict(golden)
 
