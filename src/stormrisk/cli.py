@@ -12,8 +12,10 @@ Primary data (CSV) goes to ``--out`` when given, else to stdout.  Human
 summaries go to stderr; a machine-readable JSON report (embedding the
 effective configuration and seed) goes to stdout whenever stdout is not
 already carrying CSV.  Exit codes: 0 ok, 1 verification failure,
-2 input error.  A config holds the models, years and seed, with the seed
-rule of `io.parse_config`; per-run values such as the ensemble size are flags.
+2 input error, 3 internal error (an exception of the program, reported
+as a JSON ``error``, never a traceback).  A config holds the models,
+years and seed, with the seed rule of `io.parse_config`; per-run values
+such as the ensemble size are flags.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ class ExitStatus(Enum):
     OK = 0
     VERIFICATION_FAILURE = 1
     INPUT_ERROR = 2
+    INTERNAL_ERROR = 3
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,8 @@ def run(argv) -> ExitReport:
     """Execute one CLI invocation and report the outcome.
 
     Never raises for bad input; parse and validation problems come back
-    as ``INPUT_ERROR`` reports.
+    as ``INPUT_ERROR`` reports, and any other exception of a command as
+    an ``INTERNAL_ERROR`` report.
     """
     parser = _build_parser()
     try:
@@ -148,6 +152,9 @@ def run(argv) -> ExitReport:
         return handler(args)
     except (ConfigError, CatalogFormatError, ValueError, OSError) as exc:
         return ExitReport(ExitStatus.INPUT_ERROR, str(exc), {"error": str(exc)})
+    except Exception as exc:
+        text = f"internal error: {type(exc).__name__}: {exc}"
+        return ExitReport(ExitStatus.INTERNAL_ERROR, text, {"error": text})
 
 
 def main(argv=None) -> int:
@@ -336,7 +343,10 @@ def _cmd_verify(args) -> ExitReport:
         )
 
     summary = risk_summary(config.freq, config.sev, t)
-    ens = replicate_fixed_year(config, t, replicates)
+    try:
+        ens = replicate_fixed_year(config, t, replicates)
+    except ValueError as exc:  # the marks budget, set by the rate
+        raise ConfigError(f"config.frequency: {exc}") from None
     checks = verification_checks(ens, summary, args.sigma)
 
     failed = [c for c in checks if not c["passed"]]

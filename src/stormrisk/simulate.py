@@ -12,11 +12,14 @@ the work is ordered or split.
   block of ``_BATCH`` replicates, so the first R results are a prefix of
   any longer run and blocks can be generated independently.
 
-The key is hashed here exactly as `numpy.random.SeedSequence` hashes
-it, vectorised over the keys, and one reused generator is moved to each
-substream's PCG64 state: a ``default_rng`` call per year would cost
-more than the year's draws.  NEP 19 keeps both algorithms fixed across
-numpy versions, and tests compare the states with ``default_rng``.
+Keys are hashed exactly as `numpy.random.SeedSequence` does, and PCG64
+seeded, vectorised in uint64 limb arrays.  Uniform, exponential and GPD
+catalog years below rate 10 step as lanes of those arrays, reproducing
+``Generator.poisson``'s multiplication method and the following
+``Generator.random`` marks from raw PCG64 outputs.  Other draws use one
+generator moved to each substream's state (cheaper than ``default_rng``).
+NEP 19 freezes PCG64 and `SeedSequence`, not `Generator` algorithms;
+tests compare states and lane draws bit for bit with ``default_rng``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import _MAX_ROWS, EventCatalog
-from .frequency import FrequencyModel, rate, sample_count
+from .frequency import FrequencyModel, _exp, rate, sample_count
 from .severity import _INVERSE_CDF, SeverityModel, _inverse_cdf, sample_intensity
 
 __all__ = [
@@ -48,18 +51,20 @@ _BATCH = 32768
 
 
 # numpy.random.SeedSequence's hash constants and pool size (uint32
-# arithmetic), and the PCG64 multiplier (mod 2**128).
+# arithmetic), and the PCG64 multiplier (mod 2**128) as 64-bit limbs.
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _M32 = 0xFFFFFFFF
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M128 = (1 << 128) - 1
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 2**64 - 1)
+_MULT_LO_0, _MULT_LO_1 = np.uint64(_PCG_MULT & _M32), np.uint64(_PCG_MULT >> 32 & _M32)
 
-# Keys hashed at a time, so the 128-bit states of a long catalog are
-# never all held at once.
+# Keys seeded by `_streams`, and catalog years stepped as lanes, at a
+# time, so memory stays flat; lanes cost many numpy calls per chunk.
 _CHUNK = 1024
+_LANE_CHUNK = 1 << 14
 
 
 def _words(n: int) -> list[int]:
@@ -112,6 +117,44 @@ def _seed_sequence_words(entropy: list[np.ndarray]) -> list[np.ndarray]:
     return [lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])]
 
 
+def _add(a_hi, a_lo, b_hi, b_lo):
+    """``a + b`` mod 2**128, for 128-bit PCG64 states held as (high, low)
+    uint64 limb arrays, one element per substream."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _step(hi, lo, inc_hi, inc_lo):
+    """One LCG step, ``state * _PCG_MULT + inc`` mod 2**128: the high limb
+    of the low limbs' product from 32-bit halves, plus the cross terms."""
+    lo_0, lo_1 = lo & _M32, lo >> 32
+    p00, p01, p10 = lo_0 * _MULT_LO_0, lo_0 * _MULT_LO_1, lo_1 * _MULT_LO_0
+    carry = ((p00 >> 32) + (p01 & _M32) + (p10 & _M32)) >> 32
+    top = lo_1 * _MULT_LO_1 + (p01 >> 32) + (p10 >> 32) + carry
+    return _add(top + hi * _MULT_LO + lo * _MULT_HI, lo * _MULT_LO, inc_hi, inc_lo)
+
+
+def _uniform(hi, lo) -> np.ndarray:
+    """``Generator.random``'s double from each state's XSL-RR output."""
+    x, rot = hi ^ lo, hi >> 58
+    x = x >> rot | x << (64 - rot & 63)
+    return (x >> 11) * 2.0**-53
+
+
+def _pcg64_states(prefix: tuple[int, ...], keys) -> tuple[np.ndarray, ...]:
+    """``(state_hi, state_lo, inc_hi, inc_lo)`` of the PCG64 generator
+    ``default_rng([*prefix, k])`` for each key in ``keys``, which lie in
+    ``[0, 2**32)``, one entropy word each."""
+    last = np.asarray(keys, dtype=np.uint32)
+    head = [w for n in prefix for w in _words(n)]
+    entropy = [np.full(len(last), w, dtype=np.uint32) for w in head] + [last]
+    w0, w1, w2, w3 = _seed_sequence_words(entropy)
+    # PCG64 seeding: inc = 2 * seq + 1, then two LCG steps around adding
+    # the initial state.
+    inc = (w2 << 1 | w3 >> 63, w3 << 1 | 1)
+    return (*_step(*_add(*inc, w0, w1), *inc), *inc)
+
+
 def _stream(rng: np.random.Generator, state: int, inc: int) -> np.random.Generator:
     """Move ``rng`` to the start of one substream, given its PCG64 state."""
     rng.bit_generator.state = {
@@ -123,23 +166,50 @@ def _stream(rng: np.random.Generator, state: int, inc: int) -> np.random.Generat
     return rng
 
 
-def _streams(prefix: tuple[int, ...], keys: range) -> Iterator[np.random.Generator]:
+def _streams(prefix: tuple[int, ...], keys) -> Iterator[np.random.Generator]:
     """The substream ``default_rng([*prefix, k])`` for each ``k`` in
     ``keys``, in order, all on one reused generator: use each before
-    taking the next.  Keys lie in ``[0, 2**32)``, one entropy word each."""
-    head = [w for n in prefix for w in _words(n)]
+    taking the next."""
     rng = np.random.Generator(np.random.PCG64(0))  # state replaced before any draw
     for lo in range(0, len(keys), _CHUNK):
-        chunk = keys[lo : lo + _CHUNK]
-        last = np.arange(chunk.start, chunk.stop, chunk.step, dtype=np.uint32)
-        entropy = [np.full(len(last), w, dtype=np.uint32) for w in head] + [last]
-        words = _seed_sequence_words(entropy)
-        # PCG64 seeding: inc = 2 * seq + 1, then two LCG steps around
-        # adding the initial state.
-        for w0, w1, w2, w3 in zip(*(w.tolist() for w in words)):
-            inc = ((w2 << 64 | w3) << 1 | 1) & _M128
-            state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _M128
-            yield _stream(rng, state, inc)
+        limbs = _pcg64_states(prefix, keys[lo : lo + _CHUNK])
+        for s_hi, s_lo, i_hi, i_lo in zip(*(w.tolist() for w in limbs)):
+            yield _stream(rng, s_hi << 64 | s_lo, i_hi << 64 | i_lo)
+
+
+def _lane_draws(prefix: tuple[int, ...], keys, lam) -> tuple[np.ndarray, np.ndarray]:
+    """Counts and uniform marks of the substreams of ``keys``, each
+    stepped as one lane: the draws of ``rng.poisson(lam)`` followed by
+    ``rng.random(count)``, for rates in ``(0, 10)``, where numpy uses the
+    multiplication method (PTRS from 10 on).  Marks come in key order."""
+    hi, lo, inc_hi, inc_lo = _pcg64_states(prefix, keys)
+    counts = np.empty(len(keys), dtype=np.int64)
+    # The multiplication method: multiply uniforms while the product
+    # exceeds exp(-lam), with libm's exp as in numpy's C; the count is
+    # one less than the uniforms drawn.
+    live = np.arange(len(keys))
+    h, l, ih, il, limit, prod = hi, lo, inc_hi, inc_lo, _exp(-lam), np.ones(len(keys))
+    drawn = 0
+    while live.size:
+        h, l = _step(h, l, ih, il)
+        prod = prod * _uniform(h, l)
+        more = prod > limit
+        stop = live[~more]
+        counts[stop], hi[stop], lo[stop] = drawn, h[~more], l[~more]
+        lanes = live, h, l, ih, il, limit, prod
+        live, h, l, ih, il, limit, prod = (v[more] for v in lanes)
+        drawn += 1
+    # The marks: step the lanes in descending count, so the lanes that
+    # still draw at step j are a prefix.
+    order = np.argsort(-counts)
+    n = counts[order]
+    at = (np.cumsum(counts) - counts)[order]
+    h, l, ih, il = hi[order], lo[order], inc_hi[order], inc_lo[order]
+    marks = np.empty(int(counts.sum()))
+    for j, m in enumerate(np.searchsorted(-n, -np.arange(n.max(initial=0))).tolist()):
+        h, l = _step(h[:m], l[:m], ih[:m], il[:m])
+        marks[at[:m] + j] = _uniform(h, l)
+    return counts, marks
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -230,7 +300,8 @@ def simulate_catalog(config: SimulationConfig) -> EventCatalog:
     seed = _seed(config)
     index = np.arange(1, config.n_years + 1)
     with np.errstate(over="ignore"):  # an infinite total is rejected below
-        expected = float(np.sum(rate(config.freq, index)))
+        lam = rate(config.freq, index)
+        expected = float(np.sum(lam))
     if not expected <= _MAX_ROWS:
         raise ValueError(
             f"expects {expected:.6g} events over {config.n_years} years, "
@@ -239,18 +310,29 @@ def simulate_catalog(config: SimulationConfig) -> EventCatalog:
     start, end = config.years
     sev = config.sev
     inverse_cdf = sev.family in _INVERSE_CDF
-    years = range(1, config.n_years + 1)
-    counts = np.zeros(len(years), dtype=np.int64)
+    prefix = (seed, _CATALOG)
+    # Inverse-CDF years below rate 10 are drawn as lanes, the rest one
+    # year at a time; runs of each are taken in year order, as are draws.
+    lanes = (lam < 10.0) & inverse_cdf
+    cuts = (np.flatnonzero(np.diff(lanes)) + 1).tolist()
+    counts = np.empty(config.n_years, dtype=np.int64)
     draws: list[np.ndarray] = []
-    for t, rng in zip(years, _streams((seed, _CATALOG), years)):
-        n_t = sample_count(config.freq, t, rng)
-        if n_t > 0:
-            counts[t - 1] = n_t
-            if inverse_cdf:
-                # marks follow after the loop, one inverse-CDF pass for all
-                draws.append(rng.random(n_t))
-            else:
-                draws.append(sample_intensity(sev, t, rng, size=n_t))
+    for a, b in zip([0, *cuts], [*cuts, config.n_years]):
+        if lanes[a]:
+            for lo in range(a, b, _LANE_CHUNK):
+                hi = min(lo + _LANE_CHUNK, b)
+                counts[lo:hi], marks = _lane_draws(prefix, index[lo:hi], lam[lo:hi])
+                draws.append(marks)
+            continue
+        years = zip(range(a + 1, b + 1), lam[a:b].tolist(), _streams(prefix, index[a:b]))
+        for t, lam_t, rng in years:
+            n_t = counts[t - 1] = rng.poisson(lam_t)
+            if n_t > 0:
+                if inverse_cdf:
+                    # marks follow after the loop, one inverse-CDF pass for all
+                    draws.append(rng.random(n_t))
+                else:
+                    draws.append(sample_intensity(sev, t, rng, size=n_t))
     intensities = np.concatenate(draws) if draws else np.empty(0, dtype=np.float64)
     if inverse_cdf:
         mu = np.repeat(sev.driver(index), counts)
@@ -266,7 +348,8 @@ def replicate_fixed_year(
 
     ``t``, a model year index in ``[1, config.n_years]``, and
     ``replicates``, in ``[2, _MAX_ROWS]``, are checked before any
-    allocation.  Counts and marks come from separate per-block
+    allocation, and so is a block whose expected marks exceed
+    ``_MAX_ROWS``.  Counts and marks come from separate per-block
     substreams, so results for replicate r do not depend on how many
     replicates follow it.
     """
@@ -282,6 +365,12 @@ def replicate_fixed_year(
         raise ValueError(f"year index must be an integer, got {t}")
     if not 1 <= t_int <= config.n_years:
         raise ValueError(f"year index t={t_int} must lie in [1, {config.n_years}]")
+    block = min(replicates, _BATCH)
+    if not (marks := block * rate(config.freq, t_int)) <= _MAX_ROWS:
+        raise ValueError(
+            f"expects {marks:.6g} marks in a block of {block} replicates at year "
+            f"index {t_int}, more than the {_MAX_ROWS} a block may hold"
+        )
     counts = np.empty(replicates, dtype=np.int64)
     sums = np.empty(replicates, dtype=np.float64)
     first = np.full(replicates, np.nan)

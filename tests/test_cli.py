@@ -326,6 +326,13 @@ FIELD_ERROR_CASES = {
     "replicates-budget": (
         {"mode": "verify"}, ["--replicates", str(10**12)], "--replicates: at most"
     ),
+    # one 1000-replicate block would need 1e12 marks (7.3 TiB)
+    "marks-budget": (
+        {"mode": "verify", "frequency": {"link": "identity", "alpha0": 1e9, "alpha1": 0.0}},
+        ["--replicates", "1000"],
+        "config.frequency: expects 1e+12 marks in a block of 1000 replicates at year "
+        "index 30, more than the 10000000 a block may hold",
+    ),
     "table1-gpd-shape": (None, ["--gpd-shape", "0.5"], "--gpd-shape: gpd shape must be"),
     "table1-gamma-shape": (None, ["--gamma-shape", "nan"], "--gamma-shape: shape must be"),
     "table1-lognormal-sigma": (
@@ -460,6 +467,19 @@ def test_main_exit_codes(tmp_path, capsys):
     assert payload["config"]["seed"] == 11
     cfg_bad = write_config(tmp_path, simulate_config(seed="nope"), name="bad.json")
     assert main(["simulate", "--config", cfg_bad, "--out", str(out)]) == 2
+
+
+def test_exception_of_a_command_is_an_internal_error(monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(sr.cli, "_cmd_theory", boom)
+    assert main(["theory", "--table1"]) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    payload = json.loads(captured.out.strip().splitlines()[-1])
+    assert payload == {"error": "internal error: RuntimeError: injected"}
+    assert run(["theory", "--table1"]).status is ExitStatus.INTERNAL_ERROR
 
 
 def test_csv_on_stdout_when_out_omitted(tmp_path, capsys):

@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 import stormrisk as sr
 from stormrisk.catalog import _MAX_ROWS
 from stormrisk.simulate import (
+    _BATCH,
     _CATALOG,
     _CHUNK,
+    _LANE_CHUNK,
     _REPLICATE_COUNTS,
     _REPLICATE_MARKS,
+    _lane_draws,
     _streams,
 )
 
@@ -65,6 +68,77 @@ def test_keyed_stream_is_reset_between_keys():
             0, 2**31, dtype=np.uint32
         )
         assert rng.random() == reference.random()
+
+
+# --- low-rate lanes against numpy's Generator ---------------------------------
+#
+# Catalog years below rate 10 reproduce Generator.poisson's multiplication
+# method and Generator.random from raw PCG64 outputs.  NEP 19 lets numpy
+# change a Generator algorithm between versions; these tests then fail.
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _numpy_year(seed: int, t: int, lam: float, marks):
+    """Count and ``marks(rng, count)`` of catalog year ``t``, drawn from
+    its own ``default_rng``."""
+    rng = np.random.default_rng([seed, _CATALOG, t])
+    n = rng.poisson(lam)
+    return n, marks(rng, n)
+
+
+LANE_RATES = st.one_of(
+    st.floats(0.0, 10.0, exclude_min=True, exclude_max=True),
+    # exp(-lam) rounds to 1.0 below about 1.1e-16; the largest lane rate
+    st.sampled_from([5e-324, 1e-20, 1e-16, float(np.nextafter(10.0, 0.0))]),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(st.sampled_from(SEED_EDGES), st.integers(0, 2**64 - 1)),
+    first=st.integers(1, _MAX_ROWS - 40),
+    lam=st.lists(LANE_RATES, min_size=1, max_size=40),
+)
+@example(seed=0, first=1, lam=[1e-20, 1e-20, float(np.nextafter(10.0, 0.0))])
+@example(seed=2**64 - 1, first=_MAX_ROWS - 40, lam=[0.05] * 40)  # zero-event years
+def test_lanes_match_numpy_poisson_then_random(seed, first, lam):
+    keys = np.arange(first, first + len(lam))
+    counts, marks = _lane_draws((seed, _CATALOG), keys, np.array(lam))
+    expected = [
+        _numpy_year(seed, t, lam_t, lambda rng, n: rng.random(n))
+        for t, lam_t in zip(keys.tolist(), lam)
+    ]
+    assert counts.tolist() == [n for n, _ in expected]
+    assert np.array_equal(_bits(marks), _bits(np.concatenate([m for _, m in expected])))
+
+
+@pytest.mark.parametrize(
+    "family, alpha0, alpha1, n_years",
+    [
+        ("gpd", 8.0, 0.1, 40),  # rate 10.0 exactly at t = 20: the per-year path
+        ("uniform", 12.0, -0.1, 40),  # per-year years first, then lanes
+        ("exponential", 0.5, 0.0, _LANE_CHUNK + 3),  # longer than one lane chunk
+    ],
+)
+def test_catalog_matches_per_year_numpy_draws(family, alpha0, alpha1, n_years):
+    horizon = (1, n_years)
+    freq = sr.FrequencyModel(alpha0=alpha0, alpha1=alpha1, link="identity", horizon=horizon)
+    shape = 0.2 if family == "gpd" else None
+    sev = sr.SeverityModel(family=family, beta0=2.0, beta1=0.01, horizon=horizon, shape=shape)
+    config = sr.SimulationConfig(freq=freq, sev=sev, years=horizon, seed=77)
+    lam = sr.rate(freq, np.arange(1, n_years + 1))
+    assert (10.0 in lam) == (n_years == 40)
+    catalog = sr.simulate_catalog(config)
+    expected = [
+        _numpy_year(77, t, lam_t, lambda rng, n: sr.sample_intensity(sev, t, rng, n))
+        for t, lam_t in enumerate(lam.tolist(), start=1)
+    ]
+    assert catalog.counts.tolist() == [n for n, _ in expected]
+    intensities = np.concatenate([x for _, x in expected])
+    assert np.array_equal(_bits(catalog.intensities), _bits(intensities))
 
 
 # --- catalog generation -----------------------------------------------------
@@ -267,6 +341,21 @@ def test_replicate_count_past_the_row_budget_raises_before_allocating(replicates
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=f"replicates must lie in .*, got {replicates}"):
+            sr.replicate_fixed_year(config, 1, replicates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+# 306 * _BATCH marks are just past the budget
+@pytest.mark.parametrize("lam, replicates", [(1e9, 1000), (10000.5, 1000), (306.0, _MAX_ROWS)])
+def test_replicate_block_past_the_marks_budget_raises_before_allocating(lam, replicates):
+    config = stationary_config("exponential", lam=lam, mu=1.0, seed=0)
+    block = min(replicates, _BATCH)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"marks in a block of {block} replicates"):
             sr.replicate_fixed_year(config, 1, replicates)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
