@@ -33,10 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .catalog import _MAX_ROWS
 from .estimate import long_run_series, mailier_index, nx_independence, season_activity
 from .io import (
-    CatalogFormatError,
     ConfigError,
     parse_config,
     read_events_csv,
@@ -85,9 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the five-family reference table at unit scale and rate",
     )
-    p_theory.add_argument("--gamma-shape", type=float, default=2.0)
-    p_theory.add_argument("--lognormal-sigma", type=float, default=1.0)
-    p_theory.add_argument("--gpd-shape", type=float, default=0.25)
+    for flag, default in _TABLE1_SHAPES.values():
+        p_theory.add_argument(flag, type=float, default=default)
 
     p_sim = sub.add_parser("simulate", help="generate a seeded event catalog")
     p_sim.add_argument("--config", required=True)
@@ -150,8 +147,12 @@ def run(argv) -> ExitReport:
     }[args.command]
     try:
         return handler(args)
-    except (ConfigError, CatalogFormatError, ValueError, OSError) as exc:
-        return ExitReport(ExitStatus.INPUT_ERROR, str(exc), {"error": str(exc)})
+    except (ValueError, OSError) as exc:
+        text = str(exc)
+        name, _, rest = text.partition(": ")
+        if type(exc) is ValueError and name in _ARG_FLAGS:  # the others may start with a path
+            text = f"{_ARG_FLAGS[name]}: {rest}"
+        return ExitReport(ExitStatus.INPUT_ERROR, text, {"error": text})
     except Exception as exc:
         text = f"internal error: {type(exc).__name__}: {exc}"
         return ExitReport(ExitStatus.INTERNAL_ERROR, text, {"error": text})
@@ -195,15 +196,24 @@ def _emit(args, write, summary: str, payload: dict) -> ExitReport:
 
 # --- subcommands --------------------------------------------------------
 
+# The flag or config field of each argument whose name starts a library ValueError.
+_ARG_FLAGS = {
+    "freq": "config.frequency",
+    "ci_level": "--level",
+    "window": "--window",
+    "replicates": "--replicates",
+    "t": "--year",
+}
+
 _SUMMARY_COLUMNS = ("year", *(f.name for f in fields(RiskSummary)))
 
 _TABLE1_FAMILIES = tuple(f.value for f in Family)
 
-# Only the shaped families can be out of range at unit scale and rate.
-_TABLE1_SHAPE_FLAGS = {
-    "gamma": "--gamma-shape",
-    "lognormal": "--lognormal-sigma",
-    "gpd": "--gpd-shape",
+# Flag and default of each shape, the only parameter out of range at unit scale and rate.
+_TABLE1_SHAPES = {
+    "gamma": ("--gamma-shape", 2.0),
+    "lognormal": ("--lognormal-sigma", 1.0),
+    "gpd": ("--gpd-shape", 0.25),
 }
 
 _TABLE1_COLUMNS = (
@@ -239,11 +249,7 @@ def _cmd_theory(args) -> ExitReport:
 
 
 def _theory_table1(args) -> ExitReport:
-    shapes = {
-        "gamma": args.gamma_shape,
-        "lognormal": args.lognormal_sigma,
-        "gpd": args.gpd_shape,
-    }
+    shapes = {f: vars(args)[flag[2:].replace("-", "_")] for f, (flag, _) in _TABLE1_SHAPES.items()}
     shape_cells = [repr(shapes[f]) if f in shapes else "" for f in _TABLE1_FAMILIES]
 
     rows = []
@@ -251,7 +257,7 @@ def _theory_table1(args) -> ExitReport:
         try:
             rows.append(table1_row(f, mu=1.0, lam=1.0, shape=shapes.get(f)))
         except ValueError as exc:
-            raise ConfigError(f"{_TABLE1_SHAPE_FLAGS[f]}: {exc}") from None
+            raise ConfigError(f"{_TABLE1_SHAPES[f][0]}: {exc}") from None
     values = (np.array([getattr(r, name) for r in rows]) for name in _TABLE1_COLUMNS[2:])
     columns = [_TABLE1_FAMILIES, shape_cells, *values]
     return _emit(
@@ -264,10 +270,7 @@ def _theory_table1(args) -> ExitReport:
 
 def _cmd_simulate(args) -> ExitReport:
     config = parse_config(args.config, "simulate")
-    try:
-        catalog = simulate_catalog(config)
-    except ValueError as exc:  # the event budget, set by the rate
-        raise ConfigError(f"config.frequency: {exc}") from None
+    catalog = simulate_catalog(config)
     return _emit(
         args,
         lambda fh: write_events_stream(catalog, fh),
@@ -282,15 +285,7 @@ def _cmd_simulate(args) -> ExitReport:
 
 
 def _cmd_analyze(args) -> ExitReport:
-    if not 0.0 < args.level < 1.0:
-        raise ConfigError(f"--level: must lie in (0, 1), got {args.level}")
-    if args.window is not None and args.window < 3:
-        raise ConfigError(f"--window: must be at least 3 years, got {args.window}")
     catalog = read_events_csv(args.input)
-    if args.window is not None and args.window > catalog.n_years:
-        raise ConfigError(
-            f"--window: exceeds the {catalog.n_years}-year catalog, got {args.window}"
-        )
     series = long_run_series(catalog, ci_level=args.level, window=args.window)
 
     diagnostics: dict = {}
@@ -330,23 +325,11 @@ def _cmd_verify(args) -> ExitReport:
             "--replicates: need at least 1000 for stable standard errors, "
             f"got {replicates}"
         )
-    if replicates > _MAX_ROWS:
-        raise ConfigError(
-            f"--replicates: at most {_MAX_ROWS} fit the row budget, got {replicates}"
-        )
     if not 0 < args.sigma < math.inf:
         raise ConfigError(f"--sigma: must be positive and finite, got {args.sigma}")
     t = args.year if args.year is not None else (1 + config.n_years) // 2
-    if not 1 <= t <= config.n_years:
-        raise ConfigError(
-            f"--year: must lie in [1, {config.n_years}], got {t}"
-        )
-
     summary = risk_summary(config.freq, config.sev, t)
-    try:
-        ens = replicate_fixed_year(config, t, replicates)
-    except ValueError as exc:  # the marks budget, set by the rate
-        raise ConfigError(f"config.frequency: {exc}") from None
+    ens = replicate_fixed_year(config, t, replicates)
     checks = verification_checks(ens, summary, args.sigma)
 
     failed = [c for c in checks if not c["passed"]]

@@ -106,7 +106,7 @@ def fisher_interval(rho, n, level: float = 0.95):
     only for i.i.d. bivariate-normal pairs.
     """
     if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
+        raise ValueError(f"level: must lie in (0, 1), got {level}")
     q = _normal_quantile(0.5 * (1.0 + level))
     with np.errstate(invalid="ignore", divide="ignore"):
         ok = np.isfinite(rho) & (np.abs(rho) < 1.0) & (n >= 4)
@@ -149,14 +149,11 @@ def long_run_series(
     running sum overflows.
     """
     if not 0.0 < ci_level < 1.0:
-        raise ValueError(f"ci_level must lie in (0, 1), got {ci_level}")
+        raise ValueError(f"ci_level: must lie in (0, 1), got {ci_level}")
     if window is not None and window < 3:
-        raise ValueError(f"window must be at least 3 years, got {window}")
+        raise ValueError(f"window: must be at least 3 years, got {window}")
     if window is not None and window > catalog.n_years:
-        raise ValueError(
-            f"window of {window} years exceeds the catalog span of "
-            f"{catalog.n_years} years"
-        )
+        raise ValueError(f"window: exceeds the {catalog.n_years}-year catalog, got {window}")
     T = catalog.n_years
     t = np.arange(1, T + 1, dtype=np.float64)
     n = catalog.counts.astype(np.float64)

@@ -43,11 +43,7 @@ class FrequencyModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "link", RateLink(self.link))
-        t_min, t_max = self.horizon
-        if not (math.isfinite(t_min) and math.isfinite(t_max)):
-            raise ValueError(f"horizon bounds must be finite, got {self.horizon}")
-        if t_min > t_max:
-            raise ValueError(f"horizon must satisfy t_min <= t_max, got {self.horizon}")
+        t_min, t_max = _horizon_bounds(self.horizon)
 
         # The linear predictor and exp are monotone in t, so a rate that is
         # positive and finite at both endpoints is so on the whole horizon.
@@ -103,6 +99,16 @@ def _exp(x):
     return _each(math.exp, x) if isinstance(x, np.ndarray) else math.exp(x)
 
 
+def _horizon_bounds(horizon: tuple[float, float]) -> tuple[float, float]:
+    """A model's ``horizon``, checked to be finite and ordered."""
+    t_min, t_max = horizon
+    if not (math.isfinite(t_min) and math.isfinite(t_max)):
+        raise ValueError(f"horizon: bounds must be finite, got {horizon}")
+    if t_min > t_max:
+        raise ValueError(f"horizon: must satisfy t_min <= t_max, got {horizon}")
+    return t_min, t_max
+
+
 def _check_horizon(horizon: tuple[float, float], t) -> None:
     """Raise naming ``t``, or an array's first year, outside ``horizon``."""
     t_min, t_max = horizon
@@ -111,7 +117,7 @@ def _check_horizon(horizon: tuple[float, float], t) -> None:
             return
         t = t[~((t_min <= t) & (t <= t_max))][0].item()
     if not (t_min <= t <= t_max):
-        raise ValueError(f"year index {t} outside model horizon [{t_min}, {t_max}]")
+        raise ValueError(f"t: must lie in [{t_min}, {t_max}], got {t}")
 
 
 def rate(model: FrequencyModel, t):

@@ -29,11 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import _MAX_ROWS, EventCatalog
+from .catalog import EventCatalog
 from .estimate import LongRunSeries
 from .frequency import FrequencyModel, RateLink
 from .severity import Family, SeverityModel
-from .simulate import SimulationConfig
+from .simulate import SimulationConfig, _check_years
 
 __all__ = [
     "CatalogFormatError",
@@ -225,16 +225,25 @@ _FREQ_FIELDS = {"link", "alpha0", "alpha1"}
 _SEV_FIELDS = {"family", "beta0", "beta1", "shape"}
 
 
-def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
+def _fields(obj, allowed: set[str], where: str) -> dict:
+    """``obj``, checked to be a JSON object with no field outside ``allowed``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object")
     unknown = sorted(set(obj) - allowed)
     if unknown:
         raise ConfigError(f"{where}: unknown field(s) {', '.join(unknown)}")
+    return obj
 
 
 def _require(obj: dict, key: str, where: str):
     if key not in obj:
         raise ConfigError(f"{where}.{key}: missing required field")
     return obj[key]
+
+
+def _numbers(obj: dict, where: str, *keys: str) -> list[float]:
+    """The required number fields ``keys`` of ``obj``."""
+    return [_as_number(_require(obj, k, where), f"{where}.{k}") for k in keys]
 
 
 def _as_number(v, where: str) -> float:
@@ -288,7 +297,7 @@ def parse_config(path, mode: str) -> SimulationConfig:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    _reject_unknown(raw, _TOP_FIELDS, "config")
+    _fields(raw, _TOP_FIELDS, "config")
 
     mode_raw = _require(raw, "mode", "config")
     if mode_raw != mode:
@@ -301,13 +310,10 @@ def parse_config(path, mode: str) -> SimulationConfig:
         raise ConfigError("config.years: expected [start, end]")
     start = _as_int(y[0], "config.years[0]")
     end = _as_int(y[1], "config.years[1]")
-    if start > end:
-        raise ConfigError(f"config.years: start {start} exceeds end {end}")
-    if end - start + 1 > _MAX_ROWS:
-        raise ConfigError(
-            f"config.years: span {end - start + 1} years, more than the "
-            f"{_MAX_ROWS} a run may hold"
-        )
+    try:  # before the models, whose horizons the years set
+        _check_years(start, end)
+    except ValueError as exc:
+        raise ConfigError(f"config.{exc}") from None
 
     seed = _run_seed(raw, mode)
     horizon = (1, end - start + 1)
@@ -320,44 +326,32 @@ def parse_config(path, mode: str) -> SimulationConfig:
 
 
 def _parse_frequency(obj, horizon: tuple[int, int]) -> FrequencyModel:
-    if not isinstance(obj, dict):
-        raise ConfigError("config.frequency: expected an object")
-    _reject_unknown(obj, _FREQ_FIELDS, "config.frequency")
-    link_raw = _require(obj, "link", "config.frequency")
+    where = "config.frequency"
+    obj = _fields(obj, _FREQ_FIELDS, where)
+    link_raw = _require(obj, "link", where)
     try:
         link = RateLink(link_raw)
     except ValueError:
-        raise ConfigError(
-            f"config.frequency.link: expected 'log' or 'identity', got {link_raw!r}"
-        ) from None
-    alpha0 = _as_number(_require(obj, "alpha0", "config.frequency"), "config.frequency.alpha0")
-    alpha1 = _as_number(_require(obj, "alpha1", "config.frequency"), "config.frequency.alpha1")
+        raise ConfigError(f"{where}.link: expected 'log' or 'identity', got {link_raw!r}") from None
+    alpha0, alpha1 = _numbers(obj, where, "alpha0", "alpha1")
     try:
         return FrequencyModel(alpha0=alpha0, alpha1=alpha1, link=link, horizon=horizon)
     except ValueError as exc:
-        raise ConfigError(f"config.frequency: {exc}") from None
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _parse_severity(obj, horizon: tuple[int, int]) -> SeverityModel:
-    if not isinstance(obj, dict):
-        raise ConfigError("config.severity: expected an object")
-    _reject_unknown(obj, _SEV_FIELDS, "config.severity")
-    family_raw = _require(obj, "family", "config.severity")
+    where = "config.severity"
+    obj = _fields(obj, _SEV_FIELDS, where)
+    family_raw = _require(obj, "family", where)
     try:
         family = Family(str(family_raw).lower())
     except ValueError:
-        raise ConfigError(
-            f"config.severity.family: expected one of "
-            f"{[f.value for f in Family]}, got {family_raw!r}"
-        ) from None
-    beta0 = _as_number(_require(obj, "beta0", "config.severity"), "config.severity.beta0")
-    beta1 = _as_number(_require(obj, "beta1", "config.severity"), "config.severity.beta1")
-    shape = None
-    if obj.get("shape") is not None:
-        shape = _as_number(obj["shape"], "config.severity.shape")
+        known = [f.value for f in Family]
+        raise ConfigError(f"{where}.family: expected one of {known}, got {family_raw!r}") from None
+    beta0, beta1 = _numbers(obj, where, "beta0", "beta1")
+    shape = None if obj.get("shape") is None else _as_number(obj["shape"], f"{where}.shape")
     try:
-        return SeverityModel(
-            family=family, beta0=beta0, beta1=beta1, horizon=horizon, shape=shape
-        )
+        return SeverityModel(family=family, beta0=beta0, beta1=beta1, horizon=horizon, shape=shape)
     except ValueError as exc:
-        raise ConfigError(f"config.severity: {exc}") from None
+        raise ConfigError(f"{where}: {exc}") from None

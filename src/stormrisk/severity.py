@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .frequency import _check_horizon, _exp
+from .frequency import _check_horizon, _exp, _horizon_bounds
 
 __all__ = [
     "Family",
@@ -98,11 +98,7 @@ class SeverityModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", Family(self.family))
-        t_min, t_max = self.horizon
-        if not (math.isfinite(t_min) and math.isfinite(t_max)):
-            raise ValueError(f"horizon bounds must be finite, got {self.horizon}")
-        if t_min > t_max:
-            raise ValueError(f"horizon must satisfy t_min <= t_max, got {self.horizon}")
+        t_min, t_max = _horizon_bounds(self.horizon)
 
         fam = self.family
         if fam in _SHAPED:

@@ -212,14 +212,26 @@ def _lane_draws(prefix: tuple[int, ...], keys, lam) -> tuple[np.ndarray, np.ndar
     return counts, marks
 
 
+def _check_years(start: int, end: int) -> None:
+    """The years rule of a run: integers ``start <= end``, spanning at
+    most ``_MAX_ROWS`` years."""
+    for year in (start, end):
+        if year != int(year):
+            raise ValueError(f"years: must be integers, got {year}")
+    if start > end:
+        raise ValueError(f"years: start {start} exceeds end {end}")
+    if (n := end - start + 1) > _MAX_ROWS:
+        raise ValueError(f"years: span {n} years, more than the {_MAX_ROWS} a run may hold")
+
+
 @dataclass(frozen=True, kw_only=True)
 class SimulationConfig:
     """A frequency/severity pair, an inclusive year span and a seed: one
     validated run configuration.
 
     Year ``y`` maps to the model year index ``t = y - start + 1``; both
-    model horizons must cover ``[1, end - start + 1]``, a span of at most
-    ``_MAX_ROWS`` years.  ``seed`` may be None for the closed forms,
+    model horizons must cover ``[1, end - start + 1]``, and the years
+    follow `_check_years`.  ``seed`` may be None for the closed forms,
     which draw nothing; the simulators require it.
     """
 
@@ -229,21 +241,15 @@ class SimulationConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        start, end = self.years
-        if start != int(start) or end != int(end):
-            raise ValueError(f"years must be integers, got {self.years}")
-        if start > end:
-            raise ValueError(f"years must satisfy start <= end, got {self.years}")
-        n = end - start + 1
-        if n > _MAX_ROWS:
-            raise ValueError(f"years span {n} years, more than the {_MAX_ROWS} allowed")
+        _check_years(*self.years)
         if self.seed is not None and not (0 <= self.seed < 2**64):
-            raise ValueError(f"seed must fit in an unsigned 64-bit int, got {self.seed}")
-        for name, model in (("frequency", self.freq), ("severity", self.sev)):
+            raise ValueError(f"seed: must fit in an unsigned 64-bit int, got {self.seed}")
+        n = self.n_years
+        for name, model in (("freq", self.freq), ("sev", self.sev)):
             t_min, t_max = model.horizon
             if t_min > 1 or t_max < n:
                 raise ValueError(
-                    f"{name} horizon [{t_min}, {t_max}] does not cover "
+                    f"{name}: horizon [{t_min}, {t_max}] does not cover "
                     f"year indices [1, {n}]"
                 )
 
@@ -272,7 +278,7 @@ class SimulationConfig:
 
 def _seed(config: SimulationConfig) -> int:
     if config.seed is None:
-        raise ValueError("simulation needs a seed; the config has none")
+        raise ValueError("config: has no seed, which simulation needs")
     return config.seed
 
 
@@ -304,7 +310,7 @@ def simulate_catalog(config: SimulationConfig) -> EventCatalog:
         expected = float(np.sum(lam))
     if not expected <= _MAX_ROWS:
         raise ValueError(
-            f"expects {expected:.6g} events over {config.n_years} years, "
+            f"freq: expects {expected:.6g} events over {config.n_years} years, "
             f"more than the {_MAX_ROWS} a catalog may hold"
         )
     start, end = config.years
@@ -357,18 +363,20 @@ def replicate_fixed_year(
     try:
         replicates = operator.index(replicates)
     except TypeError:
-        raise ValueError(f"replicates must be an integer, got {replicates!r}") from None
-    if not 2 <= replicates <= _MAX_ROWS:
-        raise ValueError(f"replicates must lie in [2, {_MAX_ROWS}], got {replicates}")
+        raise ValueError(f"replicates: must be an integer, got {replicates!r}") from None
+    if replicates < 2:
+        raise ValueError(f"replicates: need at least 2, got {replicates}")
+    if replicates > _MAX_ROWS:
+        raise ValueError(f"replicates: at most {_MAX_ROWS} fit the row budget, got {replicates}")
     t_int = int(t)
     if t_int != t:
-        raise ValueError(f"year index must be an integer, got {t}")
+        raise ValueError(f"t: must be an integer, got {t}")
     if not 1 <= t_int <= config.n_years:
-        raise ValueError(f"year index t={t_int} must lie in [1, {config.n_years}]")
+        raise ValueError(f"t: must lie in [1, {config.n_years}], got {t_int}")
     block = min(replicates, _BATCH)
     if not (marks := block * rate(config.freq, t_int)) <= _MAX_ROWS:
         raise ValueError(
-            f"expects {marks:.6g} marks in a block of {block} replicates at year "
+            f"freq: expects {marks:.6g} marks in a block of {block} replicates at year "
             f"index {t_int}, more than the {_MAX_ROWS} a block may hold"
         )
     counts = np.empty(replicates, dtype=np.int64)

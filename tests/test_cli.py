@@ -389,10 +389,16 @@ def test_analyze_window_errors_name_the_flag(tmp_path, capsys, flags, message):
 
 # A path keeps its name in a message, also where the name is that of a
 # library argument which the CLI reports under its flag.
+_NOT_JSON = "invalid JSON: Expecting value: line 1 column 1 (char 0)"
+_NOT_AN_EVENT = "line 2: intensity must be positive and finite, got -1"
 PATHS_NAMED_LIKE_ARGUMENTS = {
-    "window": (
-        ["analyze", "--input", "window"],
-        "window: line 2: intensity must be positive and finite, got -1",
+    "window": (["analyze", "--input", "window"], f"window: {_NOT_AN_EVENT}"),
+    "ci_level": (["analyze", "--input", "ci_level"], f"ci_level: {_NOT_AN_EVENT}"),
+    "freq": (["simulate", "--config", "freq"], f"freq: {_NOT_JSON}"),
+    "t": (["verify", "--config", "t", "--replicates", "1000"], f"t: {_NOT_JSON}"),
+    "replicates": (
+        ["verify", "--config", "replicates", "--replicates", "1000"],
+        f"replicates: {_NOT_JSON}",
     ),
 }
 
@@ -404,6 +410,15 @@ def test_a_path_named_like_an_argument_keeps_its_name(tmp_path, capsys, monkeypa
     Path(name).write_text("year,intensity\n2040,-1\n", encoding="utf-8")
     argv, message = PATHS_NAMED_LIKE_ARGUMENTS[name]
     assert _input_error(capsys, argv) == message
+
+
+def test_every_translated_argument_has_its_cases():
+    # each argument the CLI reports under a flag or field has a case that
+    # pins the translation and one where a path of that name stays as is
+    messages = [case[-1] for case in (*FIELD_ERROR_CASES.values(), *ANALYZE_FLAG_CASES.values())]
+    for name, flag in sr.cli._ARG_FLAGS.items():
+        assert any(m.startswith(f"{flag}: ") for m in messages), flag
+        assert name in PATHS_NAMED_LIKE_ARGUMENTS, name
 
 
 def test_analyze_year_span_past_row_budget_is_an_input_error(tmp_path, capsys):
@@ -554,3 +569,4 @@ def test_seed_env_out_of_range(tmp_path, monkeypatch, raw):
     report = run(["simulate", "--config", write_config(tmp_path, cfg)])
     assert report.status is ExitStatus.INPUT_ERROR
     assert report.payload["error"] == f"RANDSUM_SEED: must fit in unsigned 64 bits, got {raw}"
+

@@ -29,9 +29,9 @@ def test_rate_values():
 
 def test_rate_horizon_violation():
     model = log_model(0.0, 0.0, horizon=(1, 10))
-    with pytest.raises(ValueError, match="horizon"):
+    with pytest.raises(ValueError, match=r"^t: must lie in \[1, 10\], got 11$"):
         sr.rate(model, 11)
-    with pytest.raises(ValueError, match="horizon"):
+    with pytest.raises(ValueError, match=r"^t: must lie in \[1, 10\], got 0$"):
         sr.rate(model, 0)
 
 

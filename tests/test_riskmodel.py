@@ -324,5 +324,5 @@ def test_array_of_years_names_the_first_failing_year():
         sr.risk_summary(freq, sev, np.arange(1, 61))
     assert str(array.value) == str(scalar.value)
     assert str(array.value).startswith("aggregate variance overflows at t=14: rate 2400.0 ")
-    with pytest.raises(ValueError, match=r"^year index 61 outside model horizon \[1, 60\]$"):
+    with pytest.raises(ValueError, match=r"^t: must lie in \[1, 60\], got 61$"):
         sr.risk_summary(freq, sev, np.arange(55, 70))

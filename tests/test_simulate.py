@@ -296,7 +296,7 @@ def test_config_validation():
     sev = sr.SeverityModel(
         family="exponential", beta0=1.0, beta1=0.0, horizon=(1, n)
     )
-    with pytest.raises(ValueError, match="start <= end"):
+    with pytest.raises(ValueError, match="start 5 exceeds end 4"):
         sr.SimulationConfig(freq=freq, sev=sev, years=(5, 4), seed=0)
     with pytest.raises(ValueError, match="horizon"):
         sr.SimulationConfig(freq=freq, sev=sev, years=(1, 11), seed=0)
@@ -321,7 +321,7 @@ def test_config_rejects_a_year_span_past_the_row_budget():
     n = 2 * 10**7
     freq = sr.FrequencyModel(alpha0=5.0, alpha1=0.0, link="identity", horizon=(1, n))
     sev = sr.SeverityModel(family="exponential", beta0=1.0, beta1=0.0, horizon=(1, n))
-    with pytest.raises(ValueError, match=f"years span {n} years, more than the 10000000"):
+    with pytest.raises(ValueError, match=f"years: span {n} years, more than the 10000000"):
         sr.SimulationConfig(freq=freq, sev=sev, years=(1, n), seed=0)
     sr.SimulationConfig(freq=freq, sev=sev, years=(1, 10**7), seed=0)
 
@@ -329,7 +329,7 @@ def test_config_rejects_a_year_span_past_the_row_budget():
 @pytest.mark.parametrize("replicates", [1e4, 2.5, "100", None])
 def test_replicate_count_must_be_an_integer(replicates):
     config = stationary_config("exponential", lam=5.0, mu=1.0, seed=0)
-    message = f"replicates must be an integer, got {re.escape(repr(replicates))}"
+    message = f"replicates: must be an integer, got {re.escape(repr(replicates))}"
     with pytest.raises(ValueError, match=message):
         sr.replicate_fixed_year(config, 1, replicates)
     assert len(sr.replicate_fixed_year(config, 1, np.int64(3))) == 3
@@ -340,7 +340,7 @@ def test_replicate_count_past_the_row_budget_raises_before_allocating(replicates
     config = stationary_config("exponential", lam=5.0, mu=1.0, seed=0)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=f"replicates must lie in .*, got {replicates}"):
+        with pytest.raises(ValueError, match=f"replicates: at most .*, got {replicates}"):
             sr.replicate_fixed_year(config, 1, replicates)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -369,7 +369,7 @@ def test_ensemble_year_outside_the_run_is_rejected(t):
     freq = sr.FrequencyModel(alpha0=5.0, alpha1=0.0, link="identity", horizon=(-5, 20))
     sev = sr.SeverityModel(family="exponential", beta0=1.0, beta1=0.0, horizon=(-5, 20))
     config = sr.SimulationConfig(freq=freq, sev=sev, years=(1, 16), seed=0)
-    with pytest.raises(ValueError, match=rf"^year index t={t} must lie in \[1, 16\]$"):
+    with pytest.raises(ValueError, match=rf"^t: must lie in \[1, 16\], got {t}$"):
         sr.replicate_fixed_year(config, t, 10)
     assert len(sr.replicate_fixed_year(config, 16, 10)) == 10
 
@@ -377,7 +377,7 @@ def test_ensemble_year_outside_the_run_is_rejected(t):
 def test_catalog_past_the_event_budget_is_rejected_before_drawing():
     # 2501 years at a rate of 4000 expect 4000 events past the budget
     config = stationary_config("exponential", lam=4000.0, mu=1.0, years=(1, 2501))
-    with pytest.raises(ValueError, match=r"^expects 1\.0004e\+07 events over 2501"):
+    with pytest.raises(ValueError, match=r"^freq: expects 1\.0004e\+07 events over 2501"):
         sr.simulate_catalog(config)
     log_config = sr.SimulationConfig(
         freq=sr.FrequencyModel(alpha0=700.0, alpha1=0.0, link="log", horizon=(1, 2)),
@@ -385,5 +385,5 @@ def test_catalog_past_the_event_budget_is_rejected_before_drawing():
         years=(1, 2),
         seed=0,
     )
-    with pytest.raises(ValueError, match=r"^expects 2\.02846e\+304 events"):
+    with pytest.raises(ValueError, match=r"^freq: expects 2\.02846e\+304 events"):
         sr.simulate_catalog(log_config)
