@@ -19,6 +19,7 @@ __all__ = ["EventCatalog"]
 # an ensemble may hold.  Inputs past it are rejected before any array is
 # sized by them.
 _MAX_ROWS = 10**7
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -53,7 +54,7 @@ class EventCatalog:
         if int(self.counts.sum()) != len(self.intensities):
             raise ValueError("per-year counts do not add up to the event total")
         if len(self.intensities) and not np.all(self.intensities > 0):
-            bad = float(self.intensities[self.intensities <= 0][0])
+            bad = float(self.intensities[~(self.intensities > 0)][0])  # NaN too
             raise ValueError(f"intensities must be positive, found {bad}")
         for name in ("counts", "sums", "event_years", "intensities"):
             _frozen(getattr(self, name))
@@ -108,7 +109,7 @@ class EventCatalog:
     @property
     def years(self) -> np.ndarray:
         """Calendar years of the per-year view."""
-        return np.arange(self.start_year, self.start_year + len(self.counts))
+        return np.arange(len(self.counts), dtype=np.int64) + self.start_year  # no int64 stop
 
     @property
     def n_years(self) -> int:

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import EventCatalog
+from .catalog import _INT64_MAX, _INT64_MIN, EventCatalog
 from .estimate import LongRunSeries
 from .frequency import FrequencyModel, RateLink
 from .severity import Family, SeverityModel
@@ -47,7 +47,6 @@ __all__ = [
 SERIES_COLUMNS = ("t", "e_n", "e_s", "e_x", "phi", "rho", "rho_lo", "rho_hi", "j2phi")
 EVENT_COLUMNS = ("year", "intensity")
 _EVENT_DTYPE = np.dtype([("year", np.int64), ("intensity", np.float64)])
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 # Written CSVs end lines as csv.writer does.  Rows are formatted and
 # written in chunks of about this many cells (16384 event rows), which
@@ -162,9 +161,22 @@ def _read_events_lines(path: Path) -> EventCatalog:
             raise CatalogFormatError(
                 f"{path}: line {reader.line_num}: {exc}"
             ) from None
+        except UnicodeDecodeError:
+            raise CatalogFormatError(_not_utf8(path, "utf-8-sig")) from None
     if not years:
         raise CatalogFormatError(f"{path}: no event rows")
     return EventCatalog.from_events(years, intensities)
+
+
+def _not_utf8(path: Path, encoding: str) -> str:
+    """The line and byte where ``path`` stops decoding as ``encoding``: a
+    stream's decode error has an offset in its chunk, not in the file."""
+    try:
+        path.read_bytes().decode(encoding)
+    except UnicodeDecodeError as exc:
+        line = len(exc.object[: exc.start + 1].splitlines())  # LF, CRLF or CR
+        return f"{path}: line {line}: not UTF-8, byte {exc.object[exc.start]:#04x}"
+    return f"{path}: not UTF-8"  # the file changed after the failed read
 
 
 def write_csv_rows(fh, header, columns, *, na_rep: str = "") -> None:
@@ -291,9 +303,10 @@ def parse_config(path, mode: str) -> SimulationConfig:
     """
     path = Path(path)
     try:
-        with path.open("r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise ConfigError(_not_utf8(path, "utf-8")) from None
+    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")

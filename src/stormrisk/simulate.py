@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import _MAX_ROWS, EventCatalog
+from .catalog import _INT64_MAX, _INT64_MIN, _MAX_ROWS, EventCatalog
 from .frequency import FrequencyModel, _exp, rate, sample_count
 from .severity import _INVERSE_CDF, SeverityModel, _inverse_cdf, sample_intensity
 
@@ -213,11 +213,11 @@ def _lane_draws(prefix: tuple[int, ...], keys, lam) -> tuple[np.ndarray, np.ndar
 
 
 def _check_years(start: int, end: int) -> None:
-    """The years rule of a run: integers ``start <= end``, spanning at
-    most ``_MAX_ROWS`` years."""
+    """The years rule of a run: signed 64-bit integers ``start <= end``,
+    spanning at most ``_MAX_ROWS`` years."""
     for year in (start, end):
-        if year != int(year):
-            raise ValueError(f"years: must be integers, got {year}")
+        if not (_INT64_MIN <= year <= _INT64_MAX and year == int(year)):
+            raise ValueError(f"years: must be signed 64-bit integers, got {year}")
     if start > end:
         raise ValueError(f"years: start {start} exceeds end {end}")
     if (n := end - start + 1) > _MAX_ROWS:

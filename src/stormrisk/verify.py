@@ -95,8 +95,8 @@ def verification_checks(
     """One dict per check: name, estimate, target, batch-means standard
     error ``se`` and ``passed``.
 
-    A check with an undefined estimate or standard error fails; one with
-    a zero standard error passes only on an exact match.
+    A check whose estimate, target or standard error is not finite
+    fails; one with a zero standard error passes only on an exact match.
     """
     full = (sample.counts.astype(np.float64), sample.sums, sample.first_marks)
     n_batches = min(100, len(sample) // 10)
@@ -104,10 +104,11 @@ def verification_checks(
     batches = [tuple(a[i] for a in full) for i in idx]
     checks = []
     for name, statistic, field in _CHECKS:
-        estimate = statistic(*full)
+        with np.errstate(all="ignore"):
+            estimate = statistic(*full)
+            se = _batch_se(batches, statistic)
         target = getattr(summary, field)
-        se = _batch_se(batches, statistic)
-        if math.isnan(estimate) or math.isnan(se):
+        if not (math.isfinite(estimate) and math.isfinite(target) and math.isfinite(se)):
             passed = False
         elif se == 0.0:
             passed = estimate == target

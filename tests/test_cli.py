@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -6,14 +8,19 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stormrisk as sr
+from stormrisk import catalog, simulate
 from stormrisk.cli import ExitStatus, main, run
+from stormrisk.verify import verification_checks
 
-from helpers import read_series
+from helpers import EXTREME_FLOATS, FAMILIES, event_csvs, read_series, stationary_config
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -339,6 +346,12 @@ FIELD_ERROR_CASES = {
         "--year: must lie in [1, 60], got 0",
     ),
     "years-reversed": ({"years": [60, 1]}, [], "config.years: start 60 exceeds end 1"),
+    # the event CSV's year range holds for every mode
+    "years-past-int64": (
+        {"years": [2**63 - 1, 2**63 + 3]},
+        [],
+        f"config.years: must be signed 64-bit integers, got {2**63 + 3}",
+    ),
     "table1-gpd-shape": (None, ["--gpd-shape", "0.5"], "--gpd-shape: gpd shape must be"),
     "table1-gamma-shape": (None, ["--gamma-shape", "nan"], "--gamma-shape: shape must be"),
     "table1-lognormal-sigma": (
@@ -472,6 +485,25 @@ def test_verify_fails_when_tolerance_is_unreasonably_tight(tmp_path):
     assert "FAIL" in report.summary
 
 
+def test_verification_fails_checks_whose_statistics_overflow():
+    # sums near 1e131 have a finite variance near 1e262, but the squares
+    # in its batch-means standard error overflow
+    counts = np.random.default_rng(0).poisson(10.0, 1000)
+    sums = counts * 1e131
+    first = np.where(counts > 0, 1e131, np.nan)
+    sample = sr.FixedYearSample(counts=counts, sums=sums, first_marks=first)
+    config = stationary_config("lognormal", lam=10.0, mu=1.0, shape=1.0)
+    summary = sr.risk_summary(config.freq, config.sev, 1)
+    # no floating-point warning escapes: pytest makes warnings errors
+    checks = {c["name"]: c for c in verification_checks(sample, summary, 4.0)}
+    variance = checks["aggregate variance (Blackwell-Girshick)"]
+    assert math.isfinite(variance["estimate"]) and variance["se"] == math.inf
+    assert not variance["passed"]
+    for c in checks.values():
+        if not all(map(math.isfinite, (c["estimate"], c["target"], c["se"]))):
+            assert not c["passed"], c["name"]
+
+
 @pytest.mark.parametrize("sigma", ["inf", "nan"])
 def test_verify_rejects_non_finite_sigma(tmp_path, capsys, sigma):
     cfg = verify_config(tmp_path)
@@ -570,3 +602,116 @@ def test_seed_env_out_of_range(tmp_path, monkeypatch, raw):
     assert report.status is ExitStatus.INPUT_ERROR
     assert report.payload["error"] == f"RANDSUM_SEED: must fit in unsigned 64 bits, got {raw}"
 
+
+# --- the contract under any input ---------------------------------------------
+
+def _mostly(ordinary, rare):
+    """``ordinary`` seven times in eight, so that most runs get past
+    validation, and ``rare`` otherwise."""
+    return st.sampled_from([ordinary] * 7 + [rare]).flatmap(lambda s: s)
+
+
+_EDGE_YEARS = [-(2**63) - 1, -(2**63), 2**63 - 5, 2**63 - 1, 2**63, 2**64]
+FUZZ_YEARS = _mostly(
+    st.tuples(st.integers(-3, 2100), st.integers(0, 8)),
+    st.tuples(
+        st.one_of(st.integers(-3, 2100), st.sampled_from(_EDGE_YEARS)),
+        st.sampled_from([-1, 0, 4, 10**4, 10**7, 2**64]),
+    ),
+).map(lambda y: [y[0], y[0] + y[1]])
+# GPD shapes near zero, where the inverse CDF cancels
+FUZZ_SHAPES = _mostly(
+    st.one_of(
+        st.floats(0.05, 0.49),
+        st.floats(-1.0, 0.0),
+        st.sampled_from([5e-324, -5e-324, 1e-17, -1e-12, 1e-8]),
+    ),
+    EXTREME_FLOATS,
+)
+
+
+@st.composite
+def fuzz_severities(draw):
+    family = draw(_mostly(st.sampled_from(FAMILIES), st.sampled_from(["GPD", "pareto"])))
+    severity = {
+        "family": family,
+        "beta0": draw(_mostly(st.floats(0.1, 10.0), EXTREME_FLOATS)),
+        "beta1": draw(_mostly(st.floats(-0.1, 0.1), EXTREME_FLOATS)),
+    }
+    shaped = family in ("gamma", "lognormal", "gpd")
+    if draw(_mostly(st.just(shaped), st.booleans())):
+        severity["shape"] = draw(FUZZ_SHAPES)
+    return severity
+
+
+FUZZ_CONFIGS = st.fixed_dictionaries(
+    {
+        "frequency": st.fixed_dictionaries(
+            {
+                "link": _mostly(st.sampled_from(["log", "identity"]), st.just("logit")),
+                "alpha0": _mostly(st.floats(-1.0, 4.0), EXTREME_FLOATS),
+                "alpha1": _mostly(st.floats(-0.1, 0.1), EXTREME_FLOATS),
+            }
+        ),
+        "severity": fuzz_severities(),
+        "years": FUZZ_YEARS,
+        "seed": _mostly(st.integers(0, 2**64 - 1), st.sampled_from([-1, 2**64, "1", None])),
+    },
+)
+FLAG_FLOATS = _mostly(st.floats(0.01, 10.0), EXTREME_FLOATS).map(repr)
+
+
+@st.composite
+def invocations(draw):
+    """An argv without ``--out``, and the bytes of the files it names."""
+    command = draw(st.sampled_from(["theory", "table1", "simulate", "verify", "verify", "analyze"]))
+    if command == "table1":
+        flags = ["--gamma-shape", "--lognormal-sigma", "--gpd-shape"]
+        chosen = draw(st.lists(st.sampled_from(flags), unique=True))
+        return ["theory", "--table1", *(a for f in chosen for a in (f, draw(FLAG_FLOATS)))], {}
+    if command == "analyze":
+        data = draw(event_csvs())
+        if draw(_mostly(st.just(False), st.just(True))):  # a byte no UTF-8 text holds
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + b"\xff" + data[at:]
+        argv = ["analyze", "--input", "events.csv"]
+        if draw(st.booleans()):
+            argv += ["--window", str(draw(st.integers(-1, 8)))]
+        if draw(st.booleans()):
+            argv += ["--level", draw(FLAG_FLOATS)]
+        return argv, {"events.csv": data}
+    argv = [command, "--config", "cfg.json"]
+    if command == "verify":
+        replicates = _mostly(st.integers(1000, 3000), st.sampled_from([999, 10**4 + 1, 10**12]))
+        argv += ["--replicates", str(draw(replicates))]
+        if draw(st.booleans()):
+            argv += ["--year", str(draw(_mostly(st.integers(1, 9), st.integers(-1, 10**20))))]
+        if draw(st.booleans()):
+            argv += ["--sigma", draw(FLAG_FLOATS)]
+    config = {"mode": command, **draw(FUZZ_CONFIGS)}
+    return argv, {"cfg.json": json.dumps(config).encode()}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=invocations())
+def test_every_input_exits_0_1_or_2_with_a_json_payload(tmp_path_factory, case):
+    argv, files = case
+    where = tmp_path_factory.mktemp("run")
+    for name, data in files.items():
+        (where / name).write_bytes(data)
+    argv = [str(where / a) if a in files else a for a in argv] + ["--out", str(where / "out")]
+    out, err = io.StringIO(), io.StringIO()
+    # a 10^4 row budget rejects the catalogs and ensembles too large to
+    # draw in a unit test the way 10^7 rejects larger ones
+    with (
+        mock.patch.object(simulate, "_MAX_ROWS", 10**4),
+        mock.patch.object(catalog, "_MAX_ROWS", 10**4),
+        warnings.catch_warnings(record=True),  # kept, as the default filters print them
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        warnings.simplefilter("default")
+        code = main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    json.loads(out.getvalue().splitlines()[-1])
+    assert "Traceback" not in err.getvalue()

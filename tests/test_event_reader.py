@@ -11,135 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import stormrisk as sr
 from stormrisk.io import _load_events_body, _read_events_lines, write_events_stream
 
-from helpers import stationary_config
-
-# Years stay small or sit at the int64 limits: a file mixing the two asks
-# for a per-year array far beyond any machine, which fails at once, while
-# a span of 10^8 to 10^9 years would really be allocated.
-CLEAN_YEARS = st.integers(-3, 2100).map(str)
-ODD_YEARS = st.sampled_from(
-    [
-        "+2040",
-        "-7",
-        "0005",
-        "1_0",
-        "2040.0",
-        "2e3",
-        "9223372036854775807",
-        "-9223372036854775808",
-        "9223372036854775808",
-        "99999999999999999999",
-        "#2040",
-        "",
-        "year",
-        "\u0663",
-    ]
-)
-CLEAN_INTENSITIES = st.one_of(
-    st.floats(min_value=5e-324, max_value=1e308).map(repr),
-    st.floats(min_value=0.01, max_value=1e4).map(repr),
-    st.integers(1, 500).map(str),
-    st.sampled_from([".5", "5.", "+2.5", "1e3", "2.5E-3", "5e-324", "1.7976931348623157e308"]),
-)
-ODD_INTENSITIES = st.sampled_from(
-    [
-        "0",
-        "-3",
-        "-2.5",
-        "1e400",
-        "1e-400",
-        "-0.0",
-        "nan",
-        "inf",
-        "-inf",
-        "Infinity",
-        "1_0.5",
-        "0x10",
-        "3#",
-        "2.5#note",
-        "1e3 # x",
-        "#3",
-        "",
-        "abc",
-    ]
-)
-YEARS = st.one_of(CLEAN_YEARS, ODD_YEARS)
-INTENSITIES = st.one_of(CLEAN_INTENSITIES, ODD_INTENSITIES)
-PADDING = st.sampled_from(["", "", "", " ", "  ", "\t", "\xa0"])
-CLEAN_KINDS = ("row",) * 12 + ("blank",)
-ODD_KINDS = ("space", "one", "three")
-
-
-@st.composite
-def fields(draw, token, quoted):
-    text = draw(token)
-    if quoted and draw(st.booleans()):
-        text = f'"{text}"'
-    return draw(PADDING) + text + draw(PADDING)
-
-
-@st.composite
-def lines(draw, years, intensities, kinds, quoted=False):
-    """One body line of a kind drawn from ``kinds``; fields are padded and,
-    if ``quoted``, sometimes quoted."""
-    kind = draw(st.sampled_from(kinds))
-    if kind == "blank":
-        return ""
-    if kind == "space":
-        return draw(st.sampled_from([" ", "\t", "  \t ", "\xa0"]))
-    row = [draw(fields(years, quoted))]
-    if kind != "one":
-        row.append(draw(fields(intensities, quoted)))
-    if kind == "three":
-        row.append(draw(fields(intensities, quoted)))
-    return ",".join(row)
-
-
-CLEAN_LINES = lines(CLEAN_YEARS, CLEAN_INTENSITIES, CLEAN_KINDS)
-ANY_LINES = lines(YEARS, INTENSITIES, CLEAN_KINDS + ODD_KINDS, quoted=True)
-ODD_LINES = st.one_of(
-    lines(ODD_YEARS, INTENSITIES, ("row",)),
-    lines(YEARS, ODD_INTENSITIES, ("row",)),
-    lines(CLEAN_YEARS, CLEAN_INTENSITIES, ("row",), quoted=True),
-    lines(YEARS, INTENSITIES, ODD_KINDS, quoted=True),
-)
-
-
-@st.composite
-def event_csvs(draw) -> bytes:
-    """The bytes of an event CSV, with any line ends and an optional BOM:
-    clean throughout, clean but for one odd line, or arbitrary."""
-    mode = draw(st.sampled_from(["clean", "one odd line", "one odd line", "arbitrary"]))
-    headers = ["year,intensity", " Year , INTENSITY "]
-    if mode == "arbitrary":
-        headers += ['"year","intensity"', "yr,intensity", "year", ""]
-    header = draw(st.sampled_from(headers))
-    body = draw(st.lists(ANY_LINES if mode == "arbitrary" else CLEAN_LINES, max_size=12))
-    if mode == "one odd line":
-        body.insert(draw(st.integers(0, len(body))), draw(ODD_LINES))
-    rows = [header] + body
-    eol = draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
-    if eol == "mixed":
-        ends = draw(
-            st.lists(
-                st.sampled_from(["\n", "\r\n", "\r"]),
-                min_size=len(rows),
-                max_size=len(rows),
-            )
-        )
-    else:
-        ends = [eol] * len(rows)
-    if not draw(st.booleans()):
-        ends[-1] = ""
-    text = "".join(row + end for row, end in zip(rows, ends))
-    bom = "\ufeff" if draw(st.booleans()) else ""
-    return (bom + text).encode("utf-8")
-
+from helpers import event_csvs, stationary_config
 
 def outcome(read, path):
     try:

@@ -92,6 +92,20 @@ def test_read_events_errors_are_located(tmp_path):
         sr.read_events_csv(write(tmp_path, "wide.csv", "year,intensity\n2040,3,9\n"))
     with pytest.raises(CatalogFormatError, match="finite"):
         sr.read_events_csv(write(tmp_path, "inf.csv", "year,intensity\n2040,inf\n"))
+    # the first undecodable byte, past the text stream's first decode chunk
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"year,intensity\r\n" + b"2040,1.5\r\n" * 2000 + b"2041,\xff\r\n")
+    with pytest.raises(CatalogFormatError, match=r"latin1\.csv: line 2002: not UTF-8, byte 0xff$"):
+        sr.read_events_csv(latin1)
+
+
+def test_catalog_at_the_edges_of_its_value_ranges():
+    # a NaN intensity is named as a non-positive one is
+    with pytest.raises(ValueError, match=r"^intensities must be positive, found nan$"):
+        sr.EventCatalog.from_events([1, 2], [1.0, math.nan])
+    # the last year may be the largest int64
+    catalog = sr.EventCatalog.from_events([2**63 - 1], [1.0], year_range=(2**63 - 3, 2**63 - 1))
+    assert catalog.years.tolist() == [2**63 - 3, 2**63 - 2, 2**63 - 1]
 
 
 def test_catalog_round_trip_preserves_events(tmp_path):
@@ -352,3 +366,13 @@ def test_parse_config_never_panics_on_adversarial_inputs(tmp_path):
         with pytest.raises(ConfigError):
             mode = "verify" if '"verify"' in text else "simulate"
             sr.parse_config(write(tmp_path, f"bad{i}.json", text), mode)
+    # errors the JSON decoder reports without a location name the file
+    for data, message in [
+        (b"[" * 10**5, "invalid JSON: maximum recursion depth exceeded"),
+        (b'{"mode": "simulate",\n "years": [\xff]}', "line 2: not UTF-8, byte 0xff"),
+    ]:
+        path = tmp_path / "located.json"
+        path.write_bytes(data)
+        with pytest.raises(ConfigError) as excinfo:
+            sr.parse_config(path, "simulate")
+        assert str(excinfo.value).startswith(f"{path}: {message}")
