@@ -1,5 +1,6 @@
 """Shared helpers: relative error, randomized model generation, extreme
-model coefficients and event CSV bytes for property tests and reading back the series CSV that ``analyze`` writes."""
+model coefficients and event CSV bytes for property tests and reading
+back the series CSV that ``analyze`` writes."""
 
 from __future__ import annotations
 
