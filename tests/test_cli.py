@@ -605,6 +605,7 @@ def test_seed_env_out_of_range(tmp_path, monkeypatch, raw):
 
 # --- the contract under any input ---------------------------------------------
 
+
 def _mostly(ordinary, rare):
     """``ordinary`` seven times in eight, so that most runs get past
     validation, and ``rare`` otherwise."""
