@@ -174,7 +174,8 @@ def main(argv=None) -> int:
 
 
 def _json_safe(v: float) -> float | None:
-    return None if v is None or (isinstance(v, float) and math.isnan(v)) else v
+    """``v``, or None for a non-finite float, which strict JSON cannot hold."""
+    return None if v is None or (isinstance(v, float) and not math.isfinite(v)) else v
 
 
 def _emit(args, write, summary: str, payload: dict) -> ExitReport:
@@ -351,7 +352,10 @@ def _cmd_verify(args) -> ExitReport:
         "replicates": replicates,
         "year_index": t,
         "sigma": args.sigma,
-        "checks": checks,
+        "checks": [
+            {**c, **{k: _json_safe(c[k]) for k in ("estimate", "target", "se")}}
+            for c in checks
+        ],
         "status": status.name.lower(),
         "note": "each check uses its own sigma-level tolerance; with k checks "
         "the family-wise false-alarm rate is about k times the per-check rate",

@@ -33,7 +33,7 @@ from .catalog import _INT64_MAX, _INT64_MIN, EventCatalog
 from .estimate import LongRunSeries
 from .frequency import FrequencyModel, RateLink
 from .severity import Family, SeverityModel
-from .simulate import SimulationConfig, _check_years
+from .simulate import SimulationConfig, _check_seed, _check_years
 
 __all__ = [
     "CatalogFormatError",
@@ -287,8 +287,10 @@ def _run_seed(raw: dict, mode: str) -> int | None:
             seed = int(text)
         except ValueError:
             raise ConfigError(f"{where}: expected an integer seed, got {text!r}") from None
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"{where}: must fit in unsigned 64 bits, got {seed}")
+    try:
+        _check_seed(seed)
+    except ValueError as exc:
+        raise ConfigError(where + str(exc).removeprefix("seed")) from None
     return None if mode == "theory" else seed
 
 

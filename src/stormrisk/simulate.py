@@ -224,15 +224,25 @@ def _check_years(start: int, end: int) -> None:
         raise ValueError(f"years: span {n} years, more than the {_MAX_ROWS} a run may hold")
 
 
+def _check_seed(seed) -> None:
+    """The seed rule of a run: an integer in ``[0, 2**64)``."""
+    try:
+        fits = 0 <= operator.index(seed) < 2**64
+    except TypeError:
+        fits = False
+    if not fits:
+        raise ValueError(f"seed: must fit in unsigned 64 bits, got {seed!r}")
+
+
 @dataclass(frozen=True, kw_only=True)
 class SimulationConfig:
     """A frequency/severity pair, an inclusive year span and a seed: one
     validated run configuration.
 
     Year ``y`` maps to the model year index ``t = y - start + 1``; both
-    model horizons must cover ``[1, end - start + 1]``, and the years
-    follow `_check_years`.  ``seed`` may be None for the closed forms,
-    which draw nothing; the simulators require it.
+    model horizons must cover ``[1, end - start + 1]``; the years follow
+    `_check_years` and the seed `_check_seed`.  ``seed`` may be None for
+    the closed forms, which draw nothing; the simulators require it.
     """
 
     freq: FrequencyModel
@@ -242,8 +252,8 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         _check_years(*self.years)
-        if self.seed is not None and not (0 <= self.seed < 2**64):
-            raise ValueError(f"seed: must fit in an unsigned 64-bit int, got {self.seed}")
+        if self.seed is not None:
+            _check_seed(self.seed)
         n = self.n_years
         for name, model in (("freq", self.freq), ("sev", self.sev)):
             t_min, t_max = model.horizon

@@ -2,9 +2,10 @@
 
 A fixed-year replicate ensemble is compared with the closed-form
 :class:`~stormrisk.riskmodel.RiskSummary` of the same year: eight
-statistics, each against one summary field.  Standard errors come from
-batch means: the replicates are split into independent batches, the
-statistic is computed per batch, and the spread of the batch values
+statistics, each against one summary field, computed together by
+`_statistics`.  Standard errors come from batch means: the replicates
+are split into at most 100 contiguous batches of at least 10, the eight
+statistics are computed per batch, and the spread of the batch values
 estimates the sampling error of the pooled statistic.  A check passes
 when its estimate lies within ``sigma`` standard errors of its target;
 the tolerance is per check, with no multiple-comparison adjustment.
@@ -21,72 +22,46 @@ from .simulate import FixedYearSample
 
 __all__ = ["verification_checks"]
 
-
-def _mean_n(n, s, x1):
-    return float(np.mean(n))
-
-
-def _var_n(n, s, x1):
-    return float(np.var(n))
-
-
-def _mean_s(n, s, x1):
-    return float(np.mean(s))
-
-
-def _var_s(n, s, x1):
-    return float(np.var(s))
-
-
-def _cov_ns(n, s, x1):
-    return float(np.mean(n * s) - np.mean(n) * np.mean(s))
-
-
-def _cor_ns(n, s, x1):
-    vn, vs = np.var(n), np.var(s)
-    if vn <= 0 or vs <= 0:
-        return math.nan
-    return _cov_ns(n, s, x1) / math.sqrt(vn * vs)
-
-
-def _cov_xs(n, s, x1):
-    """Covariance of the first mark with the sum, over replicates with
-    at least one event."""
-    mask = ~np.isnan(x1)
-    if mask.sum() < 2:
-        return math.nan
-    x1, s = x1[mask], s[mask]
-    return float(np.mean(x1 * s) - np.mean(x1) * np.mean(s))
-
-
-def _j_round_trip(n, s, x1):
-    """J^2 implied by the sample correlation and dispersion."""
-    rho = _cor_ns(n, s, x1)
-    mean_n = np.mean(n)
-    if math.isnan(rho) or not 0 < rho < 1 or mean_n <= 0:
-        return math.nan
-    return j_squared_from_correlation(rho, float(np.var(n) / mean_n))
-
-
-# (check name, statistic of (counts, sums, first marks), RiskSummary field)
+# (check name, RiskSummary field), in the order `_statistics` returns them
 _CHECKS = (
-    ("mean count", _mean_n, "e_n"),
-    ("count variance", _var_n, "var_n"),
-    ("mean aggregate (Wald)", _mean_s, "e_s"),
-    ("aggregate variance (Blackwell-Girshick)", _var_s, "var_s"),
-    ("count-aggregate covariance", _cov_ns, "cov_ns"),
-    ("count-aggregate correlation", _cor_ns, "cor_ns"),
-    ("intensity-aggregate covariance", _cov_xs, "var_x"),
-    ("correlation-dispersion round trip", _j_round_trip, "j_squared"),
+    ("mean count", "e_n"),
+    ("count variance", "var_n"),
+    ("mean aggregate (Wald)", "e_s"),
+    ("aggregate variance (Blackwell-Girshick)", "var_s"),
+    ("count-aggregate covariance", "cov_ns"),
+    ("count-aggregate correlation", "cor_ns"),
+    ("intensity-aggregate covariance", "var_x"),
+    ("correlation-dispersion round trip", "j_squared"),
 )
 
 
-def _batch_se(batches, statistic) -> float:
-    vals = [statistic(*b) for b in batches]
-    vals = [v for v in vals if not math.isnan(v)]
-    if len(vals) < 2:
+def _statistics(n, s, x1) -> tuple[float, ...]:
+    """The statistics of `_CHECKS` of counts, sums and first marks.  The
+    intensity-aggregate covariance is over the replicates with at least
+    one event; the round trip is the J^2 that the correlation and the
+    dispersion imply."""
+    mean_n, var_n, mean_s, var_s = np.mean(n), np.var(n), np.mean(s), np.var(s)
+    cov_ns = float(np.mean(n * s) - mean_n * mean_s)
+    cor_ns = math.nan if var_n <= 0 or var_s <= 0 else cov_ns / math.sqrt(var_n * var_s)
+    marked = ~np.isnan(x1)
+    if marked.sum() < 2:
+        cov_xs = math.nan
+    else:
+        x1, s1 = x1[marked], s[marked]
+        cov_xs = float(np.mean(x1 * s1) - np.mean(x1) * np.mean(s1))
+    if math.isnan(cor_ns) or not 0 < cor_ns < 1 or mean_n <= 0:
+        j_squared = math.nan
+    else:
+        j_squared = j_squared_from_correlation(cor_ns, float(var_n / mean_n))
+    moments = float(mean_n), float(var_n), float(mean_s), float(var_s)
+    return (*moments, cov_ns, cor_ns, cov_xs, j_squared)
+
+
+def _batch_se(values) -> float:
+    values = [v for v in values if not math.isnan(v)]
+    if len(values) < 2:
         return math.nan
-    return float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+    return float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
 def verification_checks(
@@ -97,16 +72,18 @@ def verification_checks(
 
     A check whose estimate, target or standard error is not finite
     fails; one with a zero standard error passes only on an exact match.
+    A sample of fewer than two batches of 10 replicates is rejected.
     """
+    if len(sample) < 20:  # two batches of 10, the fewest with a batch-means SE
+        raise ValueError(f"sample: needs at least 20 replicates, got {len(sample)}")
     full = (sample.counts.astype(np.float64), sample.sums, sample.first_marks)
     n_batches = min(100, len(sample) // 10)
-    idx = np.array_split(np.arange(len(sample)), n_batches)
-    batches = [tuple(a[i] for a in full) for i in idx]
+    batches = zip(*(np.array_split(a, n_batches) for a in full))
+    with np.errstate(all="ignore"):
+        estimates = _statistics(*full)
+        ses = [_batch_se(v) for v in zip(*(_statistics(*b) for b in batches))]
     checks = []
-    for name, statistic, field in _CHECKS:
-        with np.errstate(all="ignore"):
-            estimate = statistic(*full)
-            se = _batch_se(batches, statistic)
+    for (name, field), estimate, se in zip(_CHECKS, estimates, ses):
         target = getattr(summary, field)
         if not (math.isfinite(estimate) and math.isfinite(target) and math.isfinite(se)):
             passed = False

@@ -1,9 +1,11 @@
 """Shared helpers: relative error, randomized model generation, extreme
-model coefficients and event CSV bytes for property tests and reading
-back the series CSV that ``analyze`` writes."""
+model coefficients and event CSV bytes for property tests, reading back
+the series CSV that ``analyze`` writes and strict parsing of the JSON
+that the CLI writes."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -40,6 +42,16 @@ def read_series(path) -> np.ndarray:
     """A series CSV as a structured array with one field per column;
     empty fields read as NaN."""
     return np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
+
+
+def strict_json(text: str):
+    """``json.loads`` that rejects the ``NaN``, ``Infinity`` and
+    ``-Infinity`` tokens, which strict JSON parsers refuse."""
+
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def random_severity(rng, family=None, horizon=(1, 60)) -> sr.SeverityModel:

@@ -20,7 +20,14 @@ from stormrisk import catalog, simulate
 from stormrisk.cli import ExitStatus, main, run
 from stormrisk.verify import verification_checks
 
-from helpers import EXTREME_FLOATS, FAMILIES, event_csvs, read_series, stationary_config
+from helpers import (
+    EXTREME_FLOATS,
+    FAMILIES,
+    event_csvs,
+    read_series,
+    stationary_config,
+    strict_json,
+)
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -183,7 +190,7 @@ def test_analyze_year_outside_int64_is_an_input_error(tmp_path, capsys):
     bad.write_text("year,intensity\n2040,1.5\n99999999999999999999,2.0\n", encoding="utf-8")
     assert main(["analyze", "--input", str(bad)]) == 2
     captured = capsys.readouterr()
-    payload = json.loads(captured.out.strip().splitlines()[-1])
+    payload = strict_json(captured.out.strip().splitlines()[-1])
     assert "line 3" in payload["error"]
     assert "Traceback" not in captured.err
 
@@ -220,7 +227,7 @@ def test_severity_moments_out_of_range_are_input_errors(tmp_path, capsys, mode, 
     cfg = write_config(tmp_path, simulate_config(mode=mode, severity=severity))
     assert main([mode, "--config", cfg, *flags, "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
-    payload = json.loads(captured.out.strip().splitlines()[-1])
+    payload = strict_json(captured.out.strip().splitlines()[-1])
     assert payload["error"].startswith("config.severity: ")
     assert "not finite with positive variance" in payload["error"]
     assert "Traceback" not in captured.err
@@ -257,7 +264,7 @@ def test_analyze_running_sum_overflow_is_an_input_error(tmp_path, capsys, big):
         warnings.simplefilter("error")
         assert main(["analyze", "--input", str(csv_path), "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    payload = json.loads(captured.out.strip().splitlines()[-1])
+    payload = strict_json(captured.out.strip().splitlines()[-1])
     assert "overflow at year 2042" in payload["error"]
     assert "Traceback" not in captured.err
     assert not out.exists()
@@ -283,7 +290,7 @@ def _input_error(capsys, argv) -> str:
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
-    return json.loads(captured.out.strip().splitlines()[-1])["error"]
+    return strict_json(captured.out.strip().splitlines()[-1])["error"]
 
 
 def test_theory_years_past_row_budget_is_an_input_error(tmp_path, capsys):
@@ -473,7 +480,7 @@ def test_verify_passes_at_default_tolerance(tmp_path):
     for c in checks:
         assert {"name", "estimate", "target", "se", "passed"} <= set(c)
     assert "PASS mean aggregate (Wald)" in report.summary
-    saved = json.loads(out.read_text())
+    saved = strict_json(out.read_text())
     assert saved["config"]["seed"] == 1
     assert saved["replicates"] == 50000
 
@@ -504,13 +511,42 @@ def test_verification_fails_checks_whose_statistics_overflow():
             assert not c["passed"], c["name"]
 
 
+def test_verify_writes_non_finite_values_as_null(tmp_path, capsys):
+    # at rate 1e-7 no replicate has an event, so the correlation, the
+    # intensity covariance and the round trip have no estimate and no SE
+    cfg = write_config(
+        tmp_path,
+        {
+            "mode": "verify",
+            "frequency": {"link": "identity", "alpha0": 1e-7, "alpha1": 0.0},
+            "severity": {"family": "uniform", "beta0": 1.0, "beta1": 0.0},
+            "years": [1, 3],
+            "seed": 0,
+        },
+    )
+    out = tmp_path / "report.json"
+    argv = ["verify", "--config", cfg, "--replicates", "1000", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    stdout = captured.out.strip().splitlines()[-1]
+    for payload in (strict_json(stdout), strict_json(out.read_text())):
+        undefined = [c["name"] for c in payload["checks"] if c["estimate"] is None]
+        assert undefined == [
+            "count-aggregate correlation",
+            "intensity-aggregate covariance",
+            "correlation-dispersion round trip",
+        ]
+        assert all(c["se"] is None and c["target"] is not None for c in payload["checks"][5:])
+    assert "FAIL count-aggregate correlation: estimate nan, target 0.866025, se nan" in captured.err
+
+
 @pytest.mark.parametrize("sigma", ["inf", "nan"])
 def test_verify_rejects_non_finite_sigma(tmp_path, capsys, sigma):
     cfg = verify_config(tmp_path)
     argv = ["verify", "--config", cfg, "--replicates", "1000", "--sigma", sigma]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    payload = json.loads(captured.out.strip().splitlines()[-1])
+    payload = strict_json(captured.out.strip().splitlines()[-1])
     assert payload["error"].startswith("--sigma: ")
     assert "Traceback" not in captured.err
 
@@ -533,7 +569,7 @@ def test_main_exit_codes(tmp_path, capsys):
     out = tmp_path / "e.csv"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     captured = capsys.readouterr()
-    payload = json.loads(captured.out.strip().splitlines()[-1])
+    payload = strict_json(captured.out.strip().splitlines()[-1])
     assert payload["mode"] == "simulate"
     assert payload["config"]["seed"] == 11
     cfg_bad = write_config(tmp_path, simulate_config(seed="nope"), name="bad.json")
@@ -548,7 +584,7 @@ def test_exception_of_a_command_is_an_internal_error(monkeypatch, capsys):
     assert main(["theory", "--table1"]) == 3
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
-    payload = json.loads(captured.out.strip().splitlines()[-1])
+    payload = strict_json(captured.out.strip().splitlines()[-1])
     assert payload == {"error": "internal error: RuntimeError: injected"}
     assert run(["theory", "--table1"]).status is ExitStatus.INTERNAL_ERROR
 
@@ -714,5 +750,5 @@ def test_every_input_exits_0_1_or_2_with_a_json_payload(tmp_path_factory, case):
         warnings.simplefilter("default")
         code = main(argv)
     assert code in (0, 1, 2), err.getvalue()
-    json.loads(out.getvalue().splitlines()[-1])
+    strict_json(out.getvalue().splitlines()[-1])
     assert "Traceback" not in err.getvalue()

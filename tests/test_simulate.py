@@ -300,8 +300,10 @@ def test_config_validation():
         sr.SimulationConfig(freq=freq, sev=sev, years=(5, 4), seed=0)
     with pytest.raises(ValueError, match="horizon"):
         sr.SimulationConfig(freq=freq, sev=sev, years=(1, 11), seed=0)
-    with pytest.raises(ValueError, match="seed"):
-        sr.SimulationConfig(freq=freq, sev=sev, years=(1, 10), seed=-1)
+    for seed in (-1, 2**64, 1.5, "7"):
+        message = f"seed: must fit in unsigned 64 bits, got {seed!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sr.SimulationConfig(freq=freq, sev=sev, years=(1, 10), seed=seed)
     # the ensemble size is an argument of the ensemble, not a config field
     with pytest.raises(TypeError, match="replicates"):
         sr.SimulationConfig(freq=freq, sev=sev, years=(1, 10), seed=0, replicates=2)

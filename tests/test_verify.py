@@ -1,0 +1,141 @@
+import math
+
+import numpy as np
+import pytest
+
+import stormrisk as sr
+from stormrisk.riskmodel import j_squared_from_correlation
+from stormrisk.verify import verification_checks
+
+from helpers import FAMILIES, stationary_config
+
+# --- reference: one function per statistic, each batch its own copy -------------
+
+
+def _mean_n(n, s, x1):
+    return float(np.mean(n))
+
+
+def _var_n(n, s, x1):
+    return float(np.var(n))
+
+
+def _mean_s(n, s, x1):
+    return float(np.mean(s))
+
+
+def _var_s(n, s, x1):
+    return float(np.var(s))
+
+
+def _cov_ns(n, s, x1):
+    return float(np.mean(n * s) - np.mean(n) * np.mean(s))
+
+
+def _cor_ns(n, s, x1):
+    vn, vs = np.var(n), np.var(s)
+    if vn <= 0 or vs <= 0:
+        return math.nan
+    return _cov_ns(n, s, x1) / math.sqrt(vn * vs)
+
+
+def _cov_xs(n, s, x1):
+    mask = ~np.isnan(x1)
+    if mask.sum() < 2:
+        return math.nan
+    x1, s = x1[mask], s[mask]
+    return float(np.mean(x1 * s) - np.mean(x1) * np.mean(s))
+
+
+def _j_round_trip(n, s, x1):
+    rho = _cor_ns(n, s, x1)
+    mean_n = np.mean(n)
+    if math.isnan(rho) or not 0 < rho < 1 or mean_n <= 0:
+        return math.nan
+    return j_squared_from_correlation(rho, float(np.var(n) / mean_n))
+
+
+REFERENCE = (_mean_n, _var_n, _mean_s, _var_s, _cov_ns, _cor_ns, _cov_xs, _j_round_trip)
+
+
+def _batch_se(batches, statistic):
+    vals = [statistic(*b) for b in batches]
+    vals = [v for v in vals if not math.isnan(v)]
+    if len(vals) < 2:
+        return math.nan
+    return float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+
+
+def reference_estimates_and_ses(sample):
+    full = (sample.counts.astype(np.float64), sample.sums, sample.first_marks)
+    idx = np.array_split(np.arange(len(sample)), min(100, len(sample) // 10))
+    batches = [tuple(a[i] for a in full) for i in idx]
+    out = []
+    for statistic in REFERENCE:
+        with np.errstate(all="ignore"):
+            out.append((statistic(*full), _batch_se(batches, statistic)))
+    return out
+
+
+# --- the library against the reference -------------------------------------------
+
+SHAPES = {"gamma": 2.0, "lognormal": 1.0, "gpd": 0.25}
+_GAMMA = stationary_config("gamma", lam=3.0, mu=2.0, shape=2.0)
+SUMMARY = sr.risk_summary(_GAMMA.freq, _GAMMA.sev, 1)
+
+
+def assert_same_bits(sample):
+    got = [(c["estimate"], c["se"]) for c in verification_checks(sample, SUMMARY, 4.0)]
+    want = reference_estimates_and_ses(sample)
+    assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+
+
+@pytest.mark.parametrize("replicates", [1000, 1009, 250_001])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_statistics_match_the_per_statistic_reference_bit_for_bit(family, replicates):
+    # 100 batches divide none of these sizes, so the batches differ in length
+    config = stationary_config(family, lam=3.0, mu=2.0, shape=SHAPES.get(family), seed=7)
+    assert_same_bits(sr.replicate_fixed_year(config, 1, replicates))
+
+
+def _sample(counts, sums, first):
+    return sr.FixedYearSample(
+        counts=np.asarray(counts, dtype=np.int64),
+        sums=np.asarray(sums, dtype=np.float64),
+        first_marks=np.asarray(first, dtype=np.float64),
+    )
+
+
+def _degenerate_samples():
+    rng = np.random.default_rng(3)
+    counts = rng.poisson(2.0, 1009)
+    marks = rng.exponential(1.0, 1009)
+    marked = np.where(counts > 0, marks, np.nan)
+    zeros = np.zeros(1009)
+    return {
+        "no events": _sample(zeros, zeros, np.full(1009, np.nan)),
+        "constant counts and sums": _sample(np.full(1009, 3), np.full(1009, 6.0), np.full(1009, 2.0)),
+        "constant counts": _sample(np.full(1009, 2), 2 * marks, marks),
+        "one event": _sample(np.eye(1, 1009)[0], np.eye(1, 1009)[0], np.r_[1.0, np.full(1008, np.nan)]),
+        "negative correlation": _sample(counts, 10.0 / np.maximum(counts, 1) * (counts > 0), marked),
+        "sums near 1e131": _sample(counts, counts * 1e131, np.where(counts > 0, 1e131, np.nan)),
+        "20 replicates": _sample(counts[:20], (counts * marks)[:20], marked[:20]),
+        "25 replicates": _sample(counts[:25], (counts * marks)[:25], marked[:25]),
+    }
+
+
+DEGENERATE = _degenerate_samples()
+
+
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_degenerate_samples_match_the_reference_bit_for_bit(name):
+    assert_same_bits(DEGENERATE[name])
+
+
+@pytest.mark.parametrize("replicates", [0, 1, 2, 9, 10, 19])
+def test_fewer_than_two_batches_of_ten_are_rejected(replicates):
+    # 20, two batches of 10, is in the degenerate samples above
+    sample = _sample(np.ones(replicates), np.ones(replicates), np.ones(replicates))
+    message = f"sample: needs at least 20 replicates, got {replicates}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verification_checks(sample, SUMMARY, 4.0)
