@@ -25,6 +25,7 @@ import contextlib
 import io as _stdio
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -66,8 +67,25 @@ class ExitReport:
     payload: dict
 
 
+# A negative float literal as ``float`` reads it, such as ``-1e-3`` or ``-inf``.
+_NEGATIVE_FLOAT = re.compile(
+    r"-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)\Z", re.IGNORECASE
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An `argparse.ArgumentParser`, and so each subcommand's, that takes
+    any negative float literal as a value, not as an option (argparse
+    takes only ``-1`` and ``-0.5`` forms), so a flag's range rule reports
+    it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_FLOAT
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stormrisk",
         description="Aggregate storm risk: closed forms, simulation, "
         "catalog analysis and Monte Carlo verification.",

@@ -10,7 +10,10 @@ the work is ordered or split.
   extending the simulation horizon never perturbs earlier years.
 * Fixed-year ensembles use one pair of substreams (counts, marks) per
   block of ``_BATCH`` replicates, so the first R results are a prefix of
-  any longer run and blocks can be generated independently.
+  any longer run and blocks can be generated independently.  They are
+  drawn concurrently, one thread per usable CPU, each block in pieces of
+  about ``_PIECE`` marks; the bytes depend on neither the CPU count nor
+  the pieces, and no flag or variable sets the thread count.
 
 Keys are hashed exactly as `numpy.random.SeedSequence` does, and PCG64
 seeded, vectorised in uint64 limb arrays.  Uniform, exponential and GPD
@@ -25,6 +28,8 @@ tests compare states and lane draws bit for bit with ``default_rng``.
 from __future__ import annotations
 
 import operator
+import os
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -46,8 +51,12 @@ _CATALOG = 1
 _REPLICATE_COUNTS = 2
 _REPLICATE_MARKS = 3
 
-# Replicates per substream block in fixed-year ensembles.
+# Replicates per substream block in fixed-year ensembles, the expected
+# marks an ensemble may draw in all, and the marks drawn and aggregated
+# at a time within a block, so a thread's arrays stay near its cache.
 _BATCH = 32768
+_MAX_MARKS = 20 * _MAX_ROWS
+_PIECE = 1 << 16
 
 
 # numpy.random.SeedSequence's hash constants and pool size (uint32
@@ -155,6 +164,11 @@ def _pcg64_states(prefix: tuple[int, ...], keys) -> tuple[np.ndarray, ...]:
     return (*_step(*_add(*inc, w0, w1), *inc), *inc)
 
 
+def _generator() -> np.random.Generator:
+    """A PCG64 generator whose state `_stream` replaces before any draw."""
+    return np.random.Generator(np.random.PCG64(0))
+
+
 def _stream(rng: np.random.Generator, state: int, inc: int) -> np.random.Generator:
     """Move ``rng`` to the start of one substream, given its PCG64 state."""
     rng.bit_generator.state = {
@@ -166,15 +180,24 @@ def _stream(rng: np.random.Generator, state: int, inc: int) -> np.random.Generat
     return rng
 
 
+def _stream_states(prefix: tuple[int, ...], keys) -> list[tuple[int, int]]:
+    """``(state, inc)`` of ``default_rng([*prefix, k])`` for each ``k`` in
+    ``keys``, as the integers `_stream` takes."""
+    limbs = _pcg64_states(prefix, keys)
+    return [
+        (s_hi << 64 | s_lo, i_hi << 64 | i_lo)
+        for s_hi, s_lo, i_hi, i_lo in zip(*(w.tolist() for w in limbs))
+    ]
+
+
 def _streams(prefix: tuple[int, ...], keys) -> Iterator[np.random.Generator]:
     """The substream ``default_rng([*prefix, k])`` for each ``k`` in
     ``keys``, in order, all on one reused generator: use each before
     taking the next."""
-    rng = np.random.Generator(np.random.PCG64(0))  # state replaced before any draw
+    rng = _generator()
     for lo in range(0, len(keys), _CHUNK):
-        limbs = _pcg64_states(prefix, keys[lo : lo + _CHUNK])
-        for s_hi, s_lo, i_hi, i_lo in zip(*(w.tolist() for w in limbs)):
-            yield _stream(rng, s_hi << 64 | s_lo, i_hi << 64 | i_lo)
+        for state, inc in _stream_states(prefix, keys[lo : lo + _CHUNK]):
+            yield _stream(rng, state, inc)
 
 
 def _lane_draws(prefix: tuple[int, ...], keys, lam) -> tuple[np.ndarray, np.ndarray]:
@@ -357,6 +380,51 @@ def simulate_catalog(config: SimulationConfig) -> EventCatalog:
     return EventCatalog.from_events(event_years, intensities, year_range=(start, end))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _each_block(draw, n_blocks: int) -> None:
+    """Call ``draw(blocks)`` on ``min(_usable_cpus(), n_blocks)`` threads,
+    the calling one among them, where ``blocks`` yields the block indices
+    that thread takes, each index once in all.  The first exception of
+    any thread is raised once every thread has stopped."""
+    todo = iter(range(n_blocks))
+    n_threads = min(_usable_cpus(), n_blocks)
+    if n_threads <= 1:
+        draw(todo)
+        return
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def blocks():
+        while not errors:  # after a failure, take no further block
+            with lock:
+                block = next(todo, None)
+            if block is None:
+                return
+            yield block
+
+    def run():
+        try:
+            draw(blocks())
+        except BaseException as exc:  # re-raised by the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run) for _ in range(n_threads - 1)]
+    for thread in threads:
+        thread.start()
+    run()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
 def replicate_fixed_year(
     config: SimulationConfig, t: float, replicates: int
 ) -> FixedYearSample:
@@ -364,10 +432,10 @@ def replicate_fixed_year(
 
     ``t``, a model year index in ``[1, config.n_years]``, and
     ``replicates``, in ``[2, _MAX_ROWS]``, are checked before any
-    allocation, and so is a block whose expected marks exceed
-    ``_MAX_ROWS``.  Counts and marks come from separate per-block
-    substreams, so results for replicate r do not depend on how many
-    replicates follow it.
+    allocation, and so are expected marks past ``_MAX_ROWS`` in a block
+    or past ``_MAX_MARKS`` in all.  Counts and marks come from separate
+    per-block substreams, so results for replicate r do not depend on
+    how many replicates follow it, nor on which thread draws its block.
     """
     seed = _seed(config)
     try:
@@ -383,30 +451,51 @@ def replicate_fixed_year(
         raise ValueError(f"t: must be an integer, got {t}")
     if not 1 <= t_int <= config.n_years:
         raise ValueError(f"t: must lie in [1, {config.n_years}], got {t_int}")
+    lam = rate(config.freq, t_int)
     block = min(replicates, _BATCH)
-    if not (marks := block * rate(config.freq, t_int)) <= _MAX_ROWS:
+    if not (marks := block * lam) <= _MAX_ROWS:
         raise ValueError(
             f"freq: expects {marks:.6g} marks in a block of {block} replicates at year "
             f"index {t_int}, more than the {_MAX_ROWS} a block may hold"
+        )
+    if not (marks := replicates * lam) <= _MAX_MARKS:
+        raise ValueError(
+            f"freq: expects {marks:.6g} marks in {replicates} replicates at year "
+            f"index {t_int}, more than the {_MAX_MARKS} an ensemble may draw"
         )
     counts = np.empty(replicates, dtype=np.int64)
     sums = np.empty(replicates, dtype=np.float64)
     first = np.full(replicates, np.nan)
     blocks = range(-(-replicates // _BATCH))
-    counts_streams = _streams((seed, _REPLICATE_COUNTS, t_int), blocks)
-    marks_streams = _streams((seed, _REPLICATE_MARKS, t_int), blocks)
-    for block, counts_rng, marks_rng in zip(blocks, counts_streams, marks_streams):
-        lo = block * _BATCH
-        hi = min(lo + _BATCH, replicates)
-        n = sample_count(config.freq, t_int, counts_rng, size=hi - lo)
-        x = sample_intensity(config.sev, t_int, marks_rng, size=int(n.sum()))
-        rep = np.repeat(np.arange(hi - lo), n)
-        counts[lo:hi] = n
-        sums[lo:hi] = np.bincount(rep, weights=x, minlength=hi - lo)
-        starts = np.concatenate(([0], np.cumsum(n)[:-1]))
-        nonzero = n > 0
-        first[lo:hi][nonzero] = x[starts[nonzero]]
-        # Free this block's marks before the next block draws its own, so
-        # two blocks' arrays never coexist on the heap.
-        del x, rep
+    counts_states = _stream_states((seed, _REPLICATE_COUNTS, t_int), blocks)
+    marks_states = _stream_states((seed, _REPLICATE_MARKS, t_int), blocks)
+
+    def draw(taken: Iterator[int]) -> None:
+        # Each thread owns its generators; blocks write disjoint slices.
+        counts_rng, marks_rng = _generator(), _generator()
+        for b in taken:
+            lo = b * _BATCH
+            hi = min(lo + _BATCH, replicates)
+            n = counts[lo:hi] = sample_count(
+                config.freq, t_int, _stream(counts_rng, *counts_states[b]), size=hi - lo
+            )
+            _stream(marks_rng, *marks_states[b])
+            before = np.concatenate(([0], np.cumsum(n)))  # marks before each replicate
+            # Pieces of whole replicates, in order, draw the block's marks
+            # and sum each replicate's left to right, as one call would.
+            a = 0
+            while a < len(n):
+                # the most whole replicates from a within _PIECE marks, at least one
+                z = max(a + 1, int(np.searchsorted(before, before[a] + _PIECE, "right")) - 1)
+                x = sample_intensity(
+                    config.sev, t_int, marks_rng, size=int(before[z] - before[a])
+                )
+                m = n[a:z]
+                rep = np.repeat(np.arange(z - a), m)
+                sums[lo + a : lo + z] = np.bincount(rep, weights=x, minlength=z - a)
+                marked = m > 0
+                first[lo + a : lo + z][marked] = x[before[a:z][marked] - before[a]]
+                a = z
+
+    _each_block(draw, len(blocks))
     return FixedYearSample(counts=counts, sums=sums, first_marks=first)

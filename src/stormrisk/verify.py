@@ -42,7 +42,9 @@ def _statistics(n, s, x1) -> tuple[float, ...]:
     dispersion imply."""
     mean_n, var_n, mean_s, var_s = np.mean(n), np.var(n), np.mean(s), np.var(s)
     cov_ns = float(np.mean(n * s) - mean_n * mean_s)
-    cor_ns = math.nan if var_n <= 0 or var_s <= 0 else cov_ns / math.sqrt(var_n * var_s)
+    # 0.0 also when the product of two positive variances underflows
+    product = var_n * var_s
+    cor_ns = cov_ns / math.sqrt(product) if product > 0 else math.nan
     marked = ~np.isnan(x1)
     if marked.sum() < 2:
         cov_xs = math.nan

@@ -342,6 +342,13 @@ FIELD_ERROR_CASES = {
         "config.frequency: expects 1e+12 marks in a block of 1000 replicates at year "
         "index 30, more than the 10000000 a block may hold",
     ),
+    # each block's 8.2e5 marks fit, the ensemble's 2.5e8 do not
+    "ensemble-marks-budget": (
+        {"mode": "verify", "frequency": {"link": "identity", "alpha0": 25.0, "alpha1": 0.0}},
+        ["--replicates", str(10**7)],
+        "config.frequency: expects 2.5e+08 marks in 10000000 replicates at year "
+        "index 30, more than the 200000000 an ensemble may draw",
+    ),
     "year-past-the-run": (
         {"mode": "verify"},
         ["--replicates", "1000", "--year", "61"],
@@ -363,6 +370,18 @@ FIELD_ERROR_CASES = {
     "table1-gamma-shape": (None, ["--gamma-shape", "nan"], "--gamma-shape: shape must be"),
     "table1-lognormal-sigma": (
         None, ["--lognormal-sigma", "40"], "--lognormal-sigma: intensity moments"
+    ),
+    # argparse alone reads -1e-3 and -1e300 as options, not as values
+    "sigma-negative": (
+        {"mode": "verify"},
+        ["--replicates", "1000", "--sigma", "-1e-3"],
+        "--sigma: must be positive and finite, got -0.001",
+    ),
+    "table1-gpd-shape-negative": (
+        None,
+        ["--gpd-shape", "-1e300"],
+        "--gpd-shape: intensity moments at t=1 (driver 1.0) are not finite with "
+        "positive variance",
     ),
 }
 
@@ -392,6 +411,7 @@ ANALYZE_FLAG_CASES = {
     "past-the-catalog": (["--window", "6"], "--window: exceeds the 5-year catalog, got 6"),
     "level-one": (["--level", "1.0"], "--level: must lie in (0, 1), got 1.0"),
     "level-nan": (["--level", "nan"], "--level: must lie in (0, 1), got nan"),
+    "level-negative-inf": (["--level", "-inf"], "--level: must lie in (0, 1), got -inf"),
 }
 
 
@@ -540,6 +560,26 @@ def test_verify_writes_non_finite_values_as_null(tmp_path, capsys):
     assert "FAIL count-aggregate correlation: estimate nan, target 0.866025, se nan" in captured.err
 
 
+def test_verify_correlation_whose_variance_product_underflows_is_null(tmp_path, capsys):
+    # var(N) * var(S) of a batch underflows to 0.0, the aggregate variance
+    # is subnormal, and its closed-form correlation is not finite
+    cfg = write_config(
+        tmp_path,
+        {
+            "mode": "verify",
+            "frequency": {"link": "identity", "alpha0": 0.05, "alpha1": 0.0},
+            "severity": {"family": "lognormal", "beta0": -370.0, "beta1": 0.0, "shape": 3.0},
+            "years": [1, 3],
+            "seed": 0,
+        },
+    )
+    assert main(["verify", "--config", cfg, "--replicates", "1000"]) == 1
+    payload = strict_json(capsys.readouterr().out.strip().splitlines()[-1])
+    checks = {c["name"]: c for c in payload["checks"]}
+    correlation = checks["count-aggregate correlation"]
+    assert correlation["target"] is None and not correlation["passed"]
+
+
 @pytest.mark.parametrize("sigma", ["inf", "nan"])
 def test_verify_rejects_non_finite_sigma(tmp_path, capsys, sigma):
     cfg = verify_config(tmp_path)
@@ -597,14 +637,25 @@ def test_csv_on_stdout_when_out_omitted(tmp_path, capsys):
     assert "{" not in captured.out
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def loaded_by_cli_import(module: str) -> bool:
+    """Whether ``import stormrisk.cli`` loads ``module``, in a fresh interpreter."""
     src = str(Path(sr.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, stormrisk.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, stormrisk.cli; print({module!r} in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert not loaded_by_cli_import("scipy.stats")
+
+
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    # ensembles start their threads with `threading`, which the import
+    # loads anyway; concurrent.futures would add about 10 ms to every call
+    assert not loaded_by_cli_import("concurrent.futures")
 
 
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):

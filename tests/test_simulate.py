@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,12 +9,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stormrisk as sr
+from stormrisk import simulate
 from stormrisk.catalog import _MAX_ROWS
+from stormrisk.frequency import sample_count
+from stormrisk.severity import sample_intensity
 from stormrisk.simulate import (
     _BATCH,
     _CATALOG,
     _CHUNK,
     _LANE_CHUNK,
+    _MAX_MARKS,
+    _PIECE,
     _REPLICATE_COUNTS,
     _REPLICATE_MARKS,
     _lane_draws,
@@ -287,6 +293,92 @@ def test_first_marks_nan_only_for_empty_replicates():
     assert abs(x1.mean() - m.mean) <= 4 * math.sqrt(m.variance / len(x1))
 
 
+def one_call_per_block(config, t, replicates):
+    """The ensemble drawn block by block, each block's counts and marks in
+    one call on its own ``default_rng`` substreams."""
+    counts = np.empty(replicates, dtype=np.int64)
+    sums = np.empty(replicates)
+    first = np.full(replicates, np.nan)
+    for block, lo in enumerate(range(0, replicates, _BATCH)):
+        hi = min(lo + _BATCH, replicates)
+        rng_n = np.random.default_rng([config.seed, _REPLICATE_COUNTS, t, block])
+        rng_x = np.random.default_rng([config.seed, _REPLICATE_MARKS, t, block])
+        n = counts[lo:hi] = sample_count(config.freq, t, rng_n, size=hi - lo)
+        x = sample_intensity(config.sev, t, rng_x, size=int(n.sum()))
+        sums[lo:hi] = np.bincount(np.repeat(np.arange(hi - lo), n), weights=x, minlength=hi - lo)
+        starts = np.cumsum(n) - n
+        first[lo:hi][n > 0] = x[starts[n > 0]]
+    return counts, sums, first
+
+
+def assert_same_ensemble(ens, reference):
+    for got, want in zip((ens.counts, ens.sums, ens.first_marks), reference, strict=True):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+ENSEMBLE_SHAPES = {"gamma": 2.0, "lognormal": 1.0, "gpd": 0.2}
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_ensemble_bits_depend_on_neither_threads_nor_pieces(monkeypatch, family, cpus):
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+    config = stationary_config(family, lam=20.0, mu=1.5, shape=ENSEMBLE_SHAPES.get(family), seed=9)
+    replicates = 5 * _BATCH + 777
+    ens = sr.replicate_fixed_year(config, 4, replicates)
+    assert_same_ensemble(ens, one_call_per_block(config, 4, replicates))
+
+
+def test_pieces_are_cut_by_marks_in_a_block_near_the_marks_budget(monkeypatch):
+    # about 9.8e6 marks per block, so about 150 pieces per block
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+    sizes = []
+
+    def recorded(sev, t, rng, size):
+        sizes.append(size)
+        return sample_intensity(sev, t, rng, size=size)
+
+    monkeypatch.setattr(simulate, "sample_intensity", recorded)
+    config = stationary_config("exponential", lam=300.0, mu=1.0, seed=4)
+    replicates = _BATCH + 777
+    ens = sr.replicate_fixed_year(config, 1, replicates)
+    assert max(sizes) <= _PIECE and sum(sizes) == ens.counts.sum()
+    assert len(sizes) >= ens.counts.sum() / _PIECE
+    assert_same_ensemble(ens, one_call_per_block(config, 1, replicates))
+
+
+@pytest.mark.parametrize("cpus, replicates", [(1, 5 * _BATCH), (3, _BATCH)])
+def test_one_cpu_or_one_block_starts_no_thread(monkeypatch, cpus, replicates):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    config = stationary_config("exponential", lam=2.0, mu=1.0, seed=1)
+    assert len(sr.replicate_fixed_year(config, 1, replicates)) == replicates
+
+
+def test_an_exception_in_a_worker_thread_reaches_the_caller_unchanged(monkeypatch):
+    error = RuntimeError("injected in a worker")
+    raised = threading.Event()
+
+    def failing(sev, t, rng, size):
+        if threading.current_thread() is not threading.main_thread():
+            raised.set()
+            raise error
+        raised.wait(10)  # the calling thread draws only once a worker has failed
+        return sample_intensity(sev, t, rng, size=size)
+
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(simulate, "sample_intensity", failing)
+    config = stationary_config("exponential", lam=2.0, mu=1.0, seed=1)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as caught:
+        sr.replicate_fixed_year(config, 1, 5 * _BATCH)
+    assert caught.value is error
+    assert threading.active_count() == threads
+
+
 # --- config validation --------------------------------------------------------
 
 
@@ -359,6 +451,21 @@ def test_replicate_block_past_the_marks_budget_raises_before_allocating(lam, rep
     try:
         with pytest.raises(ValueError, match=f"marks in a block of {block} replicates"):
             sr.replicate_fixed_year(config, 1, replicates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+# 10^7 replicates at rate 20.5 expect 2.05e8 marks, past the ensemble's
+# budget, while each block's 6.7e5 are within a block's
+@pytest.mark.parametrize("lam", [20.5, 300.0])
+def test_ensemble_past_the_total_marks_budget_raises_before_allocating(lam):
+    config = stationary_config("exponential", lam=lam, mu=1.0, seed=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"marks in {_MAX_ROWS} replicates .* {_MAX_MARKS} an"):
+            sr.replicate_fixed_year(config, 1, _MAX_ROWS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
