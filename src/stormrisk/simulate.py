@@ -476,10 +476,9 @@ def replicate_fixed_year(
         for b in taken:
             lo = b * _BATCH
             hi = min(lo + _BATCH, replicates)
-            n = counts[lo:hi] = sample_count(
-                config.freq, t_int, _stream(counts_rng, *counts_states[b]), size=hi - lo
-            )
+            _stream(counts_rng, *counts_states[b])
             _stream(marks_rng, *marks_states[b])
+            n = counts[lo:hi] = sample_count(config.freq, t_int, counts_rng, size=hi - lo)
             before = np.concatenate(([0], np.cumsum(n)))  # marks before each replicate
             # Pieces of whole replicates, in order, draw the block's marks
             # and sum each replicate's left to right, as one call would.
