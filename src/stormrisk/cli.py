@@ -46,7 +46,7 @@ from .io import (
 from .riskmodel import RiskSummary, risk_summary, table1_row
 from .severity import Family
 from .simulate import replicate_fixed_year, simulate_catalog
-from .verify import verification_checks
+from .verify import _check_sigma, verification_checks
 
 __all__ = ["ExitStatus", "ExitReport", "run", "main"]
 
@@ -222,6 +222,7 @@ _ARG_FLAGS = {
     "window": "--window",
     "replicates": "--replicates",
     "t": "--year",
+    "sigma": "--sigma",
 }
 
 _SUMMARY_COLUMNS = ("year", *(f.name for f in fields(RiskSummary)))
@@ -344,8 +345,7 @@ def _cmd_verify(args) -> ExitReport:
             "--replicates: need at least 1000 for stable standard errors, "
             f"got {replicates}"
         )
-    if not 0 < args.sigma < math.inf:
-        raise ConfigError(f"--sigma: must be positive and finite, got {args.sigma}")
+    _check_sigma(args.sigma)
     t = args.year if args.year is not None else (1 + config.n_years) // 2
     summary = risk_summary(config.freq, config.sev, t)
     ens = replicate_fixed_year(config, t, replicates)

@@ -22,6 +22,7 @@ Conventions
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,10 +151,15 @@ def long_run_series(
     """
     if not 0.0 < ci_level < 1.0:
         raise ValueError(f"ci_level: must lie in (0, 1), got {ci_level}")
-    if window is not None and window < 3:
-        raise ValueError(f"window: must be at least 3 years, got {window}")
-    if window is not None and window > catalog.n_years:
-        raise ValueError(f"window: exceeds the {catalog.n_years}-year catalog, got {window}")
+    if window is not None:
+        try:
+            window = operator.index(window)
+        except TypeError:
+            raise ValueError(f"window: must be an integer, got {window!r}") from None
+        if window < 3:
+            raise ValueError(f"window: must be at least 3 years, got {window}")
+        if window > catalog.n_years:
+            raise ValueError(f"window: exceeds the {catalog.n_years}-year catalog, got {window}")
     T = catalog.n_years
     t = np.arange(1, T + 1, dtype=np.float64)
     n = catalog.counts.astype(np.float64)

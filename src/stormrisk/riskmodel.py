@@ -22,12 +22,11 @@ counts and the shape (not the scale) of the severity distribution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frequency import FrequencyModel, _each, rate
+from .frequency import FrequencyModel, _check_horizon, _each, rate
 from .severity import Family, SeverityModel, j_squared, severity_moments
 
 __all__ = [
@@ -76,8 +75,9 @@ def j_squared_from_correlation(rho: float, phi: float) -> float:
 
 
 def risk_summary(freq: FrequencyModel, sev: SeverityModel, t) -> RiskSummary:
-    """Fully populated :class:`RiskSummary` at year ``t``, or over a 1-D
-    integer array of years, with each year's bits those of its own call.
+    """Fully populated :class:`RiskSummary` at year ``t`` (a one-year
+    array, unwrapped to Python floats), or over a 1-D integer array of
+    years, with each year's bits those of its own call.
 
     Evaluates the rate and the intensity moments once.  The aggregate
     variance is the Blackwell-Girshick form with ``Var(N) = E[N]``; the
@@ -85,41 +85,45 @@ def risk_summary(freq: FrequencyModel, sev: SeverityModel, t) -> RiskSummary:
     Raises ValueError at the first year whose aggregate variance is zero
     or overflows; a finite ``var_s`` bounds ``e_s`` and ``cov_ns`` too.
     numpy's ``exp`` and ``x**2`` (a multiply) differ from libm's ``exp``
-    and ``pow`` in the last bit on some inputs, so arrays take those two
-    from libm per element; ``+ - * /`` and ``sqrt`` round alike.
+    and ``pow`` in the last bit on some inputs, so those two come from
+    libm per element; ``+ - * /`` and ``sqrt`` round alike.
     """
-    lam = rate(freq, t)
-    m = severity_moments(sev, t)
-    each = isinstance(t, np.ndarray)
-    if each:
-        with np.errstate(over="ignore"):
-            var_s = lam * m.variance + lam * _each(lambda v: v**2, m.mean)
+    years = np.atleast_1d(t)
+    if years.dtype == object:  # a Python int past int64: check it as is, use it as a float
+        for model in (freq, sev):
+            _check_horizon(model.horizon, t)
+        years = years.astype(np.float64)
+    lam = rate(freq, years)
+    m = severity_moments(sev, years)
+    # var_s may overflow, and lam / var_s where var_s is subnormal
+    with np.errstate(over="ignore"):
+        var_s = lam * m.variance + lam * _each(lambda v: v**2, m.mean)
         bad = np.flatnonzero((var_s <= 0) | (m.variance <= 0) | ~np.isfinite(var_s))
-        if len(bad):  # the first failing year's own call raises its error
-            risk_summary(freq, sev, t[bad[0]].item())
-    else:
-        var_s = lam * m.variance + lam * m.mean**2
-        if var_s <= 0 or m.variance <= 0:
-            raise ValueError("zero variance; correlation undefined")
-        if not math.isfinite(var_s):
+        if len(bad):
+            i = bad[0]
+            if var_s[i] <= 0 or m.variance[i] <= 0:
+                raise ValueError("zero variance; correlation undefined")
             raise ValueError(
-                f"aggregate variance overflows at t={t}: rate {lam} times "
-                f"E[X^2] {m.second_moment}"
+                f"aggregate variance overflows at t={years.item(i)}: rate "
+                f"{lam.item(i)} times E[X^2] {m.second_moment.item(i)}"
             )
-    e_s, j2 = lam * m.mean, j_squared(sev)
-    return RiskSummary(
-        t=t,
-        e_n=lam,
-        e_x=m.mean,
-        e_s=e_s,
-        var_n=lam,
-        var_x=m.variance,
-        var_s=var_s,
-        cov_ns=e_s,  # E[X] Var(N); lam * E[X] has the bits of E[X] * lam
-        cor_ns=m.mean * (np.sqrt if each else math.sqrt)(lam / var_s),
-        phi=np.broadcast_to(1.0, t.shape) if each else 1.0,  # Var(N) = E[N]
-        j_squared=np.broadcast_to(j2, t.shape) if each else j2,
-    )
+        cor_ns = m.mean * np.sqrt(lam / var_s)
+    e_s = lam * m.mean
+    summary = {
+        "e_n": lam,
+        "e_x": m.mean,
+        "e_s": e_s,
+        "var_n": lam,
+        "var_x": m.variance,
+        "var_s": var_s,
+        "cov_ns": e_s,  # E[X] Var(N); lam * E[X] has the bits of E[X] * lam
+        "cor_ns": cor_ns,
+        "phi": np.broadcast_to(1.0, years.shape),  # Var(N) = E[N]
+        "j_squared": np.broadcast_to(j_squared(sev), years.shape),
+    }
+    if not isinstance(t, np.ndarray):
+        summary = {name: v.item() for name, v in summary.items()}
+    return RiskSummary(t=t, **summary)
 
 
 def table1_row(

@@ -15,12 +15,14 @@ the work is ordered or split.
   about ``_PIECE`` marks; the bytes depend on neither the CPU count nor
   the pieces, and no flag or variable sets the thread count.
 
-Keys are hashed exactly as `numpy.random.SeedSequence` does, and PCG64
-seeded, vectorised in uint64 limb arrays.  Uniform, exponential and GPD
+Ensemble blocks, at most 306, each open their two substreams with
+``default_rng``.  Catalog years are many, so their keys are hashed
+exactly as `numpy.random.SeedSequence` does, and PCG64 seeded,
+vectorised in uint64 limb arrays.  Uniform, exponential and GPD
 catalog years below rate 10 step as lanes of those arrays, reproducing
 ``Generator.poisson``'s multiplication method and the following
-``Generator.random`` marks from raw PCG64 outputs.  Other draws use one
-generator moved to each substream's state (cheaper than ``default_rng``).
+``Generator.random`` marks from raw PCG64 outputs; other years use one
+generator moved to each year's state (cheaper than ``default_rng``).
 NEP 19 freezes PCG64 and `SeedSequence`, not `Generator` algorithms;
 tests compare states and lane draws bit for bit with ``default_rng``.
 """
@@ -70,10 +72,9 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 2**64 - 1)
 _MULT_LO_0, _MULT_LO_1 = np.uint64(_PCG_MULT & _M32), np.uint64(_PCG_MULT >> 32 & _M32)
 
-# Keys seeded by `_streams`, and catalog years stepped as lanes, at a
-# time, so memory stays flat; lanes cost many numpy calls per chunk.
-_CHUNK = 1024
-_LANE_CHUNK = 1 << 14
+# Catalog years seeded or stepped as lanes at a time, so memory stays
+# flat; lanes cost many numpy calls per chunk.
+_CHUNK = 1 << 14
 
 
 def _words(n: int) -> list[int]:
@@ -164,11 +165,6 @@ def _pcg64_states(prefix: tuple[int, ...], keys) -> tuple[np.ndarray, ...]:
     return (*_step(*_add(*inc, w0, w1), *inc), *inc)
 
 
-def _generator() -> np.random.Generator:
-    """A PCG64 generator whose state `_stream` replaces before any draw."""
-    return np.random.Generator(np.random.PCG64(0))
-
-
 def _stream(rng: np.random.Generator, state: int, inc: int) -> np.random.Generator:
     """Move ``rng`` to the start of one substream, given its PCG64 state."""
     rng.bit_generator.state = {
@@ -180,24 +176,13 @@ def _stream(rng: np.random.Generator, state: int, inc: int) -> np.random.Generat
     return rng
 
 
-def _stream_states(prefix: tuple[int, ...], keys) -> list[tuple[int, int]]:
-    """``(state, inc)`` of ``default_rng([*prefix, k])`` for each ``k`` in
-    ``keys``, as the integers `_stream` takes."""
-    limbs = _pcg64_states(prefix, keys)
-    return [
-        (s_hi << 64 | s_lo, i_hi << 64 | i_lo)
-        for s_hi, s_lo, i_hi, i_lo in zip(*(w.tolist() for w in limbs))
-    ]
-
-
 def _streams(prefix: tuple[int, ...], keys) -> Iterator[np.random.Generator]:
     """The substream ``default_rng([*prefix, k])`` for each ``k`` in
     ``keys``, in order, all on one reused generator: use each before
     taking the next."""
-    rng = _generator()
-    for lo in range(0, len(keys), _CHUNK):
-        for state, inc in _stream_states(prefix, keys[lo : lo + _CHUNK]):
-            yield _stream(rng, state, inc)
+    rng = np.random.Generator(np.random.PCG64(0))  # `_stream` replaces its state
+    for s_hi, s_lo, i_hi, i_lo in zip(*(w.tolist() for w in _pcg64_states(prefix, keys))):
+        yield _stream(rng, s_hi << 64 | s_lo, i_hi << 64 | i_lo)
 
 
 def _lane_draws(prefix: tuple[int, ...], keys, lam) -> tuple[np.ndarray, np.ndarray]:
@@ -351,17 +336,17 @@ def simulate_catalog(config: SimulationConfig) -> EventCatalog:
     inverse_cdf = sev.family in _INVERSE_CDF
     prefix = (seed, _CATALOG)
     # Inverse-CDF years below rate 10 are drawn as lanes, the rest one
-    # year at a time; runs of each are taken in year order, as are draws.
+    # year at a time; runs of each, cut every _CHUNK years, are taken in
+    # year order, as are draws.
     lanes = (lam < 10.0) & inverse_cdf
-    cuts = (np.flatnonzero(np.diff(lanes)) + 1).tolist()
+    changes = np.flatnonzero(np.diff(lanes)) + 1
+    cuts = np.union1d(changes, np.arange(_CHUNK, config.n_years, _CHUNK)).tolist()
     counts = np.empty(config.n_years, dtype=np.int64)
     draws: list[np.ndarray] = []
     for a, b in zip([0, *cuts], [*cuts, config.n_years]):
         if lanes[a]:
-            for lo in range(a, b, _LANE_CHUNK):
-                hi = min(lo + _LANE_CHUNK, b)
-                counts[lo:hi], marks = _lane_draws(prefix, index[lo:hi], lam[lo:hi])
-                draws.append(marks)
+            counts[a:b], marks = _lane_draws(prefix, index[a:b], lam[a:b])
+            draws.append(marks)
             continue
         years = zip(range(a + 1, b + 1), lam[a:b].tolist(), _streams(prefix, index[a:b]))
         for t, lam_t, rng in years:
@@ -395,9 +380,6 @@ def _each_block(draw, n_blocks: int) -> None:
     any thread is raised once every thread has stopped."""
     todo = iter(range(n_blocks))
     n_threads = min(_usable_cpus(), n_blocks)
-    if n_threads <= 1:
-        draw(todo)
-        return
     lock = threading.Lock()
     errors: list[BaseException] = []
 
@@ -446,9 +428,12 @@ def replicate_fixed_year(
         raise ValueError(f"replicates: need at least 2, got {replicates}")
     if replicates > _MAX_ROWS:
         raise ValueError(f"replicates: at most {_MAX_ROWS} fit the row budget, got {replicates}")
-    t_int = int(t)
-    if t_int != t:
-        raise ValueError(f"t: must be an integer, got {t}")
+    try:
+        t_int = int(t)
+    except (TypeError, ValueError, OverflowError):  # None, "3.5", nan, inf
+        t_int = None
+    if t_int is None or t_int != t:
+        raise ValueError(f"t: must be an integer, got {t!r}")
     if not 1 <= t_int <= config.n_years:
         raise ValueError(f"t: must lie in [1, {config.n_years}], got {t_int}")
     lam = rate(config.freq, t_int)
@@ -466,18 +451,14 @@ def replicate_fixed_year(
     counts = np.empty(replicates, dtype=np.int64)
     sums = np.empty(replicates, dtype=np.float64)
     first = np.full(replicates, np.nan)
-    blocks = range(-(-replicates // _BATCH))
-    counts_states = _stream_states((seed, _REPLICATE_COUNTS, t_int), blocks)
-    marks_states = _stream_states((seed, _REPLICATE_MARKS, t_int), blocks)
 
     def draw(taken: Iterator[int]) -> None:
-        # Each thread owns its generators; blocks write disjoint slices.
-        counts_rng, marks_rng = _generator(), _generator()
+        # Blocks write disjoint slices.
         for b in taken:
             lo = b * _BATCH
             hi = min(lo + _BATCH, replicates)
-            _stream(counts_rng, *counts_states[b])
-            _stream(marks_rng, *marks_states[b])
+            counts_rng = np.random.default_rng([seed, _REPLICATE_COUNTS, t_int, b])
+            marks_rng = np.random.default_rng([seed, _REPLICATE_MARKS, t_int, b])
             n = counts[lo:hi] = sample_count(config.freq, t_int, counts_rng, size=hi - lo)
             before = np.concatenate(([0], np.cumsum(n)))  # marks before each replicate
             # Pieces of whole replicates, in order, draw the block's marks
@@ -496,5 +477,5 @@ def replicate_fixed_year(
                 first[lo + a : lo + z][marked] = x[before[a:z][marked] - before[a]]
                 a = z
 
-    _each_block(draw, len(blocks))
+    _each_block(draw, -(-replicates // _BATCH))
     return FixedYearSample(counts=counts, sums=sums, first_marks=first)

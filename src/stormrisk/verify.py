@@ -59,6 +59,12 @@ def _statistics(n, s, x1) -> tuple[float, ...]:
     return (*moments, cov_ns, cor_ns, cov_xs, j_squared)
 
 
+def _check_sigma(sigma) -> None:
+    """The sigma rule of a verification: a positive, finite tolerance."""
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma: must be positive and finite, got {sigma}")
+
+
 def _batch_se(values) -> float:
     values = [v for v in values if not math.isnan(v)]
     if len(values) < 2:
@@ -74,8 +80,10 @@ def verification_checks(
 
     A check whose estimate, target or standard error is not finite
     fails; one with a zero standard error passes only on an exact match.
-    A sample of fewer than two batches of 10 replicates is rejected.
+    A sample of fewer than two batches of 10 replicates, and a ``sigma``
+    that is not positive and finite, are rejected.
     """
+    _check_sigma(sigma)
     if len(sample) < 20:  # two batches of 10, the fewest with a batch-means SE
         raise ValueError(f"sample: needs at least 20 replicates, got {len(sample)}")
     full = (sample.counts.astype(np.float64), sample.sums, sample.first_marks)

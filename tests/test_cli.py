@@ -359,6 +359,12 @@ FIELD_ERROR_CASES = {
         ["--replicates", "1000", "--year", "0"],
         "--year: must lie in [1, 60], got 0",
     ),
+    # past int64, numpy holds the year as a Python int in an object array
+    "year-past-int64": (
+        {"mode": "verify"},
+        ["--replicates", "1000", "--year", str(10**23)],
+        f"--year: must lie in [1, 60], got {10**23}",
+    ),
     "years-reversed": ({"years": [60, 1]}, [], "config.years: start 60 exceeds end 1"),
     # the event CSV's year range holds for every mode
     "years-past-int64": (
@@ -376,6 +382,11 @@ FIELD_ERROR_CASES = {
         {"mode": "verify"},
         ["--replicates", "1000", "--sigma", "-1e-3"],
         "--sigma: must be positive and finite, got -0.001",
+    ),
+    "sigma-inf": (
+        {"mode": "verify"},
+        ["--replicates", "1000", "--sigma", "inf"],
+        "--sigma: must be positive and finite, got inf",
     ),
     "table1-gpd-shape-negative": (
         None,
@@ -440,6 +451,7 @@ PATHS_NAMED_LIKE_ARGUMENTS = {
         ["verify", "--config", "replicates", "--replicates", "1000"],
         f"replicates: {_NOT_JSON}",
     ),
+    "sigma": (["verify", "--config", "sigma", "--replicates", "1000"], f"sigma: {_NOT_JSON}"),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,17 @@ def test_moving_window_validation():
         sr.long_run_series(catalog, window=2)
     with pytest.raises(ValueError, match="exceeds"):
         sr.long_run_series(catalog, window=5)
+
+
+@pytest.mark.parametrize("window", [3.5, 4.0, math.nan, "4"])
+def test_window_must_be_an_integer(window):
+    catalog = catalog_from_yearly([1, 2, 3, 4], [1.0] * 4)
+    message = f"window: must be an integer, got {window!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sr.long_run_series(catalog, window=window)
+    # a numpy integer is an integer
+    series = sr.long_run_series(catalog, window=np.int64(4))
+    assert np.array_equal(series.rho, sr.long_run_series(catalog, window=4).rho, equal_nan=True)
 
 
 def test_moving_window_tracks_model_correlation():

@@ -311,6 +311,16 @@ def test_scalar_year_gives_python_floats():
     assert s == sr.RiskSummary(*reference_summary(freq, sev, 7))
 
 
+def test_scalar_year_past_int64_is_evaluated_as_a_float():
+    # numpy holds such a year as a Python int in an object array
+    freq = sr.FrequencyModel(**ARRAY_FREQUENCIES["identity"], horizon=(1, 1e30))
+    sev = sr.SeverityModel(**ARRAY_SEVERITIES["gamma"], horizon=(1, 1e30))
+    s = sr.risk_summary(freq, sev, 10**20)
+    assert s == sr.RiskSummary(*reference_summary(freq, sev, 10**20))
+    with pytest.raises(ValueError, match=r"^t: must lie in \[1, 1e\+30\], got 10{31}$"):
+        sr.risk_summary(freq, sev, 10**31)
+
+
 def test_array_of_years_names_the_first_failing_year():
     # E[X^2] is about 7.5e304, so the aggregate variance overflows once
     # the rate 1000 + 100 t reaches 2400, at t = 14

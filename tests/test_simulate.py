@@ -17,7 +17,6 @@ from stormrisk.simulate import (
     _BATCH,
     _CATALOG,
     _CHUNK,
-    _LANE_CHUNK,
     _MAX_MARKS,
     _PIECE,
     _REPLICATE_COUNTS,
@@ -49,13 +48,13 @@ SEED_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1]
     tag=st.sampled_from([_CATALOG, _REPLICATE_COUNTS, _REPLICATE_MARKS]),
     year=st.one_of(st.none(), st.integers(0, _MAX_ROWS)),
     first=st.integers(0, _MAX_ROWS),
-    n_keys=st.sampled_from([1, 3, _CHUNK + 1]),
+    n_keys=st.sampled_from([1, 3, 1025]),
 )
 # entropies of 3, 4 (one- and two-word seeds) and 5 words
 @example(seed=0, tag=_CATALOG, year=None, first=1, n_keys=3)
 @example(seed=2**32 - 1, tag=_REPLICATE_COUNTS, year=20, first=0, n_keys=3)
 @example(seed=2**32, tag=_CATALOG, year=None, first=_MAX_ROWS - 2, n_keys=3)
-@example(seed=2**64 - 1, tag=_REPLICATE_MARKS, year=_MAX_ROWS, first=0, n_keys=_CHUNK + 1)
+@example(seed=2**64 - 1, tag=_REPLICATE_MARKS, year=_MAX_ROWS, first=0, n_keys=1025)
 def test_keyed_streams_match_default_rng(seed, tag, year, first, n_keys):
     prefix = (seed, tag) if year is None else (seed, tag, year)
     keys = range(first, first + n_keys)
@@ -126,13 +125,14 @@ def test_lanes_match_numpy_poisson_then_random(seed, first, lam):
     [
         ("gpd", 8.0, 0.1, 40),  # rate 10.0 exactly at t = 20: the per-year path
         ("uniform", 12.0, -0.1, 40),  # per-year years first, then lanes
-        ("exponential", 0.5, 0.0, _LANE_CHUNK + 3),  # longer than one lane chunk
+        ("exponential", 0.5, 0.0, _CHUNK + 3),  # longer than one chunk of lanes
+        ("gamma", 0.5, 0.0, _CHUNK + 3),  # longer than one chunk of per-year years
     ],
 )
 def test_catalog_matches_per_year_numpy_draws(family, alpha0, alpha1, n_years):
     horizon = (1, n_years)
     freq = sr.FrequencyModel(alpha0=alpha0, alpha1=alpha1, link="identity", horizon=horizon)
-    shape = 0.2 if family == "gpd" else None
+    shape = {"gpd": 0.2, "gamma": 2.0}.get(family)
     sev = sr.SeverityModel(family=family, beta0=2.0, beta1=0.01, horizon=horizon, shape=shape)
     config = sr.SimulationConfig(freq=freq, sev=sev, years=horizon, seed=77)
     lam = sr.rate(freq, np.arange(1, n_years + 1))
@@ -377,6 +377,34 @@ def test_an_exception_in_a_worker_thread_reaches_the_caller_unchanged(monkeypatc
         sr.replicate_fixed_year(config, 1, 5 * _BATCH)
     assert caught.value is error
     assert threading.active_count() == threads
+
+
+def test_an_exception_at_one_cpu_reaches_the_caller_unchanged(monkeypatch):
+    error = RuntimeError("injected at one CPU")
+
+    def failing(sev, t, rng, size):
+        raise error
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(simulate, "sample_intensity", failing)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    config = stationary_config("exponential", lam=2.0, mu=1.0, seed=1)
+    with pytest.raises(RuntimeError) as caught:
+        sr.replicate_fixed_year(config, 1, 5 * _BATCH)
+    assert caught.value is error
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan, None, "3", 2.5])
+def test_ensemble_year_must_be_an_integer(t):
+    config = stationary_config("exponential", lam=2.0, mu=1.0, years=(1, 5), seed=1)
+    message = f"t: must be an integer, got {t!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sr.replicate_fixed_year(config, t, 100)
+    # an integral float is an integer
+    assert len(sr.replicate_fixed_year(config, 4.0, 100)) == 100
 
 
 # --- config validation --------------------------------------------------------

@@ -139,3 +139,11 @@ def test_fewer_than_two_batches_of_ten_are_rejected(replicates):
     message = f"sample: needs at least 20 replicates, got {replicates}"
     with pytest.raises(ValueError, match=f"^{message}$"):
         verification_checks(sample, SUMMARY, 4.0)
+
+
+@pytest.mark.parametrize("sigma", [-1, 0, math.nan, math.inf])
+def test_sigma_must_be_positive_and_finite(sigma):
+    sample = _sample(np.ones(20), np.ones(20), np.ones(20))
+    message = f"sigma: must be positive and finite, got {sigma}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verification_checks(sample, SUMMARY, sigma)
