@@ -259,7 +259,7 @@ def _cmd_theory(args) -> ExitReport:
     # All years in one evaluation, before any output is opened, so an
     # error leaves no file.
     s = risk_summary(config.freq, config.sev, np.arange(1, config.n_years + 1))
-    columns = [range(start, end + 1), *(getattr(s, f.name) for f in fields(s))]
+    columns = [start + np.arange(config.n_years), *(getattr(s, f.name) for f in fields(s))]
     return _emit(
         args,
         lambda fh: write_csv_rows(fh, _SUMMARY_COLUMNS, columns, na_rep="nan"),

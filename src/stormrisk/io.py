@@ -5,7 +5,8 @@ integer in the signed 64-bit range and intensity a positive decimal
 with ``.`` separator.  Rows may come in any order; years missing between
 the earliest and latest event are materialised with zero events.
 UTF-8; read with LF, CRLF or CR line ends, written with CRLF as
-``csv.writer`` does.
+``csv.writer`` does and each double as ``repr`` writes it, a chunk of
+rows at a time (``write_csv_rows``).
 
 Series CSV schema (written, never read): header
 ``t,e_n,e_s,e_x,phi,rho,rho_lo,rho_hi,j2phi``; undefined values are
@@ -48,11 +49,11 @@ SERIES_COLUMNS = ("t", "e_n", "e_s", "e_x", "phi", "rho", "rho_lo", "rho_hi", "j
 EVENT_COLUMNS = ("year", "intensity")
 _EVENT_DTYPE = np.dtype([("year", np.int64), ("intensity", np.float64)])
 
-# Written CSVs end lines as csv.writer does.  Rows are formatted and
-# written in chunks of about this many cells (16384 event rows), which
-# keeps memory flat.
+# Written CSVs end lines as csv.writer does.  Rows are encoded and
+# written this many at a time, which keeps memory flat: a chunk's words
+# and temporaries take a few megabytes.
 _EOL = "\r\n"
-_CHUNK_CELLS = 32768
+_CHUNK_ROWS = 4096
 
 
 class CatalogFormatError(ValueError):
@@ -180,38 +181,42 @@ def _not_utf8(path: Path, encoding: str) -> str:
 
 
 def write_csv_rows(fh, header, columns, *, na_rep: str = "") -> None:
-    """Write a header and aligned columns as CSV, one chunk of rows at a time.
+    """Write a header and aligned columns as CSV, ``_CHUNK_ROWS`` rows at a time.
 
-    A float array column is written with ``repr``, the shortest string
-    that reads back to the same double, and NaN as ``na_rep``; every other
-    cell is written as ``str(cell)``.  Cells are written unquoted, so none
+    A float array column is written as ``repr`` writes each double, the
+    shortest string that reads back to the same double, and NaN as
+    ``na_rep``; an integer array as ``str`` of each value; any other
+    column as ``str`` of each cell.  Cells are written unquoted, so none
     may contain ``,``, ``"`` or a line break, and lines end in CRLF: the
-    bytes are those ``csv.writer`` writes for the same cells.  Only about
-    ``_CHUNK_CELLS`` cells are held as strings at once, and a column
-    object passed more than once is formatted once per chunk.
+    bytes are those ``csv.writer`` writes for the same cells.
+
+    No cell of an array becomes a Python string.  Each column chunk is
+    encoded at once to NUL-padded words (see ``_cells``), a column object
+    passed more than once is encoded once per chunk, and the chunk's rows
+    are laid side by side, stripped of NULs and decoded in one piece.
     """
     fh.write(",".join(header) + _EOL)
+    for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+        rows = _row_words(columns, lo, na_rep).T
+        fh.write(rows.tobytes().translate(None, b"\0").decode())
+
+
+def _row_words(columns, lo: int, na_rep: str) -> np.ndarray:
+    """The words of the cells, commas and line ends of the chunk of rows
+    from ``lo``, one row of words per word of a CSV row.  The column words
+    are freed on return, before the chunk's text is made, which keeps
+    the peak memory of a write down.  The encoder is imported on first
+    use: compiling it is about 5 ms of the start of every CLI call, and
+    most calls write no CSV."""
+    from ._cells import column_words
+
     distinct = {id(col): col for col in columns}
-    step = max(1, _CHUNK_CELLS // len(columns))
-    for lo in range(0, len(columns[0]), step):
-        cells = {k: _format_cells(c[lo : lo + step], na_rep) for k, c in distinct.items()}
-        rows = zip(*(cells[id(col)] for col in columns))
-        fh.write(_EOL.join(map(",".join, rows)) + _EOL)
-
-
-def _format_cells(part, na_rep: str) -> list[str]:
-    if not isinstance(part, np.ndarray):
-        return list(map(str, part))
-    if part.dtype.kind != "f":
-        return list(map(str, part.tolist()))
-    # One bit pattern throughout (0.0 and -0.0 differ): format one cell.
-    bits = part.view(f"u{part.itemsize}")
-    if len(bits) > 1 and bits[0] == bits[-1] and (bits == bits[0]).all():
-        return _format_cells(part[:1], na_rep) * len(part)
-    cells = list(map(repr, part.tolist()))
-    for i in np.flatnonzero(np.isnan(part)).tolist():
-        cells[i] = na_rep
-    return cells
+    words = {k: column_words(col[lo : lo + _CHUNK_ROWS], na_rep) for k, col in distinct.items()}
+    n = min(_CHUNK_ROWS, len(columns[0]) - lo)
+    comma = np.full((1, n), ord(","), np.uint32)
+    parts = [p for col in columns for p in (words[id(col)], comma)]
+    parts[-1] = np.full((1, n), int.from_bytes(_EOL.encode(), "little"), np.uint32)
+    return np.concatenate(parts)
 
 
 def write_events_stream(catalog: EventCatalog, fh) -> None:

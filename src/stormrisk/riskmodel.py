@@ -108,6 +108,10 @@ def risk_summary(freq: FrequencyModel, sev: SeverityModel, t) -> RiskSummary:
                 f"{lam.item(i)} times E[X^2] {m.second_moment.item(i)}"
             )
         cor_ns = m.mean * np.sqrt(lam / var_s)
+        # lam / var_s overflows where var_s is subnormal: there take the
+        # square roots apart, so every finite cor_ns keeps its bits
+        inf = ~np.isfinite(cor_ns)
+        cor_ns[inf] = np.sqrt(lam[inf]) * m.mean[inf] / np.sqrt(var_s[inf])
     e_s = lam * m.mean
     summary = {
         "e_n": lam,

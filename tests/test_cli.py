@@ -573,8 +573,9 @@ def test_verify_writes_non_finite_values_as_null(tmp_path, capsys):
 
 
 def test_verify_correlation_whose_variance_product_underflows_is_null(tmp_path, capsys):
-    # var(N) * var(S) of a batch underflows to 0.0, the aggregate variance
-    # is subnormal, and its closed-form correlation is not finite
+    # var(N) * var(S) of a batch underflows to 0.0, so the batch estimate
+    # is NaN; the aggregate variance is subnormal, yet the closed-form
+    # correlation stays the lognormal exp(-shape^2 / 2)
     cfg = write_config(
         tmp_path,
         {
@@ -589,7 +590,8 @@ def test_verify_correlation_whose_variance_product_underflows_is_null(tmp_path, 
     payload = strict_json(capsys.readouterr().out.strip().splitlines()[-1])
     checks = {c["name"]: c for c in payload["checks"]}
     correlation = checks["count-aggregate correlation"]
-    assert correlation["target"] is None and not correlation["passed"]
+    assert correlation["target"] == pytest.approx(math.exp(-(3.0**2) / 2), rel=1e-6)
+    assert not correlation["passed"]
 
 
 @pytest.mark.parametrize("sigma", ["inf", "nan"])
@@ -662,6 +664,10 @@ def loaded_by_cli_import(module: str) -> bool:
 
 def test_cli_import_leaves_scipy_unloaded():
     assert not loaded_by_cli_import("scipy.stats")
+
+
+def test_cli_import_leaves_the_csv_encoder_unloaded():
+    assert not loaded_by_cli_import("stormrisk._cells")
 
 
 def test_cli_import_leaves_concurrent_futures_unloaded():

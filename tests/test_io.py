@@ -128,22 +128,42 @@ def test_catalog_round_trip_preserves_events(tmp_path):
 
 
 def test_csv_rows_match_csv_writer_across_chunks():
+    chunk = sr.io._CHUNK_ROWS
+    for n in (chunk - 1, chunk, chunk + 1, 40_000):
+        fh = io.StringIO(newline="")
+        header, columns, expected = mixed_columns(n)
+        write_csv_rows(fh, header, columns)
+        assert fh.getvalue() == expected, n
+
+
+def mixed_columns(n):
+    """Header, columns and the csv.writer bytes of ``n`` rows of every
+    kind of column: int64, float (with NaN, signed zeros, infinities and
+    extremes, on both sides of the first chunk edge), range, strings, a
+    column object passed twice, a constant float and table1's strings."""
     rng = np.random.default_rng(3)
-    n = 40_000
     ints = rng.integers(-(2**62), 2**62, size=n)
     floats = rng.lognormal(0.0, 30.0, size=n) * rng.choice([-1.0, 1.0], size=n)
     odd = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308]
     floats[rng.integers(0, n, size=500)] = rng.choice(odd, size=500)
+    edge = min(sr.io._CHUNK_ROWS, n - 1)
+    floats[edge - 3 : edge + 1] = [math.nan, -0.0, math.inf, math.nan]
     labels = [f"r{i % 7}" for i in range(n)]
-    fh = io.StringIO(newline="")
-    write_csv_rows(fh, ("i", "x", "y", "label"), [ints, floats, range(n), labels])
+    constant = np.full(n, 0.1 + 0.2)
+    families = [("uniform", "gamma", "exponential", "lognormal", "gpd")[i % 5] for i in range(n)]
+    shapes = ["" if i % 5 in (0, 2) else repr(0.25 * (i % 5)) for i in range(n)]
+    header = ("i", "x", "y", "label", "x2", "c", "family", "shape")
+    columns = [ints, floats, range(n), labels, floats, constant, families, shapes]
 
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
-    writer.writerow(("i", "x", "y", "label"))
-    for row in zip(ints.tolist(), floats.tolist(), range(n), labels):
-        writer.writerow([row[0], "" if math.isnan(row[1]) else repr(row[1]), *row[2:]])
-    assert fh.getvalue() == expected.getvalue()
+    writer.writerow(header)
+    for i, x, y, label, c, family, shape in zip(
+        ints.tolist(), floats.tolist(), range(n), labels, constant.tolist(), families, shapes
+    ):
+        cell = "" if math.isnan(x) else repr(x)
+        writer.writerow([i, cell, y, label, cell, repr(c), family, shape])
+    return header, columns, expected.getvalue()
 
 
 def csv_writer_bytes(header, columns, na_rep):
@@ -156,8 +176,8 @@ def csv_writer_bytes(header, columns, na_rep):
 
 
 def test_csv_rows_format_constant_and_repeated_columns(monkeypatch):
-    # 4 cells a chunk: 2 rows of the 2 columns
-    monkeypatch.setattr(sr.io, "_CHUNK_CELLS", 4)
+    # 2 rows a chunk
+    monkeypatch.setattr(sr.io, "_CHUNK_ROWS", 2)
     n = 9
     constant = np.full(n, 0.1 + 0.2)
     signed_zeros = np.array([0.0, -0.0] * 4 + [0.0])
