@@ -64,22 +64,19 @@ def _tables():
     fields += ["", "0"] + [f"e{x:+03d}" for x in range(-324, 309)]
     text = np.frombuffer(b"".join(f.encode().ljust(8, b"\0") for f in fields), np.uint32)
 
-    v = np.arange(10000)[:, None]
-    chars = (v // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
-    place = np.arange(4)
-    first = 4 - (v >= [1, 10, 100, 1000]).sum(axis=1, keepdims=True)  # 4 for 0
-    lead = place >= first  # no leading zero
-    trail = v % [10000, 1000, 100, 10] != 0  # no trailing zero
-    dotted = np.where(place == first, np.uint8(ord(".")), chars)
-    variants = [
-        chars,
-        chars * trail,
-        chars * lead,
-        chars * (lead & trail),
-        dotted * lead,
-        dotted * (lead & trail),
-    ]
-    words = np.concatenate([text, *(c.view(np.uint32).ravel() for c in variants)])
+    # one row per digit place, one column per group value 0..9999
+    v = np.arange(10000)
+    place = np.array([[1000], [100], [10], [1]])
+    chars = (v // place % 10 + ord("0")).astype(np.uint8)
+    first = 4 - (v >= place[::-1]).sum(axis=0)  # place of the first nonzero digit, 4 for 0
+    row = np.arange(4)[:, None]
+    lead = row >= first  # no leading zero
+    trail = v % (10 * place) != 0  # no trailing zero
+    dotted = np.where(row == first, np.uint8(ord(".")), chars)
+    variants = [chars, chars * trail, chars * lead, chars * (lead & trail)]
+    variants = np.stack(variants + [dotted * lead, dotted * (lead & trail)])
+    digit_words = np.ascontiguousarray(variants.transpose(0, 2, 1)).view(np.uint32)
+    words = np.concatenate([text, digit_words.ravel()])
 
     # Schubfach's k and h for every biased exponent, regular and irregular
     q = np.maximum(np.arange(2048), 1) - 1075
