@@ -103,6 +103,11 @@ def test_int64_columns_are_written_as_str():
     assert cells(np.zeros(3, np.int64)) == ["0", "0", "0"]
 
 
+def test_an_unsigned_column_is_written_as_str():
+    values = np.array([0, 1, 2**63 - 1, 2**63, 2**64 - 1], np.uint64)
+    assert cells(values) == [str(v) for v in values.tolist()]
+
+
 def test_a_constant_column_keeps_its_sign_and_bits():
     assert cells(np.full(5, 0.1 + 0.2)) == ["0.30000000000000004"] * 5
     assert cells(np.full(3, -0.0)) == ["-0.0"] * 3
