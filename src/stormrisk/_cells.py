@@ -246,17 +246,11 @@ def text_words(cells) -> np.ndarray:
 
 def column_words(part, na_rep: str) -> np.ndarray:
     """The words of a column chunk, a float or signed integer array or any
-    other sequence of cells written as ``str``, without all-NUL rows.  An
-    array of one bit pattern throughout (0.0 and -0.0 differ) is encoded
-    once: on ``long_horizon``, whose ``theory`` has four constant columns,
-    that saves about 6 ms of a 139-ms pass on a 2-vCPU VM
-    (``BENCH_issue16_pairs.json``)."""
+    other sequence of cells written as ``str``, without all-NUL rows."""
     if not isinstance(part, np.ndarray):
         out = text_words(part)
     elif part.dtype.kind not in "fi":
         out = text_words(part.tolist())
-    elif len(part) > 1 and ((bits := part.view(f"u{part.itemsize}")) == bits[0]).all():
-        return np.repeat(column_words(part[:1], na_rep), len(part), axis=1)
     elif part.dtype.kind == "f":
         out = float_words(part, na_rep)
     else:
