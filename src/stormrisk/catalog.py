@@ -8,6 +8,7 @@ and ``s_t = 0`` so downstream estimators see the true count process.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,14 @@ __all__ = ["EventCatalog"]
 # sized by them.
 _MAX_ROWS = 10**7
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int, else a ValueError that starts with ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name}: must be an integer, got {value!r}") from None
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -8,14 +8,17 @@ Subcommands:
 * ``analyze``  long-run series and diagnostics for an event CSV
 * ``verify``   fixed-year Monte Carlo against the closed forms
 
-Primary data (CSV) goes to ``--out`` when given, else to stdout.  Human
-summaries go to stderr; a machine-readable JSON report (embedding the
-effective configuration and seed) goes to stdout whenever stdout is not
-already carrying CSV.  Exit codes: 0 ok, 1 verification failure,
-2 input error, 3 internal error (an exception of the program, reported
-as a JSON ``error``, never a traceback).  A config holds the models,
-years and seed, with the seed rule of `io.parse_config`; per-run values
-such as the ensemble size are flags.
+The library holds every rule and run (``verify`` is one call); this
+module maps flags to arguments, a library error's argument to its flag
+(``_ARG_FLAGS``), and formats the reports.  Primary data (CSV) goes to
+``--out`` when given, else to stdout.  Human summaries go to stderr; a
+machine-readable JSON report (embedding the effective configuration and
+seed) goes to stdout whenever stdout is not already carrying CSV.  Exit
+codes: 0 ok, 1 verification failure, 2 input error, 3 internal error
+(an exception of the program, reported as a JSON ``error``, never a
+traceback).  A config holds the models, years and seed, with the seed
+rule of `io.parse_config`; per-run values such as the ensemble size are
+flags.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from . import __version__
 from .estimate import long_run_series, mailier_index, nx_independence, season_activity
 from .io import (
     ConfigError,
+    config_dict,
     parse_config,
     read_events_csv,
     write_csv_rows,
@@ -45,8 +49,8 @@ from .io import (
 )
 from .riskmodel import RiskSummary, risk_summary, table1_row
 from .severity import Family
-from .simulate import replicate_fixed_year, simulate_catalog
-from .verify import _check_sigma, verification_checks
+from .simulate import simulate_catalog
+from .verify import verification_checks
 
 __all__ = ["ExitStatus", "ExitReport", "run", "main"]
 
@@ -264,7 +268,7 @@ def _cmd_theory(args) -> ExitReport:
         args,
         lambda fh: write_csv_rows(fh, _SUMMARY_COLUMNS, columns, na_rep="nan"),
         f"theory: wrote {config.n_years} yearly summaries over {start}-{end}",
-        {"config": config.to_dict(), "rows": config.n_years},
+        {"config": config_dict(config), "rows": config.n_years},
     )
 
 
@@ -297,7 +301,7 @@ def _cmd_simulate(args) -> ExitReport:
         f"simulate: {catalog.n_events} events over {catalog.n_years} years "
         f"(seed {config.seed})",
         {
-            "config": config.to_dict(),
+            "config": config_dict(config),
             "n_events": catalog.n_events,
             "n_years": catalog.n_years,
         },
@@ -339,17 +343,7 @@ def _cmd_analyze(args) -> ExitReport:
 
 def _cmd_verify(args) -> ExitReport:
     config = parse_config(args.config, "verify")
-    replicates = args.replicates
-    if replicates < 1000:
-        raise ConfigError(
-            "--replicates: need at least 1000 for stable standard errors, "
-            f"got {replicates}"
-        )
-    _check_sigma(args.sigma)
-    t = args.year if args.year is not None else (1 + config.n_years) // 2
-    summary = risk_summary(config.freq, config.sev, t)
-    ens = replicate_fixed_year(config, t, replicates)
-    checks = verification_checks(ens, summary, args.sigma)
+    t, checks = verification_checks(config, args.replicates, args.sigma, args.year)
 
     failed = [c for c in checks if not c["passed"]]
     status = ExitStatus.VERIFICATION_FAILURE if failed else ExitStatus.OK
@@ -361,13 +355,13 @@ def _cmd_verify(args) -> ExitReport:
     ]
     lines.append(
         f"verify: {len(checks) - len(failed)}/{len(checks)} checks passed at "
-        f"{args.sigma} standard errors (replicates {replicates}, year index {t}; "
+        f"{args.sigma} standard errors (replicates {args.replicates}, year index {t}; "
         f"per-check tolerance, no multiple-comparison adjustment)"
     )
     payload = {
         "mode": "verify",
-        "config": config.to_dict(),
-        "replicates": replicates,
+        "config": config_dict(config),
+        "replicates": args.replicates,
         "year_index": t,
         "sigma": args.sigma,
         "checks": [

@@ -22,12 +22,11 @@ Conventions
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import EventCatalog, _frozen
+from .catalog import EventCatalog, _frozen, _integer
 
 __all__ = [
     "LongRunSeries",
@@ -152,10 +151,7 @@ def long_run_series(
     if not 0.0 < ci_level < 1.0:
         raise ValueError(f"ci_level: must lie in (0, 1), got {ci_level}")
     if window is not None:
-        try:
-            window = operator.index(window)
-        except TypeError:
-            raise ValueError(f"window: must be an integer, got {window!r}") from None
+        window = _integer(window, "window")
         if window < 3:
             raise ValueError(f"window: must be at least 3 years, got {window}")
         if window > catalog.n_years:

@@ -132,14 +132,6 @@ def rate(model: FrequencyModel, t):
     return model._raw_rate(t)
 
 
-def sample_count(
-    model: FrequencyModel,
-    t: float,
-    rng: np.random.Generator,
-    size: int | None = None,
-):
-    """Poisson draw(s) with mean ``rate(model, t)``."""
-    lam = rate(model, t)
-    if size is None:
-        return int(rng.poisson(lam))
-    return rng.poisson(lam, size=int(size))
+def sample_count(model: FrequencyModel, t: float, rng: np.random.Generator, size: int):
+    """``size`` Poisson draws with mean ``rate(model, t)``."""
+    return rng.poisson(rate(model, t), size=int(size))

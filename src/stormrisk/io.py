@@ -14,6 +14,8 @@ written as empty fields.
 
 JSON run config: the models, year span and seed of one run; ``simulate``
 and ``verify`` take an omitted seed from ``RANDSUM_SEED``; ``theory`` uses none.
+``parse_config`` reads it and ``config_dict`` writes its fields back, so
+this module alone knows the field names.
 
 Parse errors carry the offending location (line number, JSON field path
 or variable name) and never escape as bare exceptions from deeper layers.
@@ -43,6 +45,7 @@ __all__ = [
     "write_events_stream",
     "write_series_stream",
     "parse_config",
+    "config_dict",
 ]
 
 SERIES_COLUMNS = ("t", "e_n", "e_s", "e_x", "phi", "rho", "rho_lo", "rho_hi", "j2phi")
@@ -343,6 +346,19 @@ def parse_config(path, mode: str) -> SimulationConfig:
         years=(start, end),
         seed=seed,
     )
+
+
+def config_dict(config: SimulationConfig) -> dict:
+    """The fields of ``config`` as `parse_config` reads them, ``mode`` aside."""
+    freq, sev = config.freq, config.sev
+    return {
+        "frequency": {"link": freq.link.value, "alpha0": freq.alpha0, "alpha1": freq.alpha1},
+        "severity": {
+            "family": sev.family.value, "beta0": sev.beta0, "beta1": sev.beta1, "shape": sev.shape
+        },
+        "years": list(config.years),
+        "seed": config.seed,
+    }
 
 
 def _parse_frequency(obj, horizon: tuple[int, int]) -> FrequencyModel:

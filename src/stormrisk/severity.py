@@ -214,8 +214,14 @@ def _exponential_ppf(u, mu):
 
 
 def _gpd_ppf(u, scale, xi):
-    if xi == 0.0:
-        return -scale * np.log1p(-u)
+    # Near xi = 0, (1 - u)^(-xi) - 1 cancels: a median 5-9 ulps off at
+    # |xi| 0.05, all digits at 1e-17.  -L expm1(y) / y, with expm1(y) / y
+    # taken as 1 at y = 0, stays within 2 ulps; from 0.05 on the first
+    # form keeps its bits.
+    if abs(xi) < 0.05:
+        L = np.log1p(-u)
+        y = -xi * L
+        return scale * -L * np.divide(np.expm1(y), y, out=np.ones_like(y), where=y != 0)
     return (scale / xi) * (np.power(1.0 - u, -xi) - 1.0)
 
 

@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import _INT64_MAX, _INT64_MIN, _MAX_ROWS, EventCatalog
-from .frequency import FrequencyModel, _exp, rate, sample_count
+from .catalog import _INT64_MAX, _INT64_MIN, _MAX_ROWS, EventCatalog, _integer
+from .frequency import FrequencyModel, _check_horizon, _exp, rate, sample_count
 from .severity import _INVERSE_CDF, SeverityModel, _inverse_cdf, sample_intensity
 
 __all__ = [
@@ -275,24 +275,6 @@ class SimulationConfig:
     def n_years(self) -> int:
         return self.years[1] - self.years[0] + 1
 
-    def to_dict(self) -> dict:
-        """The models, years and seed as a JSON-ready dict."""
-        return {
-            "frequency": {
-                "link": self.freq.link.value,
-                "alpha0": self.freq.alpha0,
-                "alpha1": self.freq.alpha1,
-            },
-            "severity": {
-                "family": self.sev.family.value,
-                "beta0": self.sev.beta0,
-                "beta1": self.sev.beta1,
-                "shape": self.sev.shape,
-            },
-            "years": list(self.years),
-            "seed": self.seed,
-        }
-
 
 def _seed(config: SimulationConfig) -> int:
     if config.seed is None:
@@ -407,6 +389,18 @@ def _each_block(draw, n_blocks: int) -> None:
         raise errors[0]
 
 
+def _year_index(config: SimulationConfig, t) -> int:
+    """The year rule of an ensemble: ``t`` as an int in ``[1, config.n_years]``."""
+    try:
+        t_int = int(t)
+    except (TypeError, ValueError, OverflowError):  # None, "3.5", nan, inf
+        t_int = None
+    if t_int is None or t_int != t:
+        raise ValueError(f"t: must be an integer, got {t!r}")
+    _check_horizon((1, config.n_years), t_int)
+    return t_int
+
+
 def replicate_fixed_year(
     config: SimulationConfig, t: float, replicates: int
 ) -> FixedYearSample:
@@ -420,22 +414,12 @@ def replicate_fixed_year(
     how many replicates follow it, nor on which thread draws its block.
     """
     seed = _seed(config)
-    try:
-        replicates = operator.index(replicates)
-    except TypeError:
-        raise ValueError(f"replicates: must be an integer, got {replicates!r}") from None
+    replicates = _integer(replicates, "replicates")
     if replicates < 2:
         raise ValueError(f"replicates: need at least 2, got {replicates}")
     if replicates > _MAX_ROWS:
         raise ValueError(f"replicates: at most {_MAX_ROWS} fit the row budget, got {replicates}")
-    try:
-        t_int = int(t)
-    except (TypeError, ValueError, OverflowError):  # None, "3.5", nan, inf
-        t_int = None
-    if t_int is None or t_int != t:
-        raise ValueError(f"t: must be an integer, got {t!r}")
-    if not 1 <= t_int <= config.n_years:
-        raise ValueError(f"t: must lie in [1, {config.n_years}], got {t_int}")
+    t_int = _year_index(config, t)
     lam = rate(config.freq, t_int)
     block = min(replicates, _BATCH)
     if not (marks := block * lam) <= _MAX_ROWS:

@@ -1,6 +1,7 @@
 """Monte Carlo verification of the closed forms at one year.
 
-A fixed-year replicate ensemble is compared with the closed-form
+`verification_checks` checks a config's rules, draws a fixed-year
+replicate ensemble and compares it with the closed-form
 :class:`~stormrisk.riskmodel.RiskSummary` of the same year: eight
 statistics, each against one summary field, computed together by
 `_statistics`.  Standard errors come from batch means: the replicates
@@ -17,8 +18,9 @@ import math
 
 import numpy as np
 
-from .riskmodel import RiskSummary, j_squared_from_correlation
-from .simulate import FixedYearSample
+from . import riskmodel, simulate
+from .catalog import _integer
+from .riskmodel import j_squared_from_correlation
 
 __all__ = ["verification_checks"]
 
@@ -59,12 +61,6 @@ def _statistics(n, s, x1) -> tuple[float, ...]:
     return (*moments, cov_ns, cor_ns, cov_xs, j_squared)
 
 
-def _check_sigma(sigma) -> None:
-    """The sigma rule of a verification: a positive, finite tolerance."""
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma: must be positive and finite, got {sigma}")
-
-
 def _batch_se(values) -> float:
     values = [v for v in values if not math.isnan(v)]
     if len(values) < 2:
@@ -73,19 +69,33 @@ def _batch_se(values) -> float:
 
 
 def verification_checks(
-    sample: FixedYearSample, summary: RiskSummary, sigma: float
-) -> list[dict]:
-    """One dict per check: name, estimate, target, batch-means standard
-    error ``se`` and ``passed``.
-
-    A check whose estimate, target or standard error is not finite
-    fails; one with a zero standard error passes only on an exact match.
-    A sample of fewer than two batches of 10 replicates, and a ``sigma``
-    that is not positive and finite, are rejected.
+    config: simulate.SimulationConfig, replicates: int, sigma: float = 4.0, t: int | None = None
+) -> tuple[int, list[dict]]:
+    """The year index ``t`` (default: mid-horizon) and one dict per check
+    of ``replicates`` draws there: name, estimate, target, batch-means
+    standard error ``se`` and ``passed``.  A check whose estimate, target
+    or se is not finite fails; one with a zero se passes only on an exact
+    match.  Before any work: ``replicates`` an integer of at least 1000,
+    ``sigma`` positive and finite, ``t`` an integer in ``[1, n_years]``.
     """
-    _check_sigma(sigma)
-    if len(sample) < 20:  # two batches of 10, the fewest with a batch-means SE
-        raise ValueError(f"sample: needs at least 20 replicates, got {len(sample)}")
+    replicates = _integer(replicates, "replicates")
+    if replicates < 1000:
+        raise ValueError(
+            f"replicates: need at least 1000 for stable standard errors, got {replicates}"
+        )
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma: must be positive and finite, got {sigma}")
+    t = (1 + config.n_years) // 2 if t is None else simulate._year_index(config, t)
+    # through the modules, whose attributes a tracer may replace
+    summary = riskmodel.risk_summary(config.freq, config.sev, t)
+    sample = simulate.replicate_fixed_year(config, t, replicates)
+    return t, _checks(sample, summary, sigma)
+
+
+def _checks(
+    sample: simulate.FixedYearSample, summary: riskmodel.RiskSummary, sigma: float
+) -> list[dict]:
+    """`verification_checks` on a sample of 20 replicates or more."""
     full = (sample.counts.astype(np.float64), sample.sums, sample.first_marks)
     n_batches = min(100, len(sample) // 10)
     batches = zip(*(np.array_split(a, n_batches) for a in full))
@@ -94,20 +104,12 @@ def verification_checks(
         ses = [_batch_se(v) for v in zip(*(_statistics(*b) for b in batches))]
     checks = []
     for (name, field), estimate, se in zip(_CHECKS, estimates, ses):
-        target = getattr(summary, field)
+        target = float(getattr(summary, field))
         if not (math.isfinite(estimate) and math.isfinite(target) and math.isfinite(se)):
             passed = False
         elif se == 0.0:
             passed = estimate == target
         else:
             passed = abs(estimate - target) <= sigma * se
-        checks.append(
-            {
-                "name": name,
-                "estimate": estimate,
-                "target": float(target),
-                "se": se,
-                "passed": bool(passed),
-            }
-        )
+        checks.append(dict(name=name, estimate=estimate, target=target, se=se, passed=bool(passed)))
     return checks

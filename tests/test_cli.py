@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import stormrisk as sr
 from stormrisk import catalog, simulate
 from stormrisk.cli import ExitStatus, main, run
-from stormrisk.verify import verification_checks
+from stormrisk.verify import _checks
 
 from helpers import (
     EXTREME_FLOATS,
@@ -156,6 +156,55 @@ def test_simulate_then_analyze_pipeline(tmp_path):
     assert "nx_independence" in diag
     assert diag["mailier_index"] is not None
     assert len(diag["season_activity"]) == 60
+
+
+def _simulated_marks(tmp_path, cfg):
+    """Exit code and event intensities of ``simulate`` on ``cfg``."""
+    events = tmp_path / "events.csv"
+    code = main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(events)])
+    if code != 0:
+        return code, None
+    return code, np.loadtxt(events, delimiter=",", skiprows=1, ndmin=2)[:, 1]
+
+
+# the shapes at which the GPD inverse CDF cancelled to 0.0 and to NaN;
+# rate 2 draws catalog years as lanes, rate 20 per year
+@pytest.mark.parametrize("shape", [1e-17, 5e-324, -5e-324])
+@pytest.mark.parametrize("alpha0", [2.0, 20.0])
+def test_simulate_at_a_gpd_shape_near_zero_writes_positive_marks(tmp_path, capsys, shape, alpha0):
+    severity = {"family": "gpd", "beta0": 1.0, "beta1": 0.0, "shape": shape}
+    frequency = {"link": "identity", "alpha0": alpha0, "alpha1": 0.0}
+    cfg = simulate_config(severity=severity, frequency=frequency)
+    code, marks = _simulated_marks(tmp_path, cfg)
+    assert code == 0, capsys.readouterr().out
+    assert len(marks) > 0 and np.all((marks > 0) & (marks < np.inf))
+
+
+GPD_SHAPES = st.one_of(
+    st.floats(-1.0, 0.5, exclude_max=True),
+    st.floats(-1e-6, 1e-6),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-17, -1e-17, 0.05, -0.05]),
+    st.floats(max_value=0.5, exclude_max=True, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(shape=GPD_SHAPES, alpha0=st.sampled_from([2.0, 20.0]))
+def test_simulate_at_any_accepted_gpd_shape_writes_positive_marks(tmp_path_factory, shape, alpha0):
+    try:
+        sr.SeverityModel(family="gpd", beta0=1.0, beta1=0.0, horizon=(1, 20), shape=shape)
+    except ValueError:
+        return  # a shape the model rejects is an input error, tested elsewhere
+    cfg = simulate_config(
+        frequency={"link": "identity", "alpha0": alpha0, "alpha1": 0.0},
+        severity={"family": "gpd", "beta0": 1.0, "beta1": 0.0, "shape": shape},
+        years=[1, 20],
+    )
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code, marks = _simulated_marks(tmp_path_factory.mktemp("gpd"), cfg)
+    assert code == 0, out.getvalue()
+    assert np.all((marks > 0) & (marks < np.inf))
 
 
 def test_analyze_with_window(tmp_path):
@@ -534,7 +583,7 @@ def test_verification_fails_checks_whose_statistics_overflow():
     config = stationary_config("lognormal", lam=10.0, mu=1.0, shape=1.0)
     summary = sr.risk_summary(config.freq, config.sev, 1)
     # no floating-point warning escapes: pytest makes warnings errors
-    checks = {c["name"]: c for c in verification_checks(sample, summary, 4.0)}
+    checks = {c["name"]: c for c in _checks(sample, summary, 4.0)}
     variance = checks["aggregate variance (Blackwell-Girshick)"]
     assert math.isfinite(variance["estimate"]) and variance["se"] == math.inf
     assert not variance["passed"]
@@ -798,6 +847,15 @@ def invocations(draw):
     return argv, {"cfg.json": json.dumps(config).encode()}
 
 
+# verify checks whose target is a correlation or a variance
+TARGET_RANGES = {
+    "count-aggregate correlation": (0.0, 1.0),
+    "count variance": (0.0, math.inf),
+    "aggregate variance (Blackwell-Girshick)": (0.0, math.inf),
+    "intensity-aggregate covariance": (0.0, math.inf),  # Var(X)
+}
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(case=invocations())
 def test_every_input_exits_0_1_or_2_with_a_json_payload(tmp_path_factory, case):
@@ -819,5 +877,11 @@ def test_every_input_exits_0_1_or_2_with_a_json_payload(tmp_path_factory, case):
         warnings.simplefilter("default")
         code = main(argv)
     assert code in (0, 1, 2), err.getvalue()
-    strict_json(out.getvalue().splitlines()[-1])
+    payload = strict_json(out.getvalue().splitlines()[-1])
     assert "Traceback" not in err.getvalue()
+    # a closed-form target is null or in its range
+    for check in payload.get("checks", ()):
+        target = check["target"]
+        if check["name"] in TARGET_RANGES and target is not None:
+            low, high = TARGET_RANGES[check["name"]]
+            assert low <= target <= high, check

@@ -93,11 +93,12 @@ def test_sample_count_mean_and_equidispersion():
 
 
 def test_sample_count_scalar_and_determinism():
+    # one draw is an array of one count, as any other size is
     model = log_model(1.0, 0.0)
-    a = sr.sample_count(model, 2, np.random.default_rng(3))
-    b = sr.sample_count(model, 2, np.random.default_rng(3))
-    assert isinstance(a, int)
-    assert a == b
+    a = sr.sample_count(model, 2, np.random.default_rng(3), size=1)
+    b = sr.sample_count(model, 2, np.random.default_rng(3), size=1)
+    assert a.shape == (1,) and a.dtype == np.int64
+    assert np.array_equal(a, b)
 
 
 def test_theoretical_dispersion_is_one_for_poisson():

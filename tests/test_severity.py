@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -207,9 +208,28 @@ def test_inverse_cdf_reference_points():
     assert _gpd_ppf(u, 1.0, 1e-10) == pytest.approx(_gpd_ppf(u, 1.0, 0.0), rel=1e-6)
 
 
+@pytest.mark.parametrize("xi", [0.049, 1e-8, 1e-17, 5e-324, -5e-324, -1e-12, -0.049])
+def test_gpd_inverse_cdf_near_zero_shape_keeps_its_digits(xi):
+    # against (1 - u)^(-xi) - 1 in 400-digit decimals, enough for y near 5e-324
+    u = np.random.default_rng(0).random(200)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 400
+        d = decimal.Decimal(xi)
+        want = [float(((-d * (1 - decimal.Decimal(v)).ln()).exp() - 1) / d) for v in u.tolist()]
+    got = _gpd_ppf(u, 1.0, xi)
+    assert np.all(np.abs(got - want) <= 2 * np.spacing(np.array(want)))
+
+
 @pytest.mark.parametrize(
     "family,shape",
-    [("uniform", None), ("exponential", None), ("gpd", 0.2), ("gpd", 0.0), ("gpd", -0.3)],
+    [
+        ("uniform", None),
+        ("exponential", None),
+        ("gpd", 0.2),
+        ("gpd", 0.0),
+        ("gpd", -0.3),
+        ("gpd", 0.01),
+    ],
 )
 def test_one_inverse_cdf_pass_matches_per_year_sampling(family, shape):
     # simulate_catalog draws each year's uniforms from its own stream and

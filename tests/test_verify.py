@@ -1,11 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import stormrisk as sr
+from stormrisk import riskmodel, simulate
 from stormrisk.riskmodel import j_squared_from_correlation
-from stormrisk.verify import verification_checks
+from stormrisk.verify import _checks, verification_checks
 
 from helpers import FAMILIES, stationary_config
 
@@ -85,7 +87,7 @@ SUMMARY = sr.risk_summary(_GAMMA.freq, _GAMMA.sev, 1)
 
 
 def assert_same_bits(sample):
-    got = [(c["estimate"], c["se"]) for c in verification_checks(sample, SUMMARY, 4.0)]
+    got = [(c["estimate"], c["se"]) for c in _checks(sample, SUMMARY, 4.0)]
     want = reference_estimates_and_ses(sample)
     assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
 
@@ -132,18 +134,90 @@ def test_degenerate_samples_match_the_reference_bit_for_bit(name):
     assert_same_bits(DEGENERATE[name])
 
 
-@pytest.mark.parametrize("replicates", [0, 1, 2, 9, 10, 19])
-def test_fewer_than_two_batches_of_ten_are_rejected(replicates):
-    # 20, two batches of 10, is in the degenerate samples above
-    sample = _sample(np.ones(replicates), np.ones(replicates), np.ones(replicates))
-    message = f"sample: needs at least 20 replicates, got {replicates}"
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        verification_checks(sample, SUMMARY, 4.0)
+# --- the entry: rules before any work ---------------------------------------------
+
+
+@pytest.fixture
+def nothing_drawn(monkeypatch):
+    """Make the entry's two module calls fail, so that a test shows a rule
+    rejects its input before any summary or draw."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("called after the rules")
+
+    monkeypatch.setattr(riskmodel, "risk_summary", fail)
+    monkeypatch.setattr(simulate, "replicate_fixed_year", fail)
+
+
+SEEDED = stationary_config("gamma", lam=3.0, mu=2.0, shape=2.0, seed=7)
+
+
+@pytest.mark.parametrize(
+    "replicates,message",
+    [
+        (0, "need at least 1000 for stable standard errors, got 0"),
+        (20, "need at least 1000 for stable standard errors, got 20"),
+        (999, "need at least 1000 for stable standard errors, got 999"),
+        (1000.5, "must be an integer, got 1000.5"),
+        (1000.0, "must be an integer, got 1000.0"),
+        ("1000", "must be an integer, got '1000'"),
+        (None, "must be an integer, got None"),
+    ],
+)
+def test_entry_rejects_replicates_before_any_draw(nothing_drawn, replicates, message):
+    with pytest.raises(ValueError, match=f"^replicates: {re.escape(message)}$"):
+        verification_checks(SEEDED, replicates)
 
 
 @pytest.mark.parametrize("sigma", [-1, 0, math.nan, math.inf])
-def test_sigma_must_be_positive_and_finite(sigma):
-    sample = _sample(np.ones(20), np.ones(20), np.ones(20))
+def test_sigma_must_be_positive_and_finite(nothing_drawn, sigma):
     message = f"sigma: must be positive and finite, got {sigma}"
     with pytest.raises(ValueError, match=f"^{message}$"):
-        verification_checks(sample, SUMMARY, sigma)
+        verification_checks(SEEDED, 1000, sigma)
+
+
+@pytest.mark.parametrize(
+    "t,message",
+    [
+        (0, "must lie in [1, 60], got 0"),
+        (61, "must lie in [1, 60], got 61"),
+        (10**20, "must lie in [1, 60], got 100000000000000000000"),
+        (3.5, "must be an integer, got 3.5"),
+        (math.nan, "must be an integer, got nan"),
+    ],
+)
+def test_entry_rejects_a_year_index_before_any_draw(nothing_drawn, t, message):
+    with pytest.raises(ValueError, match=f"^t: {re.escape(message)}$"):
+        verification_checks(SEEDED, 1000, t=t)
+
+
+def test_entry_checks_the_rules_in_order(nothing_drawn):
+    # replicates, then sigma, then the year
+    with pytest.raises(ValueError, match="^replicates: "):
+        verification_checks(SEEDED, 999, -1.0, 0)
+    with pytest.raises(ValueError, match="^sigma: "):
+        verification_checks(SEEDED, 1000, -1.0, 0)
+
+
+def test_entry_defaults_to_the_middle_year_through_the_modules(monkeypatch):
+    # a tracer hooks the module attributes, so the entry must call them there
+    calls = []
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    spy(riskmodel, "risk_summary")
+    spy(simulate, "replicate_fixed_year")
+    t, checks = verification_checks(SEEDED, 1009)
+    assert (t, calls) == (30, ["risk_summary", "replicate_fixed_year"])
+    sample = sr.replicate_fixed_year(SEEDED, 30, 1009)
+    summary = sr.risk_summary(SEEDED.freq, SEEDED.sev, 30)
+    assert checks == _checks(sample, summary, 4.0)
+    assert verification_checks(SEEDED, 1009, 4.0, 30) == (30, checks)
+    assert verification_checks(SEEDED, 1009, t=4.0)[0] == 4
