@@ -13,18 +13,12 @@ __version__ = "0.1.0"
 from .catalog import EventCatalog
 from .estimate import (
     LongRunSeries,
-    fisher_interval,
     long_run_series,
     mailier_index,
     nx_independence,
     season_activity,
 )
-from .frequency import (
-    FrequencyModel,
-    RateLink,
-    rate,
-    sample_count,
-)
+from .frequency import FrequencyModel, RateLink
 from .io import (
     CatalogFormatError,
     ConfigError,
@@ -37,14 +31,7 @@ from .riskmodel import (
     risk_summary,
     table1_row,
 )
-from .severity import (
-    Family,
-    Moments,
-    SeverityModel,
-    j_squared,
-    sample_intensity,
-    severity_moments,
-)
+from .severity import Family, SeverityModel, j_squared
 from .simulate import (
     FixedYearSample,
     SimulationConfig,
@@ -56,15 +43,12 @@ __all__ = [
     "__version__",
     "EventCatalog",
     "LongRunSeries",
-    "fisher_interval",
     "long_run_series",
     "mailier_index",
     "nx_independence",
     "season_activity",
     "FrequencyModel",
     "RateLink",
-    "rate",
-    "sample_count",
     "CatalogFormatError",
     "ConfigError",
     "parse_config",
@@ -74,11 +58,8 @@ __all__ = [
     "risk_summary",
     "table1_row",
     "Family",
-    "Moments",
     "SeverityModel",
     "j_squared",
-    "sample_intensity",
-    "severity_moments",
     "FixedYearSample",
     "SimulationConfig",
     "replicate_fixed_year",

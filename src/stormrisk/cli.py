@@ -2,8 +2,9 @@
 
 Subcommands:
 
-* ``theory``   closed-form yearly summaries for a configured model, or
-  the five-family reference table via ``--table1``
+* ``theory``   closed-form yearly summaries for a configured model
+  (``--config``), or the five-family reference table (``--table1``, the
+  only mode the shape flags apply to)
 * ``simulate`` write a seeded event catalog as CSV
 * ``analyze``  long-run series and diagnostics for an event CSV
 * ``verify``   fixed-year Monte Carlo against the closed forms
@@ -16,9 +17,9 @@ machine-readable JSON report (embedding the effective configuration and
 seed) goes to stdout whenever stdout is not already carrying CSV.  Exit
 codes: 0 ok, 1 verification failure, 2 input error, 3 internal error
 (an exception of the program, reported as a JSON ``error``, never a
-traceback).  A config holds the models, years and seed, with the seed
-rule of `io.parse_config`; per-run values such as the ensemble size are
-flags.
+traceback).  A config holds the models, years and seed, which
+``simulate`` and ``verify`` require (`io.parse_config`); per-run values
+such as the ensemble size are flags.
 """
 
 from __future__ import annotations
@@ -98,15 +99,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_theory = sub.add_parser("theory", help="closed-form yearly summaries")
-    p_theory.add_argument("--config", help="JSON run configuration")
-    p_theory.add_argument("--out", help="write CSV here instead of stdout")
-    p_theory.add_argument(
+    source = p_theory.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="JSON run configuration")
+    source.add_argument(
         "--table1",
         action="store_true",
         help="print the five-family reference table at unit scale and rate",
     )
+    p_theory.add_argument("--out", help="write CSV here instead of stdout")
     for flag, default in _TABLE1_SHAPES.values():
-        p_theory.add_argument(flag, type=float, default=default)
+        p_theory.add_argument(flag, type=float, help=f"--table1 only (default {default})")
 
     p_sim = sub.add_parser("simulate", help="generate a seeded event catalog")
     p_sim.add_argument("--config", required=True)
@@ -253,11 +255,17 @@ _TABLE1_COLUMNS = (
 )
 
 
+def _shape_flags(args) -> dict:
+    """The value of each family's shape flag, None where not given."""
+    return {f: vars(args)[flag[2:].replace("-", "_")] for f, (flag, _) in _TABLE1_SHAPES.items()}
+
+
 def _cmd_theory(args) -> ExitReport:
     if args.table1:
         return _theory_table1(args)
-    if not args.config:
-        raise ConfigError("theory: --config is required unless --table1 is given")
+    for f, value in _shape_flags(args).items():
+        if value is not None:  # a config's shape is its severity.shape
+            raise ConfigError(f"{_TABLE1_SHAPES[f][0]}: applies only with --table1")
     config = parse_config(args.config, "theory")
     start, end = config.years
     # All years in one evaluation, before any output is opened, so an
@@ -273,7 +281,7 @@ def _cmd_theory(args) -> ExitReport:
 
 
 def _theory_table1(args) -> ExitReport:
-    shapes = {f: vars(args)[flag[2:].replace("-", "_")] for f, (flag, _) in _TABLE1_SHAPES.items()}
+    shapes = {f: _TABLE1_SHAPES[f][1] if v is None else v for f, v in _shape_flags(args).items()}
     shape_cells = [repr(shapes[f]) if f in shapes else "" for f in _TABLE1_FAMILIES]
 
     rows = []

@@ -257,7 +257,8 @@ def mailier_index(counts) -> float:
 
     Zero for Poisson-like counts, positive under clustering, negative
     for more regular occurrence.  Uses the population variance, so it
-    equals the terminal long-run ``phi`` minus one exactly.
+    equals the terminal long-run ``phi`` minus one up to rounding: the
+    two sum the counts in different orders.
     """
     counts = np.asarray(counts, dtype=np.float64)
     if counts.ndim != 1 or len(counts) < 2:

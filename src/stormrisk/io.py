@@ -13,7 +13,7 @@ Series CSV schema (written, never read): header
 written as empty fields.
 
 JSON run config: the models, year span and seed of one run; ``simulate``
-and ``verify`` take an omitted seed from ``RANDSUM_SEED``; ``theory`` uses none.
+and ``verify`` require the seed, and ``theory`` checks one given but uses none.
 ``parse_config`` reads it and ``config_dict`` writes its fields back, so
 this module alone knows the field names.
 
@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import warnings
 from pathlib import Path
 
@@ -238,8 +237,6 @@ def write_series_stream(series: LongRunSeries, fh) -> None:
 
 # --- run configuration -------------------------------------------------
 
-SEED_ENV_VAR = "RANDSUM_SEED"
-
 _TOP_FIELDS = {"mode", "frequency", "severity", "years", "seed"}
 _FREQ_FIELDS = {"link", "alpha0", "alpha1"}
 _SEV_FIELDS = {"family", "beta0", "beta1", "shape"}
@@ -281,24 +278,17 @@ def _as_int(v, where: str) -> int:
 
 
 def _run_seed(raw: dict, mode: str) -> int | None:
-    """The seed ``mode`` runs with, a checked unsigned 64-bit integer: the
-    config's, else ``SEED_ENV_VAR``'s, and none for ``theory``."""
-    if "seed" in raw:
-        where, seed = "config.seed", _as_int(raw["seed"], "config.seed")
-    elif mode == "theory":
-        return None
-    elif (text := os.environ.get(SEED_ENV_VAR)) is None:
-        raise ConfigError(f"config.seed: required (or set {SEED_ENV_VAR}) for this mode")
-    else:
-        where = SEED_ENV_VAR
-        try:
-            seed = int(text)
-        except ValueError:
-            raise ConfigError(f"{where}: expected an integer seed, got {text!r}") from None
+    """The seed ``mode`` runs with: the config's, a checked unsigned 64-bit
+    integer, which ``simulate`` and ``verify`` require; none for ``theory``."""
+    if "seed" not in raw:
+        if mode == "theory":
+            return None
+        raise ConfigError("config.seed: required for this mode")
+    seed = _as_int(raw["seed"], "config.seed")
     try:
         _check_seed(seed)
     except ValueError as exc:
-        raise ConfigError(where + str(exc).removeprefix("seed")) from None
+        raise ConfigError(f"config.{exc}") from None
     return None if mode == "theory" else seed
 
 

@@ -224,8 +224,9 @@ def _check_years(start: int, end: int) -> None:
     """The years rule of a run: signed 64-bit integers ``start <= end``,
     spanning at most ``_MAX_ROWS`` years."""
     for year in (start, end):
-        if not (_INT64_MIN <= year <= _INT64_MAX and year == int(year)):
+        if not _index_in(year, _INT64_MIN, _INT64_MAX):
             raise ValueError(f"years: must be signed 64-bit integers, got {year}")
+    start, end = operator.index(start), operator.index(end)  # numpy integers wrap
     if start > end:
         raise ValueError(f"years: start {start} exceeds end {end}")
     if (n := end - start + 1) > _MAX_ROWS:
@@ -234,12 +235,16 @@ def _check_years(start: int, end: int) -> None:
 
 def _check_seed(seed) -> None:
     """The seed rule of a run: an integer in ``[0, 2**64)``."""
-    try:
-        fits = 0 <= operator.index(seed) < 2**64
-    except TypeError:
-        fits = False
-    if not fits:
+    if not _index_in(seed, 0, 2**64 - 1):
         raise ValueError(f"seed: must fit in unsigned 64 bits, got {seed!r}")
+
+
+def _index_in(value, lo: int, hi: int) -> bool:
+    """Whether ``value`` is an integer (`operator.index`) in ``[lo, hi]``."""
+    try:
+        return lo <= operator.index(value) <= hi
+    except TypeError:
+        return False
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -5,7 +5,7 @@ replicate ensemble and compares it with the closed-form
 :class:`~stormrisk.riskmodel.RiskSummary` of the same year: eight
 statistics, each against one summary field, computed together by
 `_statistics`.  Standard errors come from batch means: the replicates
-are split into at most 100 contiguous batches of at least 10, the eight
+are split into 100 contiguous batches of at least 10, the eight
 statistics are computed per batch, and the spread of the batch values
 estimates the sampling error of the pooled statistic.  A check passes
 when its estimate lies within ``sigma`` standard errors of its target;
@@ -95,7 +95,9 @@ def verification_checks(
 def _checks(
     sample: simulate.FixedYearSample, summary: riskmodel.RiskSummary, sigma: float
 ) -> list[dict]:
-    """`verification_checks` on a sample of 20 replicates or more."""
+    """`verification_checks` on a sample of ``n >= 20`` replicates, in
+    ``min(100, n // 10)`` batches: 100 at the 1000 or more that
+    `verification_checks` takes."""
     full = (sample.counts.astype(np.float64), sample.sums, sample.first_marks)
     n_batches = min(100, len(sample) // 10)
     batches = zip(*(np.array_split(a, n_batches) for a in full))

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import importlib.util
 import io
 import re
 from pathlib import Path
@@ -19,15 +20,12 @@ PUBLIC = [
     "__version__",
     "EventCatalog",
     "LongRunSeries",
-    "fisher_interval",
     "long_run_series",
     "mailier_index",
     "nx_independence",
     "season_activity",
     "FrequencyModel",
     "RateLink",
-    "rate",
-    "sample_count",
     "CatalogFormatError",
     "ConfigError",
     "parse_config",
@@ -37,11 +35,8 @@ PUBLIC = [
     "risk_summary",
     "table1_row",
     "Family",
-    "Moments",
     "SeverityModel",
     "j_squared",
-    "sample_intensity",
-    "severity_moments",
     "FixedYearSample",
     "SimulationConfig",
     "replicate_fixed_year",
@@ -49,10 +44,26 @@ PUBLIC = [
 ]
 
 
+# Steps and parts of the entries above, public in their modules only.
+MODULE_ONLY = {
+    "estimate": ["fisher_interval"],
+    "frequency": ["rate", "sample_count"],
+    "severity": ["Moments", "sample_intensity", "severity_moments"],
+}
+
+
 def test_public_names_are_exactly_the_listed_ones():
     assert sr.__all__ == PUBLIC
-    assert len(sr.__all__) == 30
+    assert len(sr.__all__) == 24
     assert all(hasattr(sr, name) for name in PUBLIC)
+
+
+def test_module_only_names_import_from_their_modules():
+    for module, names in MODULE_ONLY.items():
+        mod = importlib.import_module(f"stormrisk.{module}")
+        for name in names:
+            assert name in mod.__all__ and hasattr(mod, name)
+            assert not hasattr(sr, name)
 
 
 def test_readme_library_quick_start_runs():
@@ -126,3 +137,18 @@ def test_cli_imports_no_private_package_name():
         )
     ]
     assert private == []
+
+
+def test_benchmark_hooks_resolve_in_the_package():
+    # perfbench/spans.py wraps package functions by module and name; a hook
+    # that no longer resolves records nothing, and its per-layer metric
+    # silently reads 0.  The two window hooks are known stale.
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for module, attr, *_ in (*spans.SPANS, *spans.COUNTERS):
+        owner, leaf = spans._resolve(module, attr)
+        if owner is None or not hasattr(owner, leaf):
+            missing.append(f"{module}.{attr}")
+    assert missing == ["estimate.moving_window_correlation", "estimate.with_window_correlation"]

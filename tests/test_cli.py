@@ -123,6 +123,26 @@ def test_theory_requires_config_or_table1():
     assert report.status is ExitStatus.INPUT_ERROR
 
 
+def test_theory_takes_config_or_table1_not_both(tmp_path):
+    # the table ignores any config, so one given with it is an input error
+    out = tmp_path / "table1.csv"
+    report = run(["theory", "--table1", "--config", "/nonexistent.json", "--out", str(out)])
+    assert report.status is ExitStatus.INPUT_ERROR
+    assert "not allowed with argument" in report.payload["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--gamma-shape", "--lognormal-sigma", "--gpd-shape"])
+def test_theory_shape_flags_need_table1(tmp_path, flag):
+    # a config's severity carries its own shape; the flag would be ignored
+    cfg = write_config(tmp_path, simulate_config(mode="theory"))
+    out = tmp_path / "theory.csv"
+    report = run(["theory", "--config", cfg, flag, "0.3", "--out", str(out)])
+    assert report.status is ExitStatus.INPUT_ERROR
+    assert report.payload["error"] == f"{flag}: applies only with --table1"
+    assert not out.exists()
+
+
 # --- simulate / analyze --------------------------------------------------------
 
 
@@ -725,36 +745,14 @@ def test_cli_import_leaves_concurrent_futures_unloaded():
     assert not loaded_by_cli_import("concurrent.futures")
 
 
-def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
+def test_simulate_without_a_seed_is_an_input_error(tmp_path):
     cfg = simulate_config()
     del cfg["seed"]
-    path = write_config(tmp_path, cfg)
     out = tmp_path / "events.csv"
-
-    monkeypatch.delenv("RANDSUM_SEED", raising=False)
-    report = run(["simulate", "--config", path, "--out", str(out)])
+    report = run(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)])
     assert report.status is ExitStatus.INPUT_ERROR
-    assert "RANDSUM_SEED" in report.summary
-
-    monkeypatch.setenv("RANDSUM_SEED", "11")
-    report = run(["simulate", "--config", path, "--out", str(out)])
-    assert report.status is ExitStatus.OK
-    assert report.payload["config"]["seed"] == 11
-
-    # identical to an explicit seed of 11
-    explicit = tmp_path / "explicit.csv"
-    run(["simulate", "--config", write_config(tmp_path, simulate_config(), name="e.json"), "--out", str(explicit)])
-    assert explicit.read_bytes() == out.read_bytes()
-
-
-@pytest.mark.parametrize("raw", ["-1", str(2**64)])
-def test_seed_env_out_of_range(tmp_path, monkeypatch, raw):
-    cfg = simulate_config()
-    del cfg["seed"]
-    monkeypatch.setenv("RANDSUM_SEED", raw)
-    report = run(["simulate", "--config", write_config(tmp_path, cfg)])
-    assert report.status is ExitStatus.INPUT_ERROR
-    assert report.payload["error"] == f"RANDSUM_SEED: must fit in unsigned 64 bits, got {raw}"
+    assert report.payload["error"] == "config.seed: required for this mode"
+    assert not out.exists()
 
 
 # --- the contract under any input ---------------------------------------------

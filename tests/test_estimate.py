@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import stormrisk as sr
+from stormrisk.estimate import fisher_interval
 
 from helpers import stationary_config
 
@@ -149,10 +150,10 @@ def test_window_overlays_only_the_correlation_columns():
 
 def test_fisher_interval_reference_values():
     # half-width 1.959964 / sqrt(n - 3), mapped through tanh
-    lo, hi = sr.fisher_interval(0.0, 7, 0.95)
+    lo, hi = fisher_interval(0.0, 7, 0.95)
     assert lo == pytest.approx(-0.753058109366224, rel=1e-12)
     assert hi == pytest.approx(0.753058109366224, rel=1e-12)
-    lo, hi = sr.fisher_interval(0.5, 103, 0.95)
+    lo, hi = fisher_interval(0.5, 103, 0.95)
     assert lo == pytest.approx(0.33930752248325363, rel=1e-12)
     assert hi == pytest.approx(0.6323381504876256, rel=1e-12)
     assert lo < 0.5 < hi
@@ -160,18 +161,18 @@ def test_fisher_interval_reference_values():
 
 def test_fisher_interval_validation():
     # undefined intervals are NaN, as in the series columns
-    assert all(math.isnan(b) for b in sr.fisher_interval(1.0, 10))
-    assert all(math.isnan(b) for b in sr.fisher_interval(0.5, 3))
+    assert all(math.isnan(b) for b in fisher_interval(1.0, 10))
+    assert all(math.isnan(b) for b in fisher_interval(0.5, 3))
     with pytest.raises(ValueError):
-        sr.fisher_interval(0.5, 10, level=1.0)
+        fisher_interval(0.5, 10, level=1.0)
 
 
 def test_fisher_interval_is_elementwise():
     rho = np.array([0.0, 0.5, 1.0, np.nan, 0.5])
     n = np.array([7, 103, 10, 10, 3])
-    lo, hi = sr.fisher_interval(rho, n)
+    lo, hi = fisher_interval(rho, n)
     for i in range(len(rho)):
-        scalar = sr.fisher_interval(float(rho[i]), int(n[i]))
+        scalar = fisher_interval(float(rho[i]), int(n[i]))
         assert np.array_equal([lo[i], hi[i]], scalar, equal_nan=True)
     assert np.isnan(lo[2:]).all() and np.isnan(hi[2:]).all()
 
@@ -188,7 +189,7 @@ def test_fisher_interval_coverage_quick():
         z = rng.standard_normal((2, n))
         x, y = chol @ z
         r = np.corrcoef(x, y)[0, 1]
-        lo, hi = sr.fisher_interval(r, n, 0.95)
+        lo, hi = fisher_interval(r, n, 0.95)
         hits += lo <= rho <= hi
     assert 0.91 <= hits / trials <= 0.99
 
@@ -244,6 +245,19 @@ def test_terminal_phi_equals_mailier_plus_one():
     assert series.phi[-1] == pytest.approx(
         sr.mailier_index(catalog.counts) + 1.0, rel=1e-12, abs=1e-15
     )
+
+
+def test_terminal_phi_matches_mailier_plus_one_up_to_rounding():
+    # the running sums of the series and counts.var() round differently,
+    # so the two agree in all but the last bits on most catalogs
+    rng = np.random.default_rng(2026)
+    for _ in range(50):
+        n = int(rng.integers(2, 3001))
+        counts = rng.poisson(rng.uniform(0.5, 300.0), size=n)
+        years = np.repeat(np.arange(n), counts)
+        catalog = sr.EventCatalog.from_events(years, np.ones(len(years)), year_range=(0, n - 1))
+        phi = sr.long_run_series(catalog).phi[-1]
+        assert phi == pytest.approx(sr.mailier_index(catalog.counts) + 1.0, rel=1e-12)
 
 
 # --- replicate-level convergence -------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 import stormrisk as sr
 from stormrisk.cli import run
+from stormrisk.frequency import rate
 from stormrisk.io import (
     CatalogFormatError,
     ConfigError,
@@ -106,6 +107,64 @@ def test_catalog_at_the_edges_of_its_value_ranges():
     # the last year may be the largest int64
     catalog = sr.EventCatalog.from_events([2**63 - 1], [1.0], year_range=(2**63 - 3, 2**63 - 1))
     assert catalog.years.tolist() == [2**63 - 3, 2**63 - 2, 2**63 - 1]
+
+
+def _catalog(counts=(1, 0), sums=(2.0, 0.0), years=(1,), intensities=(2.0,)):
+    return sr.EventCatalog(
+        start_year=1,
+        counts=np.array(counts, dtype=np.int64),
+        sums=np.array(sums),
+        event_years=np.array(years, dtype=np.int64),
+        intensities=np.array(intensities),
+    )
+
+
+CATALOG_ERROR_CASES = {
+    "no-years": (
+        lambda: _catalog(counts=(), sums=()), "catalog must cover at least one year"
+    ),
+    "counts-sums": (
+        lambda: _catalog(sums=(2.0,)), "per-year counts and sums differ in length"
+    ),
+    "years-intensities": (
+        lambda: _catalog(years=(1, 1)), "event years and intensities differ in length"
+    ),
+    "negative-count": (
+        lambda: _catalog(counts=(2, -1)), "per-year counts must be non-negative"
+    ),
+    "count-total": (
+        lambda: _catalog(counts=(1, 1)), "per-year counts do not add up to the event total"
+    ),
+    "events-misaligned": (
+        lambda: sr.EventCatalog.from_events([1, 2], [1.0]),
+        "years and intensities must be 1-d and aligned",
+    ),
+    "events-2d": (
+        lambda: sr.EventCatalog.from_events([[1]], [[1.0]]),
+        "years and intensities must be 1-d and aligned",
+    ),
+    "empty-no-range": (
+        lambda: sr.EventCatalog.from_events([], []),
+        "empty event list needs an explicit year_range",
+    ),
+    "range-decreasing": (
+        lambda: sr.EventCatalog.from_events([], [], year_range=(5, 4)),
+        "year_range must be increasing, got (5, 4)",
+    ),
+    "events-outside-range": (
+        lambda: sr.EventCatalog.from_events([1, 9], [1.0, 1.0], year_range=(1, 5)),
+        "events fall outside the requested year_range",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "make, message", CATALOG_ERROR_CASES.values(), ids=CATALOG_ERROR_CASES.keys()
+)
+def test_catalog_errors_name_the_broken_rule(make, message):
+    with pytest.raises(ValueError) as excinfo:
+        make()
+    assert str(excinfo.value) == message
 
 
 def test_catalog_round_trip_preserves_events(tmp_path):
@@ -264,7 +323,7 @@ def test_parse_config_minimal(tmp_path):
     assert config.years == (1, 60)
     assert config.seed == 1
     assert config.freq.link is sr.RateLink.LOG
-    assert sr.rate(config.freq, 1) == pytest.approx(29.5, rel=1e-12)
+    assert rate(config.freq, 1) == pytest.approx(29.5, rel=1e-12)
     assert config.sev.family is sr.Family.EXPONENTIAL
 
 
@@ -352,21 +411,37 @@ def test_parse_config_theory_still_checks_a_present_seed(tmp_path, seed, message
 
 
 @pytest.mark.parametrize("mode", ["simulate", "verify"])
-def test_parse_config_seed_falls_back_to_the_seed_variable(tmp_path, monkeypatch, mode):
+def test_parse_config_requires_the_seed_of_a_run(tmp_path, monkeypatch, mode):
     cfg = {**minimal_simulate_config(), "mode": mode}
-    monkeypatch.setenv("RANDSUM_SEED", "11")
-    assert sr.parse_config(dump(tmp_path, cfg), mode).seed == 1  # the config wins
+    assert sr.parse_config(dump(tmp_path, cfg), mode).seed == 1
     del cfg["seed"]
-    path = dump(tmp_path, cfg, name="unseeded.json")
-    assert sr.parse_config(path, mode).seed == 11
-    monkeypatch.setenv("RANDSUM_SEED", "abc")
+    monkeypatch.setenv("RANDSUM_SEED", "11")  # the environment supplies no seed
     with pytest.raises(ConfigError) as excinfo:
-        sr.parse_config(path, mode)
-    assert str(excinfo.value) == "RANDSUM_SEED: expected an integer seed, got 'abc'"
-    monkeypatch.delenv("RANDSUM_SEED")
+        sr.parse_config(dump(tmp_path, cfg, name="unseeded.json"), mode)
+    assert str(excinfo.value) == "config.seed: required for this mode"
+
+
+PARSE_ERROR_CASES = {
+    "frequency-not-object": (3, "config.frequency: expected an object"),
+    "alpha0-string": (
+        {"link": "log", "alpha0": "x", "alpha1": 0.0},
+        "config.frequency.alpha0: expected a number, got 'x'",
+    ),
+    "alpha0-infinity": (  # json writes and reads it as Infinity
+        {"link": "log", "alpha0": math.inf, "alpha1": 0.0},
+        "config.frequency.alpha0: must be finite, got inf",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "frequency, message", PARSE_ERROR_CASES.values(), ids=PARSE_ERROR_CASES.keys()
+)
+def test_parse_config_errors_name_the_field(tmp_path, frequency, message):
+    cfg = {**minimal_simulate_config(), "frequency": frequency}
     with pytest.raises(ConfigError) as excinfo:
-        sr.parse_config(path, mode)
-    assert str(excinfo.value) == "config.seed: required (or set RANDSUM_SEED) for this mode"
+        sr.parse_config(dump(tmp_path, cfg), "simulate")
+    assert str(excinfo.value) == message
 
 
 def test_parse_config_never_panics_on_adversarial_inputs(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import stormrisk as sr
-from stormrisk.frequency import _EACH_CHUNK
+from stormrisk.frequency import _EACH_CHUNK, rate
 from stormrisk.severity import severity_moments
 
 from helpers import FAMILIES, random_model_pair, rel_err
@@ -79,7 +79,7 @@ def test_cov_ns_identities_on_random_models():
     for _ in range(100):
         freq, sev, t = random_model_pair(rng)
         rs = sr.risk_summary(freq, sev, t)
-        lam = sr.rate(freq, t)
+        lam = rate(freq, t)
         e_x = severity_moments(sev, t).mean
         assert rel_err(rs.cov_ns, e_x * lam) <= 1e-12           # E[X] Var(N)
         assert rel_err(rs.cov_ns, rs.phi * lam * e_x) <= 1e-12  # phi E[S]
@@ -193,7 +193,7 @@ def test_identity_suite_random_models():
     for i in range(1000):
         family = FAMILIES[i % len(FAMILIES)]
         freq, sev, t = random_model_pair(rng, family)
-        lam = sr.rate(freq, t)
+        lam = rate(freq, t)
         m = severity_moments(sev, t)
         s = sr.risk_summary(freq, sev, t)
 

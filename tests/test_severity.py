@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import stormrisk as sr
-from stormrisk.severity import _exponential_ppf, _gpd_ppf, _inverse_cdf, _uniform_ppf
+from stormrisk.severity import (
+    _exponential_ppf,
+    _gpd_ppf,
+    _inverse_cdf,
+    _uniform_ppf,
+    sample_intensity,
+    severity_moments,
+)
 
 from helpers import EXTREME_FLOATS, FAMILIES, HORIZONS, random_severity, rel_err
 
@@ -23,14 +30,14 @@ def make(family, beta0, beta1=0.0, shape=None, horizon=(1, 60)):
 
 
 def test_exponential_moments():
-    m = sr.severity_moments(make("exponential", 2.0), 1)
+    m = severity_moments(make("exponential", 2.0), 1)
     assert m.mean == 2.0
     assert m.variance == 4.0
 
 
 def test_lognormal_moments():
     # direct evaluation: mean exp(mu + s^2/2), var (e^{s^2}-1) exp(2mu + s^2)
-    m = sr.severity_moments(make("lognormal", 1.0, shape=0.5), 1)
+    m = severity_moments(make("lognormal", 1.0, shape=0.5), 1)
     assert m.mean == pytest.approx(math.exp(1.125), rel=1e-12)
     assert m.mean == pytest.approx(3.080216848918031, rel=1e-12)
     assert m.variance == pytest.approx((math.exp(0.25) - 1) * math.exp(2.25), rel=1e-12)
@@ -38,7 +45,7 @@ def test_lognormal_moments():
 
 
 def test_gpd_moments():
-    m = sr.severity_moments(make("gpd", 0.5, shape=0.25), 1)
+    m = severity_moments(make("gpd", 0.5, shape=0.25), 1)
     assert m.mean == pytest.approx(1 / (0.5 * 0.75), rel=1e-12)
     assert m.mean == pytest.approx(2.6666666666666665, rel=1e-12)
     assert m.variance == pytest.approx(1 / (0.25 * 0.75**2 * 0.5), rel=1e-12)
@@ -46,10 +53,10 @@ def test_gpd_moments():
 
 
 def test_uniform_and_gamma_moments():
-    m = sr.severity_moments(make("uniform", 6.0), 1)
+    m = severity_moments(make("uniform", 6.0), 1)
     assert m.mean == 3.0
     assert m.variance == 3.0
-    m = sr.severity_moments(make("gamma", 2.0, shape=3.0), 1)
+    m = severity_moments(make("gamma", 2.0, shape=3.0), 1)
     assert m.mean == 6.0
     assert m.variance == 12.0
 
@@ -59,23 +66,23 @@ def test_second_moment_consistency_everywhere():
     for _ in range(200):
         model = random_severity(rng)
         t = int(rng.integers(1, 61))
-        m = sr.severity_moments(model, t)
+        m = severity_moments(model, t)
         assert rel_err(m.second_moment, m.variance + m.mean**2) <= 1e-12
         assert m.variance >= 0
 
 
 def test_gamma_shape_one_equals_exponential():
     for t in (1, 17, 60):
-        g = sr.severity_moments(make("gamma", 3.0, 0.02, shape=1.0), t)
-        e = sr.severity_moments(make("exponential", 3.0, 0.02), t)
+        g = severity_moments(make("gamma", 3.0, 0.02, shape=1.0), t)
+        e = severity_moments(make("exponential", 3.0, 0.02), t)
         assert g.mean == e.mean
         assert g.variance == e.variance
 
 
 def test_trend_is_applied_per_year():
     model = make("exponential", 2.0, 0.5)
-    assert sr.severity_moments(model, 1).mean == 2.5
-    assert sr.severity_moments(model, 10).mean == 7.0
+    assert severity_moments(model, 1).mean == 2.5
+    assert severity_moments(model, 10).mean == 7.0
 
 
 # --- shape ratio ----------------------------------------------------------
@@ -99,7 +106,7 @@ def test_j_squared_invariant_to_trend_and_year():
         j = sr.j_squared(model)
         # moment-based value agrees at two different years
         for t in (1, 60):
-            m = sr.severity_moments(model, t)
+            m = severity_moments(model, t)
             assert rel_err(m.mean**2 / m.variance, j) <= 1e-12
         # rescaling the trend (or shifting, for the log-scale family)
         if model.family is sr.Family.LOGNORMAL:
@@ -180,7 +187,7 @@ def test_constructed_model_has_usable_moments_at_every_year(
     except ValueError:
         return
     for t in range(horizon[0], horizon[1] + 1):
-        m = sr.severity_moments(model, t)
+        m = severity_moments(model, t)
         assert math.isfinite(m.mean) and math.isfinite(m.second_moment)
         assert 0 < m.variance < math.inf
         if family != "lognormal":
@@ -190,9 +197,9 @@ def test_constructed_model_has_usable_moments_at_every_year(
 def test_horizon_violation_raises():
     model = make("exponential", 2.0, horizon=(1, 10))
     with pytest.raises(ValueError, match=r"^t: must lie in \[1, 10\], got 11$"):
-        sr.severity_moments(model, 11)
+        severity_moments(model, 11)
     with pytest.raises(ValueError, match=r"^t: must lie in \[1, 10\], got 0$"):
-        sr.sample_intensity(model, 0, np.random.default_rng(0), size=1)
+        sample_intensity(model, 0, np.random.default_rng(0), size=1)
 
 
 # --- sampling -------------------------------------------------------------
@@ -237,7 +244,7 @@ def test_one_inverse_cdf_pass_matches_per_year_sampling(family, shape):
     # 1..64 lengths put every array position in a SIMD tail somewhere.
     model = make(family, 2.0, beta1=0.05, shape=shape, horizon=(1, 64))
     years = range(1, 65)
-    per_year = [sr.sample_intensity(model, t, np.random.default_rng(t), size=t) for t in years]
+    per_year = [sample_intensity(model, t, np.random.default_rng(t), size=t) for t in years]
     u = np.concatenate([np.random.default_rng(t).random(t) for t in years])
     mu = np.repeat(np.array([model.driver(t) for t in years]), years)
     assert _inverse_cdf(model, u, mu).tobytes() == np.concatenate(per_year).tobytes()
@@ -245,8 +252,8 @@ def test_one_inverse_cdf_pass_matches_per_year_sampling(family, shape):
 
 def test_sampling_is_deterministic_given_state():
     model = make("gamma", 2.0, shape=1.5)
-    a = sr.sample_intensity(model, 3, np.random.default_rng(42), size=10)
-    b = sr.sample_intensity(model, 3, np.random.default_rng(42), size=10)
+    a = sample_intensity(model, 3, np.random.default_rng(42), size=10)
+    b = sample_intensity(model, 3, np.random.default_rng(42), size=10)
     assert np.array_equal(a, b)
 
 
@@ -262,8 +269,8 @@ SAMPLING_CASES = [
 @pytest.mark.parametrize("family,beta0,shape", SAMPLING_CASES)
 def test_sample_mean_converges(family, beta0, shape):
     model = make(family, beta0, shape=shape)
-    m = sr.severity_moments(model, 1)
-    draws = sr.sample_intensity(model, 1, np.random.default_rng(7), size=1_000_000)
+    m = severity_moments(model, 1)
+    draws = sample_intensity(model, 1, np.random.default_rng(7), size=1_000_000)
     assert np.all(draws > 0)
     se = math.sqrt(m.variance / len(draws))
     assert abs(draws.mean() - m.mean) <= 4 * se
@@ -273,7 +280,7 @@ def test_sample_mean_converges(family, beta0, shape):
 def test_samples_match_reference_cdf(family, beta0, shape):
     """One-sample KS against an independent CDF implementation."""
     model = make(family, beta0, shape=shape)
-    draws = sr.sample_intensity(model, 1, np.random.default_rng(3), size=20_000)
+    draws = sample_intensity(model, 1, np.random.default_rng(3), size=20_000)
     dist = {
         "uniform": lambda: stats.uniform(0, beta0),
         "gamma": lambda: stats.gamma(shape, scale=beta0),
@@ -287,10 +294,10 @@ def test_samples_match_reference_cdf(family, beta0, shape):
 
 def test_gamma_shape_one_sampler_matches_exponential():
     n = 100_000
-    gamma = sr.sample_intensity(
+    gamma = sample_intensity(
         make("gamma", 2.0, shape=1.0), 1, np.random.default_rng(1), size=n
     )
-    expo = sr.sample_intensity(
+    expo = sample_intensity(
         make("exponential", 2.0), 1, np.random.default_rng(2), size=n
     )
     statistic = stats.ks_2samp(gamma, expo).statistic
@@ -300,10 +307,10 @@ def test_gamma_shape_one_sampler_matches_exponential():
 
 def test_gpd_zero_shape_matches_exponential_sampler():
     n = 100_000
-    gpd = sr.sample_intensity(
+    gpd = sample_intensity(
         make("gpd", 0.5, shape=0.0), 1, np.random.default_rng(1), size=n
     )
-    expo = sr.sample_intensity(
+    expo = sample_intensity(
         make("exponential", 2.0), 1, np.random.default_rng(2), size=n
     )
     statistic = stats.ks_2samp(gpd, expo).statistic
@@ -315,5 +322,5 @@ def test_all_families_cover_horizon_with_trend():
     for family in FAMILIES:
         model = random_severity(rng, family)
         for t in (1, 30, 60):
-            x = sr.sample_intensity(model, t, np.random.default_rng(t), size=100)
+            x = sample_intensity(model, t, np.random.default_rng(t), size=100)
             assert np.all(x > 0)

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import stormrisk as sr
 from stormrisk import simulate
 from stormrisk.catalog import _MAX_ROWS
-from stormrisk.frequency import sample_count
-from stormrisk.severity import sample_intensity
+from stormrisk.frequency import rate, sample_count
+from stormrisk.severity import sample_intensity, severity_moments
 from stormrisk.simulate import (
     _BATCH,
     _CATALOG,
@@ -135,11 +135,11 @@ def test_catalog_matches_per_year_numpy_draws(family, alpha0, alpha1, n_years):
     shape = {"gpd": 0.2, "gamma": 2.0}.get(family)
     sev = sr.SeverityModel(family=family, beta0=2.0, beta1=0.01, horizon=horizon, shape=shape)
     config = sr.SimulationConfig(freq=freq, sev=sev, years=horizon, seed=77)
-    lam = sr.rate(freq, np.arange(1, n_years + 1))
+    lam = rate(freq, np.arange(1, n_years + 1))
     assert (10.0 in lam) == (n_years == 40)
     catalog = sr.simulate_catalog(config)
     expected = [
-        _numpy_year(77, t, lam_t, lambda rng, n: sr.sample_intensity(sev, t, rng, n))
+        _numpy_year(77, t, lam_t, lambda rng, n: sample_intensity(sev, t, rng, n))
         for t, lam_t in enumerate(lam.tolist(), start=1)
     ]
     assert catalog.counts.tolist() == [n for n, _ in expected]
@@ -288,7 +288,7 @@ def test_first_marks_nan_only_for_empty_replicates():
     assert not np.any(np.isnan(ens.first_marks[~empty]))
     assert np.all(ens.sums[empty] == 0.0)
     # mean of the first marks estimates E[X]
-    m = sr.severity_moments(config.sev, 1)
+    m = severity_moments(config.sev, 1)
     x1 = ens.first_marks[~empty]
     assert abs(x1.mean() - m.mean) <= 4 * math.sqrt(m.variance / len(x1))
 
@@ -437,6 +437,30 @@ def test_config_validation():
         sr.simulate_catalog(unseeded)
     with pytest.raises(ValueError, match="seed"):
         sr.replicate_fixed_year(unseeded, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "years, bad",
+    [((1.0, 10.0), "1.0"), ((1, 10.0), "10.0"), ((np.float64(1.0), 10), "1.0")],
+    ids=["floats", "float-end", "numpy-float"],
+)
+def test_config_rejects_float_years(years, bad):
+    # a float year that equals an integer is still not one: the simulators
+    # index with the years
+    freq = sr.FrequencyModel(alpha0=5.0, alpha1=0.0, link="identity", horizon=(1, 10))
+    sev = sr.SeverityModel(family="exponential", beta0=1.0, beta1=0.0, horizon=(1, 10))
+    message = f"years: must be signed 64-bit integers, got {bad}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sr.SimulationConfig(freq=freq, sev=sev, years=years, seed=0)
+
+
+def test_config_spans_numpy_years_without_wrapping():
+    # end - start of two int64 years can wrap to a small or negative span
+    freq = sr.FrequencyModel(alpha0=5.0, alpha1=0.0, link="identity", horizon=(1, 10))
+    sev = sr.SeverityModel(family="exponential", beta0=1.0, beta1=0.0, horizon=(1, 10))
+    years = (np.int64(-(2**63)), np.int64(2**63 - 8))
+    with pytest.raises(ValueError, match=f"^years: span {2**64 - 7} years, more than"):
+        sr.SimulationConfig(freq=freq, sev=sev, years=years, seed=0)
 
 
 def test_config_rejects_a_year_span_past_the_row_budget():
