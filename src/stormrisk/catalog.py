@@ -24,11 +24,19 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def _integer(value, name: str) -> int:
-    """``value`` as an int, else a ValueError that starts with ``name``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name}: must be an integer, got {value!r}") from None
+    """The integer rule: ``value`` as a Python int (a bool is not one), else a
+    ValueError that starts with ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name}: must be an integer, got {value!r}")
+
+
+def _positive_finite(x: np.ndarray) -> bool:
+    """The intensity rule on a non-empty ``x``: all positive and finite (NaN fails ``min``)."""
+    return bool(x.min() > 0 and x.max() < np.inf)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -42,7 +50,7 @@ class EventCatalog:
 
     ``event_years`` and ``intensities`` are aligned, sorted by year.
     ``counts[i]`` and ``sums[i]`` belong to calendar year
-    ``start_year + i``.  All intensities are strictly positive.
+    ``start_year + i``.  All intensities are positive and finite.
     """
 
     start_year: int
@@ -62,9 +70,10 @@ class EventCatalog:
             raise ValueError("per-year counts must be non-negative")
         if int(self.counts.sum()) != len(self.intensities):
             raise ValueError("per-year counts do not add up to the event total")
-        if len(self.intensities) and not np.all(self.intensities > 0):
-            bad = float(self.intensities[~(self.intensities > 0)][0])  # NaN too
-            raise ValueError(f"intensities must be positive, found {bad}")
+        x = self.intensities
+        if len(x) and not _positive_finite(x):
+            bad = float(x[~((x > 0) & (x < np.inf))][0])  # NaN too
+            raise ValueError(f"intensities must be positive and finite, found {bad}")
         for name in ("counts", "sums", "event_years", "intensities"):
             _frozen(getattr(self, name))
 
@@ -79,9 +88,15 @@ class EventCatalog:
 
         ``year_range`` widens (or pins) the contiguous span of years;
         by default the span runs from the earliest to the latest event
-        year.  Events are sorted by year, stable within a year.
+        year.  Events are sorted by year, stable within a year.  Years are an
+        array of signed or int64-sized unsigned integers, or an empty list.
         """
-        years = np.asarray(years, dtype=np.int64)
+        years = np.asarray(years)
+        if years.size and not (
+            years.dtype.kind == "i" or (years.dtype.kind == "u" and years.max() <= _INT64_MAX)
+        ):
+            raise ValueError(f"years: must be signed 64-bit integers, got {years.dtype} values")
+        years = years.astype(np.int64, copy=False)
         intensities = np.asarray(intensities, dtype=np.float64)
         if years.shape != intensities.shape or years.ndim != 1:
             raise ValueError("years and intensities must be 1-d and aligned")
@@ -90,9 +105,11 @@ class EventCatalog:
                 raise ValueError("empty event list needs an explicit year_range")
             start, end = int(years.min()), int(years.max())
         else:
-            start, end = int(year_range[0]), int(year_range[1])
+            start, end = (_integer(year_range[i], "year_range") for i in (0, 1))
             if start > end:
                 raise ValueError(f"year_range must be increasing, got {year_range}")
+            if start < _INT64_MIN or end > _INT64_MAX:
+                raise ValueError(f"year_range: must be signed 64-bit integers, got {year_range}")
             if len(years) and (years.min() < start or years.max() > end):
                 raise ValueError("events fall outside the requested year_range")
         n_years = end - start + 1  # a Python int: cannot overflow

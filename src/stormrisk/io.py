@@ -17,8 +17,8 @@ and ``verify`` require the seed, and ``theory`` checks one given but uses none.
 ``parse_config`` reads it and ``config_dict`` writes its fields back, so
 this module alone knows the field names.
 
-Parse errors carry the offending location (line number, JSON field path
-or variable name) and never escape as bare exceptions from deeper layers.
+Parse errors carry the offending location (line number or JSON field
+path) and never escape as bare exceptions from deeper layers.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import _INT64_MAX, _INT64_MIN, EventCatalog
+from .catalog import _INT64_MAX, _INT64_MIN, EventCatalog, _positive_finite
 from .estimate import LongRunSeries
 from .frequency import FrequencyModel, RateLink
 from .severity import Family, SeverityModel
@@ -105,8 +105,7 @@ def _load_events_body(path: Path) -> np.ndarray | None:
                 )
     except (OSError, ValueError, csv.Error, Warning):
         return None
-    x = body["intensity"]
-    if len(body) == 0 or not np.all((x > 0) & (x < np.inf)):
+    if len(body) == 0 or not _positive_finite(body["intensity"]):
         return None
     return body
 
@@ -271,22 +270,16 @@ def _as_number(v, where: str) -> float:
     return float(v)
 
 
-def _as_int(v, where: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{where}: expected an integer, got {v!r}")
-    return v
-
-
 def _run_seed(raw: dict, mode: str) -> int | None:
     """The seed ``mode`` runs with: the config's, a checked unsigned 64-bit
-    integer, which ``simulate`` and ``verify`` require; none for ``theory``."""
-    if "seed" not in raw:
+    integer, which ``simulate`` and ``verify`` require; none for ``theory``.
+    A null seed, as `config_dict` writes an unseeded config's, is none."""
+    if raw.get("seed") is None:
         if mode == "theory":
             return None
         raise ConfigError("config.seed: required for this mode")
-    seed = _as_int(raw["seed"], "config.seed")
     try:
-        _check_seed(seed)
+        seed = _check_seed(raw["seed"])
     except ValueError as exc:
         raise ConfigError(f"config.{exc}") from None
     return None if mode == "theory" else seed
@@ -321,10 +314,8 @@ def parse_config(path, mode: str) -> SimulationConfig:
     y = raw["years"]
     if not (isinstance(y, list) and len(y) == 2):
         raise ConfigError("config.years: expected [start, end]")
-    start = _as_int(y[0], "config.years[0]")
-    end = _as_int(y[1], "config.years[1]")
     try:  # before the models, whose horizons the years set
-        _check_years(start, end)
+        start, end = _check_years(*y)
     except ValueError as exc:
         raise ConfigError(f"config.{exc}") from None
 

@@ -29,7 +29,6 @@ tests compare states and lane draws bit for bit with ``default_rng``.
 
 from __future__ import annotations
 
-import operator
 import os
 import threading
 from collections.abc import Iterator
@@ -220,31 +219,26 @@ def _lane_draws(prefix: tuple[int, ...], keys, lam) -> tuple[np.ndarray, np.ndar
     return counts, marks
 
 
-def _check_years(start: int, end: int) -> None:
+def _check_years(start, end) -> tuple[int, int]:
     """The years rule of a run: signed 64-bit integers ``start <= end``,
-    spanning at most ``_MAX_ROWS`` years."""
+    spanning at most ``_MAX_ROWS`` years, returned as ints."""
+    start, end = _integer(start, "years"), _integer(end, "years")
     for year in (start, end):
-        if not _index_in(year, _INT64_MIN, _INT64_MAX):
+        if not _INT64_MIN <= year <= _INT64_MAX:
             raise ValueError(f"years: must be signed 64-bit integers, got {year}")
-    start, end = operator.index(start), operator.index(end)  # numpy integers wrap
     if start > end:
         raise ValueError(f"years: start {start} exceeds end {end}")
     if (n := end - start + 1) > _MAX_ROWS:
         raise ValueError(f"years: span {n} years, more than the {_MAX_ROWS} a run may hold")
+    return start, end
 
 
-def _check_seed(seed) -> None:
-    """The seed rule of a run: an integer in ``[0, 2**64)``."""
-    if not _index_in(seed, 0, 2**64 - 1):
-        raise ValueError(f"seed: must fit in unsigned 64 bits, got {seed!r}")
-
-
-def _index_in(value, lo: int, hi: int) -> bool:
-    """Whether ``value`` is an integer (`operator.index`) in ``[lo, hi]``."""
-    try:
-        return lo <= operator.index(value) <= hi
-    except TypeError:
-        return False
+def _check_seed(seed) -> int:
+    """The seed rule of a run: an integer in ``[0, 2**64)``, returned as an int."""
+    seed = _integer(seed, "seed")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed: must fit in unsigned 64 bits, got {seed}")
+    return seed
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -254,8 +248,8 @@ class SimulationConfig:
 
     Year ``y`` maps to the model year index ``t = y - start + 1``; both
     model horizons must cover ``[1, end - start + 1]``; the years follow
-    `_check_years` and the seed `_check_seed`.  ``seed`` may be None for
-    the closed forms, which draw nothing; the simulators require it.
+    `_check_years` and the seed `_check_seed`, kept as the ints they return.
+    ``seed`` may be None for the closed forms; the simulators require it.
     """
 
     freq: FrequencyModel
@@ -264,9 +258,9 @@ class SimulationConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        _check_years(*self.years)
+        object.__setattr__(self, "years", _check_years(*self.years))
         if self.seed is not None:
-            _check_seed(self.seed)
+            object.__setattr__(self, "seed", _check_seed(self.seed))
         n = self.n_years
         for name, model in (("freq", self.freq), ("sev", self.sev)):
             t_min, t_max = model.horizon
@@ -396,18 +390,13 @@ def _each_block(draw, n_blocks: int) -> None:
 
 def _year_index(config: SimulationConfig, t) -> int:
     """The year rule of an ensemble: ``t`` as an int in ``[1, config.n_years]``."""
-    try:
-        t_int = int(t)
-    except (TypeError, ValueError, OverflowError):  # None, "3.5", nan, inf
-        t_int = None
-    if t_int is None or t_int != t:
-        raise ValueError(f"t: must be an integer, got {t!r}")
-    _check_horizon((1, config.n_years), t_int)
-    return t_int
+    t = _integer(t, "t")
+    _check_horizon((1, config.n_years), t)
+    return t
 
 
 def replicate_fixed_year(
-    config: SimulationConfig, t: float, replicates: int
+    config: SimulationConfig, t: int, replicates: int
 ) -> FixedYearSample:
     """Draw ``replicates`` independent (N, S) pairs at year ``t``.
 

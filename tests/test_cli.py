@@ -435,6 +435,10 @@ FIELD_ERROR_CASES = {
         f"--year: must lie in [1, 60], got {10**23}",
     ),
     "years-reversed": ({"years": [60, 1]}, [], "config.years: start 60 exceeds end 1"),
+    # one integer rule for the config file and the library
+    "years-float": ({"years": [1.5, 60]}, [], "config.years: must be an integer, got 1.5"),
+    "years-bool": ({"years": [True, 60]}, [], "config.years: must be an integer, got True"),
+    "seed-bool": ({"seed": True}, [], "config.seed: must be an integer, got True"),
     # the event CSV's year range holds for every mode
     "years-past-int64": (
         {"years": [2**63 - 1, 2**63 + 3]},
@@ -720,29 +724,49 @@ def test_csv_on_stdout_when_out_omitted(tmp_path, capsys):
     assert "{" not in captured.out
 
 
-def loaded_by_cli_import(module: str) -> bool:
-    """Whether ``import stormrisk.cli`` loads ``module``, in a fresh interpreter."""
+def modules_loaded_by(code: str) -> set[str]:
+    """The modules loaded after ``import stormrisk.cli`` and then ``code``
+    run in a fresh interpreter."""
     src = str(Path(sr.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = f"import sys, stormrisk.cli; print({module!r} in sys.modules)"
+    code = f"import sys, stormrisk.cli\n{code}\nprint('\\nmodules:', *sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    return proc.stdout.strip() == "True"
+    label, *modules = proc.stdout.splitlines()[-1].split()
+    assert label == "modules:"
+    return set(modules)
+
+
+def scipy_modules(modules: set[str]) -> set[str]:
+    return {m for m in modules if m == "scipy" or m.startswith("scipy.")}
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    assert not loaded_by_cli_import("scipy.stats")
+    # setup_s of the benchmark times a bare start of the CLI
+    assert not scipy_modules(modules_loaded_by(""))
+
+
+def test_analyze_loads_scipy_special_not_scipy_stats(tmp_path):
+    # the Fisher quantile needs scipy.special alone, which imports in about
+    # a quarter of the time and memory that scipy.stats takes
+    events = tmp_path / "events.csv"
+    events.write_text("year,intensity\n1,1.0\n2,2.0\n3,1.5\n4,3.0\n5,2.5\n")
+    out = tmp_path / "series.csv"
+    argv = ["analyze", "--input", str(events), "--out", str(out)]
+    loaded = scipy_modules(modules_loaded_by(f"assert stormrisk.cli.main({argv!r}) == 0"))
+    assert "scipy.special" in loaded and "scipy.stats" not in loaded
+    assert out.exists()
 
 
 def test_cli_import_leaves_the_csv_encoder_unloaded():
-    assert not loaded_by_cli_import("stormrisk._cells")
+    assert "stormrisk._cells" not in modules_loaded_by("")
 
 
 def test_cli_import_leaves_concurrent_futures_unloaded():
     # ensembles start their threads with `threading`, which the import
     # loads anyway; concurrent.futures would add about 10 ms to every call
-    assert not loaded_by_cli_import("concurrent.futures")
+    assert "concurrent.futures" not in modules_loaded_by("")
 
 
 def test_simulate_without_a_seed_is_an_input_error(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import stormrisk as sr
+from stormrisk import estimate
 from stormrisk.estimate import fisher_interval
 
 from helpers import stationary_config
@@ -157,6 +158,20 @@ def test_fisher_interval_reference_values():
     assert lo == pytest.approx(0.33930752248325363, rel=1e-12)
     assert hi == pytest.approx(0.6323381504876256, rel=1e-12)
     assert lo < 0.5 < hi
+
+
+def test_fisher_interval_matches_the_scipy_stats_quantile_bit_for_bit(monkeypatch):
+    # the quantile comes from scipy.special, which imports far lighter
+    # than scipy.stats; the bounds must not move by a bit
+    from scipy.stats import norm
+
+    levels = [*np.linspace(0.001, 0.999, 999).tolist(), 0.95, 1e-9, 1 - 1e-9]
+    rho, n = np.linspace(-0.999, 0.999, 41), np.arange(4, 45)
+    got = [fisher_interval(rho, n, level) for level in levels]
+    monkeypatch.setattr(estimate, "_normal_quantile", lambda p: float(norm.ppf(p)))
+    for level, (lo, hi) in zip(levels, got):
+        ref_lo, ref_hi = fisher_interval(rho, n, level)
+        assert lo.tobytes() == ref_lo.tobytes() and hi.tobytes() == ref_hi.tobytes(), level
 
 
 def test_fisher_interval_validation():

@@ -5,14 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import stormrisk as sr
+from stormrisk.catalog import _INT64_MAX, _INT64_MIN, _MAX_ROWS
 from stormrisk.cli import run
 from stormrisk.frequency import rate
 from stormrisk.io import (
     CatalogFormatError,
     ConfigError,
+    config_dict,
     write_csv_rows,
+    write_events_stream,
     write_series_stream,
 )
 
@@ -101,8 +106,8 @@ def test_read_events_errors_are_located(tmp_path):
 
 
 def test_catalog_at_the_edges_of_its_value_ranges():
-    # a NaN intensity is named as a non-positive one is
-    with pytest.raises(ValueError, match=r"^intensities must be positive, found nan$"):
+    # a NaN intensity is named as a non-positive or infinite one is
+    with pytest.raises(ValueError, match=r"^intensities must be positive and finite, found nan$"):
         sr.EventCatalog.from_events([1, 2], [1.0, math.nan])
     # the last year may be the largest int64
     catalog = sr.EventCatalog.from_events([2**63 - 1], [1.0], year_range=(2**63 - 3, 2**63 - 1))
@@ -155,6 +160,38 @@ CATALOG_ERROR_CASES = {
         lambda: sr.EventCatalog.from_events([1, 9], [1.0, 1.0], year_range=(1, 5)),
         "events fall outside the requested year_range",
     ),
+    "years-float": (
+        lambda: sr.EventCatalog.from_events([1.5, 2.7], [1.0, 1.0]),
+        "years: must be signed 64-bit integers, got float64 values",
+    ),
+    "years-str": (
+        lambda: sr.EventCatalog.from_events(["1"], [1.0]),
+        "years: must be signed 64-bit integers, got <U1 values",
+    ),
+    "years-bool": (
+        lambda: sr.EventCatalog.from_events([True], [1.0]),
+        "years: must be signed 64-bit integers, got bool values",
+    ),
+    "years-uint64-past-int64": (
+        lambda: sr.EventCatalog.from_events(np.array([1, 2**63], dtype=np.uint64), [1.0, 1.0]),
+        "years: must be signed 64-bit integers, got uint64 values",
+    ),
+    "years-list-past-int64": (
+        lambda: sr.EventCatalog.from_events([2**63], [1.0]),
+        "years: must be signed 64-bit integers, got uint64 values",
+    ),
+    "range-float": (
+        lambda: sr.EventCatalog.from_events([2], [1.0], year_range=(1.5, 3)),
+        "year_range: must be an integer, got 1.5",
+    ),
+    "range-past-int64": (
+        lambda: sr.EventCatalog.from_events([], [], year_range=(2**63, 2**63)),
+        f"year_range: must be signed 64-bit integers, got ({2**63}, {2**63})",
+    ),
+    "intensity-inf": (
+        lambda: sr.EventCatalog.from_events([1, 2], [1.0, math.inf]),
+        "intensities must be positive and finite, found inf",
+    ),
 }
 
 
@@ -184,6 +221,59 @@ def test_catalog_round_trip_preserves_events(tmp_path):
     assert np.array_equal(back.event_years, catalog.event_years)
     assert np.array_equal(back.intensities, catalog.intensities)
     assert np.array_equal(back.counts, catalog.counts)
+
+
+NUMPY_INTEGERS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+def any_integer(value: int):
+    """``value`` as a Python int or any numpy integer type that holds it, or as a bool."""
+    types = [t for t in NUMPY_INTEGERS if np.iinfo(t).min <= value <= np.iinfo(t).max]
+    return st.sampled_from([int, int, *types, bool]).map(lambda t: t(value))
+
+
+@st.composite
+def event_inputs(draw):
+    """Years and intensities in the forms `from_events` may be handed:
+    lists, integer, float and string arrays, bools, years past int64, and
+    intensities that are zero, negative, infinite or NaN."""
+    start = draw(st.integers(-1000, 3000) | st.integers(_INT64_MIN, 2**64 - 51))
+    years = [start + o for o in draw(st.lists(st.integers(0, 50), min_size=1, max_size=20))]
+    forms = [list, list, lambda v: [str(y) for y in v], lambda v: np.array(v, dtype=np.float64)]
+    forms += [lambda v, t=t: np.array(v, dtype=t) for t in NUMPY_INTEGERS
+              if np.iinfo(t).min <= min(years) and max(years) <= np.iinfo(t).max]
+    years = draw(st.sampled_from(forms))(years) if draw(st.integers(0, 9)) else [True] * len(years)
+    n = len(years)
+    intensities = draw(st.lists(st.floats(5e-324, 1.7976931348623157e308), min_size=n, max_size=n))
+    if draw(st.integers(0, 9)) == 0:
+        odd = st.sampled_from([0.0, -1.0, math.inf, math.nan])
+        intensities[draw(st.integers(0, n - 1))] = draw(odd)
+    return years, intensities
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(events=event_inputs())
+@example(events=([1, 2], [1.0, math.inf]))
+@example(events=(np.array([2**63], dtype=np.uint64), [1.0]))
+@example(events=([1.5, 2.7], [1.0, 2.0]))
+@example(events=(["1"], [1.0]))
+def test_every_catalog_from_events_accepts_writes_and_reads_back(tmp_path_factory, events):
+    # the CSV holds the events, not a year_range, so none is given
+    years, intensities = events
+    try:
+        catalog = sr.EventCatalog.from_events(years, intensities)
+    except ValueError:
+        return
+    # the catalog holds the years it was given, not a truncation or a wrap
+    assert catalog.event_years.tolist() == sorted(np.asarray(years).tolist())
+    path = tmp_path_factory.mktemp("events") / "events.csv"
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        write_events_stream(catalog, fh)
+    back = sr.read_events_csv(path)
+    assert back.start_year == catalog.start_year
+    for name in ("event_years", "intensities", "counts", "sums"):
+        a, b = getattr(back, name), getattr(catalog, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_csv_rows_match_csv_writer_across_chunks():
@@ -399,7 +489,7 @@ def test_parse_config_theory_runs_unseeded_and_ignores_the_seed_variable(
 @pytest.mark.parametrize(
     "seed, message",
     [
-        ("abc", "config.seed: expected an integer, got 'abc'"),
+        ("abc", "config.seed: must be an integer, got 'abc'"),
         (2**64, f"config.seed: must fit in unsigned 64 bits, got {2**64}"),
     ],
 )
@@ -419,6 +509,56 @@ def test_parse_config_requires_the_seed_of_a_run(tmp_path, monkeypatch, mode):
     with pytest.raises(ConfigError) as excinfo:
         sr.parse_config(dump(tmp_path, cfg, name="unseeded.json"), mode)
     assert str(excinfo.value) == "config.seed: required for this mode"
+
+
+@st.composite
+def model_pairs(draw, n: int):
+    """A frequency and a severity model on the horizon ``(1, n)`` that a
+    config file gives them, or None where the drawn parameters are invalid."""
+    link = draw(st.sampled_from(["log", "identity"]))
+    family = draw(st.sampled_from(["uniform", "gamma", "exponential", "lognormal", "gpd"]))
+    shapes = {"gamma": st.floats(0.3, 5.0), "lognormal": st.floats(0.2, 1.5),
+              "gpd": st.floats(-1.0, 0.45)}
+    # slopes that move a driver by at most 0.1 over the span
+    try:
+        freq = sr.FrequencyModel(
+            alpha0=draw(st.floats(0.2, 40.0)), alpha1=draw(st.floats(-0.1, 0.1)) / n,
+            link=link, horizon=(1, n),
+        )
+        sev = sr.SeverityModel(
+            family=family, beta0=draw(st.floats(0.5, 20.0)), beta1=draw(st.floats(-0.1, 0.1)) / n,
+            horizon=(1, n), shape=draw(shapes[family]) if family in shapes else None,
+        )
+    except ValueError:
+        return None
+    return freq, sev
+
+
+@st.composite
+def config_inputs(draw):
+    """Constructor arguments of a `SimulationConfig`: years and a seed as
+    Python or numpy integers, bools or None, with models on the span."""
+    n = draw(st.integers(1, _MAX_ROWS))
+    start = draw(st.integers(_INT64_MIN, _INT64_MAX - n + 1))
+    years = (draw(any_integer(start)), draw(any_integer(start + n - 1)))
+    seed = draw(st.none() | st.integers(0, 2**64 - 1).flatmap(any_integer))
+    return draw(model_pairs(n)), years, seed
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(args=config_inputs())
+def test_every_config_the_constructor_accepts_writes_and_reads_back(tmp_path_factory, args):
+    models, years, seed = args
+    if models is None:
+        return
+    try:
+        config = sr.SimulationConfig(freq=models[0], sev=models[1], years=years, seed=seed)
+    except ValueError:
+        return
+    mode = "theory" if config.seed is None else "simulate"
+    path = tmp_path_factory.mktemp("config") / "cfg.json"
+    path.write_text(json.dumps({"mode": mode, **config_dict(config)}), encoding="utf-8")
+    assert sr.parse_config(path, mode) == config
 
 
 PARSE_ERROR_CASES = {

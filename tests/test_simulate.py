@@ -397,14 +397,14 @@ def test_an_exception_at_one_cpu_reaches_the_caller_unchanged(monkeypatch):
     assert caught.value is error
 
 
-@pytest.mark.parametrize("t", [math.inf, math.nan, None, "3", 2.5])
+@pytest.mark.parametrize("t", [math.inf, math.nan, None, "3", 2.5, 4.0, True])
 def test_ensemble_year_must_be_an_integer(t):
     config = stationary_config("exponential", lam=2.0, mu=1.0, years=(1, 5), seed=1)
     message = f"t: must be an integer, got {t!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         sr.replicate_fixed_year(config, t, 100)
-    # an integral float is an integer
-    assert len(sr.replicate_fixed_year(config, 4.0, 100)) == 100
+    # an integral float or a bool is not an integer; a numpy integer is
+    assert len(sr.replicate_fixed_year(config, np.int64(4), 100)) == 100
 
 
 # --- config validation --------------------------------------------------------
@@ -420,8 +420,12 @@ def test_config_validation():
         sr.SimulationConfig(freq=freq, sev=sev, years=(5, 4), seed=0)
     with pytest.raises(ValueError, match="horizon"):
         sr.SimulationConfig(freq=freq, sev=sev, years=(1, 11), seed=0)
-    for seed in (-1, 2**64, 1.5, "7"):
-        message = f"seed: must fit in unsigned 64 bits, got {seed!r}"
+    for seed, message in (
+        (-1, "seed: must fit in unsigned 64 bits, got -1"),
+        (2**64, f"seed: must fit in unsigned 64 bits, got {2**64}"),
+        (1.5, "seed: must be an integer, got 1.5"),
+        ("7", "seed: must be an integer, got '7'"),
+    ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sr.SimulationConfig(freq=freq, sev=sev, years=(1, 10), seed=seed)
     # the ensemble size is an argument of the ensemble, not a config field
@@ -441,7 +445,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize(
     "years, bad",
-    [((1.0, 10.0), "1.0"), ((1, 10.0), "10.0"), ((np.float64(1.0), 10), "1.0")],
+    [((1.0, 10.0), "1.0"), ((1, 10.0), "10.0"), ((np.float64(1.0), 10), "np.float64(1.0)")],
     ids=["floats", "float-end", "numpy-float"],
 )
 def test_config_rejects_float_years(years, bad):
@@ -449,7 +453,7 @@ def test_config_rejects_float_years(years, bad):
     # index with the years
     freq = sr.FrequencyModel(alpha0=5.0, alpha1=0.0, link="identity", horizon=(1, 10))
     sev = sr.SeverityModel(family="exponential", beta0=1.0, beta1=0.0, horizon=(1, 10))
-    message = f"years: must be signed 64-bit integers, got {bad}"
+    message = f"years: must be an integer, got {bad}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         sr.SimulationConfig(freq=freq, sev=sev, years=years, seed=0)
 

@@ -184,6 +184,8 @@ def test_sigma_must_be_positive_and_finite(nothing_drawn, sigma):
         (10**20, "must lie in [1, 60], got 100000000000000000000"),
         (3.5, "must be an integer, got 3.5"),
         (math.nan, "must be an integer, got nan"),
+        (4.0, "must be an integer, got 4.0"),
+        (True, "must be an integer, got True"),
     ],
 )
 def test_entry_rejects_a_year_index_before_any_draw(nothing_drawn, t, message):
@@ -220,4 +222,4 @@ def test_entry_defaults_to_the_middle_year_through_the_modules(monkeypatch):
     summary = sr.risk_summary(SEEDED.freq, SEEDED.sev, 30)
     assert checks == _checks(sample, summary, 4.0)
     assert verification_checks(SEEDED, 1009, 4.0, 30) == (30, checks)
-    assert verification_checks(SEEDED, 1009, t=4.0)[0] == 4
+    assert verification_checks(SEEDED, 1009, t=np.int64(4))[0] == 4
