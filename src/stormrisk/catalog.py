@@ -1,9 +1,7 @@
-"""Event catalogs: (year, intensity) records with per-year aggregates.
-
-An :class:`EventCatalog` stores the raw events plus the derived per-year
-count ``n_t`` and intensity sum ``s_t``.  Years are contiguous over the
-catalog range; years without events are materialised with ``n_t = 0``
-and ``s_t = 0`` so downstream estimators see the true count process.
+"""Event catalogs: a first year, each year's event count and the events'
+intensities in year order, from which each year's intensity sum and each
+event's year are derived.  Years without events hold a zero count, so
+estimators see the true count process.
 """
 
 from __future__ import annotations
@@ -48,42 +46,51 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class EventCatalog:
     """Observed or simulated events with per-year views.
 
-    ``event_years`` and ``intensities`` are aligned, sorted by year.
-    ``counts[i]`` and ``sums[i]`` belong to calendar year
-    ``start_year + i``.  All intensities are positive and finite.
+    ``counts[i]`` events fall in year ``start_year + i``, and ``sums[i]``
+    is their intensity sum.  The constructor holds every catalog rule: an
+    integer ``start_year`` and every year in int64; 1-d ``counts`` of
+    non-negative integers, at least one, adding up to the number of
+    real, positive and finite ``intensities``, given in year order.
     """
 
     start_year: int
     counts: np.ndarray
-    sums: np.ndarray
-    event_years: np.ndarray = field(repr=False)
     intensities: np.ndarray = field(repr=False)
+    sums: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.counts) == 0:
+        start = _integer(self.start_year, "start_year")
+        counts, x = np.asarray(self.counts), np.asarray(self.intensities)
+        if counts.size == 0:
             raise ValueError("catalog must cover at least one year")
-        if len(self.counts) != len(self.sums):
-            raise ValueError("per-year counts and sums differ in length")
-        if len(self.event_years) != len(self.intensities):
-            raise ValueError("event years and intensities differ in length")
-        if np.any(self.counts < 0):
+        rules = (("counts", counts, "iu", "integers"), ("intensities", x, "iuf", "real numbers"))
+        for name, a, kinds, what in rules:
+            if a.ndim != 1:
+                raise ValueError(f"{name}: must be 1-d, got shape {a.shape}")
+            if a.dtype.kind not in kinds:
+                raise ValueError(f"{name}: must be {what}, got {a.dtype} values")
+        end = start + len(counts) - 1
+        if start < _INT64_MIN or end > _INT64_MAX:
+            raise ValueError(f"start_year: years {start} to {end} must be signed 64-bit integers")
+        if counts.min() < 0:
             raise ValueError("per-year counts must be non-negative")
-        if int(self.counts.sum()) != len(self.intensities):
+        # the max test keeps a wrapped total from matching
+        if counts.max() > len(x) or int(counts.sum()) != len(x):
             raise ValueError("per-year counts do not add up to the event total")
-        x = self.intensities
+        x = x.astype(np.float64, copy=False)
         if len(x) and not _positive_finite(x):
             bad = float(x[~((x > 0) & (x < np.inf))][0])  # NaN too
             raise ValueError(f"intensities must be positive and finite, found {bad}")
-        for name in ("counts", "sums", "event_years", "intensities"):
-            _frozen(getattr(self, name))
+        counts, n = counts.astype(np.int64, copy=False), len(counts)
+        sums = np.bincount(np.repeat(np.arange(n), counts), weights=x, minlength=n)
+        object.__setattr__(self, "start_year", start)
+        for name, a in (("counts", counts), ("intensities", x), ("sums", sums)):
+            object.__setattr__(self, name, _frozen(a))
 
     @classmethod
     def from_events(
-        cls,
-        years,
-        intensities,
-        year_range: tuple[int, int] | None = None,
-    ) -> "EventCatalog":
+        cls, years, intensities, year_range: tuple[int, int] | None = None
+    ) -> EventCatalog:
         """Build a catalog from per-event years and intensities.
 
         ``year_range`` widens (or pins) the contiguous span of years;
@@ -97,7 +104,7 @@ class EventCatalog:
         ):
             raise ValueError(f"years: must be signed 64-bit integers, got {years.dtype} values")
         years = years.astype(np.int64, copy=False)
-        intensities = np.asarray(intensities, dtype=np.float64)
+        intensities = np.asarray(intensities)
         if years.shape != intensities.shape or years.ndim != 1:
             raise ValueError("years and intensities must be 1-d and aligned")
         if year_range is None:
@@ -118,24 +125,18 @@ class EventCatalog:
                 f"event years {start} to {end} span {n_years} years, more "
                 f"than the {_MAX_ROWS} a catalog may hold"
             )
-        order = np.argsort(years, kind="stable")
-        years = years[order]
-        intensities = intensities[order]
-        offsets = years - start
-        counts = np.bincount(offsets, minlength=n_years).astype(np.int64)
-        sums = np.bincount(offsets, weights=intensities, minlength=n_years)
-        return cls(
-            start_year=start,
-            counts=counts,
-            sums=sums,
-            event_years=years,
-            intensities=intensities,
-        )
+        counts = np.bincount(years - start, minlength=n_years)
+        return cls(start, counts, intensities[np.argsort(years, kind="stable")])
 
     @property
     def years(self) -> np.ndarray:
         """Calendar years of the per-year view."""
         return np.arange(len(self.counts), dtype=np.int64) + self.start_year  # no int64 stop
+
+    @property
+    def event_years(self) -> np.ndarray:
+        """Each event's calendar year, aligned with ``intensities``."""
+        return np.repeat(self.years, self.counts)
 
     @property
     def n_years(self) -> int:

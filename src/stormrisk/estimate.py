@@ -162,7 +162,7 @@ def long_run_series(
     t = np.arange(1, T + 1, dtype=np.float64)
     n = catalog.counts.astype(np.float64)
     s = catalog.sums
-    offsets = (catalog.event_years - catalog.start_year).astype(np.intp)
+    offsets = np.repeat(np.arange(T), catalog.counts)
 
     # Running sums of n, s, n*n, s*s and n*s after a zero column.  Every
     # term is non-negative, so a finite last column bounds every year.

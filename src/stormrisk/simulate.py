@@ -312,7 +312,6 @@ def simulate_catalog(config: SimulationConfig) -> EventCatalog:
             f"freq: expects {expected:.6g} events over {config.n_years} years, "
             f"more than the {_MAX_ROWS} a catalog may hold"
         )
-    start, end = config.years
     sev = config.sev
     inverse_cdf = sev.family in _INVERSE_CDF
     prefix = (seed, _CATALOG)
@@ -342,8 +341,7 @@ def simulate_catalog(config: SimulationConfig) -> EventCatalog:
     if inverse_cdf:
         mu = np.repeat(sev.driver(index), counts)
         intensities = _inverse_cdf(sev, intensities, mu)
-    event_years = np.repeat(np.arange(start, end + 1, dtype=np.int64), counts)
-    return EventCatalog.from_events(event_years, intensities, year_range=(start, end))
+    return EventCatalog(start_year=config.years[0], counts=counts, intensities=intensities)
 
 
 def _usable_cpus() -> int:

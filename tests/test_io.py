@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,31 +115,60 @@ def test_catalog_at_the_edges_of_its_value_ranges():
     assert catalog.years.tolist() == [2**63 - 3, 2**63 - 2, 2**63 - 1]
 
 
-def _catalog(counts=(1, 0), sums=(2.0, 0.0), years=(1,), intensities=(2.0,)):
-    return sr.EventCatalog(
-        start_year=1,
-        counts=np.array(counts, dtype=np.int64),
-        sums=np.array(sums),
-        event_years=np.array(years, dtype=np.int64),
-        intensities=np.array(intensities),
-    )
+def _catalog(start_year=1, counts=(1, 0), intensities=(2.0,)):
+    return sr.EventCatalog(start_year, np.array(counts), np.array(intensities))
 
 
 CATALOG_ERROR_CASES = {
-    "no-years": (
-        lambda: _catalog(counts=(), sums=()), "catalog must cover at least one year"
+    "no-years": (lambda: _catalog(counts=()), "catalog must cover at least one year"),
+    "start-year-float": (
+        lambda: _catalog(start_year=1.5), "start_year: must be an integer, got 1.5"
     ),
-    "counts-sums": (
-        lambda: _catalog(sums=(2.0,)), "per-year counts and sums differ in length"
+    "start-year-bool": (
+        lambda: _catalog(start_year=True), "start_year: must be an integer, got True"
     ),
-    "years-intensities": (
-        lambda: _catalog(years=(1, 1)), "event years and intensities differ in length"
+    "start-year-past-int64": (
+        lambda: _catalog(start_year=2**63),
+        f"start_year: years {2**63} to {2**63 + 1} must be signed 64-bit integers",
+    ),
+    "last-year-past-int64": (
+        lambda: _catalog(start_year=2**63 - 1),
+        f"start_year: years {2**63 - 1} to {2**63} must be signed 64-bit integers",
+    ),
+    "counts-float": (
+        lambda: _catalog(counts=(1.0, 0.0)), "counts: must be integers, got float64 values"
+    ),
+    "counts-2d": (
+        lambda: _catalog(counts=((1, 0),)), "counts: must be 1-d, got shape (1, 2)"
     ),
     "negative-count": (
         lambda: _catalog(counts=(2, -1)), "per-year counts must be non-negative"
     ),
     "count-total": (
         lambda: _catalog(counts=(1, 1)), "per-year counts do not add up to the event total"
+    ),
+    "count-total-wraps": (
+        lambda: _catalog(counts=(2**63 - 1, 2**63 - 1, 2), intensities=()),
+        "per-year counts do not add up to the event total",
+    ),
+    "intensities-str": (
+        lambda: _catalog(intensities=("2.0",)),
+        "intensities: must be real numbers, got <U3 values",
+    ),
+    "intensities-bool": (
+        lambda: _catalog(intensities=(True,)),
+        "intensities: must be real numbers, got bool values",
+    ),
+    "intensities-complex": (
+        lambda: _catalog(intensities=(2 + 0j,)),
+        "intensities: must be real numbers, got complex128 values",
+    ),
+    "intensities-2d": (
+        lambda: _catalog(intensities=((2.0,),)), "intensities: must be 1-d, got shape (1, 1)"
+    ),
+    "intensities-text-from-events": (
+        lambda: sr.EventCatalog.from_events([1, 2], ["1.5", "2"]),
+        "intensities: must be real numbers, got <U3 values",
     ),
     "events-misaligned": (
         lambda: sr.EventCatalog.from_events([1, 2], [1.0]),
@@ -257,6 +287,10 @@ def event_inputs(draw):
 @example(events=(np.array([2**63], dtype=np.uint64), [1.0]))
 @example(events=([1.5, 2.7], [1.0, 2.0]))
 @example(events=(["1"], [1.0]))
+@example(events=([1, 2], ["1.5", "2"]))
+@example(events=([1, 2], [True, True]))
+@example(events=([1, 2], [b"1.5", b"2"]))
+@example(events=([1, 2], [1.5, 2 + 0j]))
 def test_every_catalog_from_events_accepts_writes_and_reads_back(tmp_path_factory, events):
     # the CSV holds the events, not a year_range, so none is given
     years, intensities = events
@@ -264,8 +298,10 @@ def test_every_catalog_from_events_accepts_writes_and_reads_back(tmp_path_factor
         catalog = sr.EventCatalog.from_events(years, intensities)
     except ValueError:
         return
-    # the catalog holds the years it was given, not a truncation or a wrap
+    # the catalog holds the years it was given, not a truncation or a wrap,
+    # and intensities given as real numbers, not parsed from text or bools
     assert catalog.event_years.tolist() == sorted(np.asarray(years).tolist())
+    assert np.asarray(intensities).dtype.kind in "iuf"
     path = tmp_path_factory.mktemp("events") / "events.csv"
     with path.open("w", encoding="utf-8", newline="") as fh:
         write_events_stream(catalog, fh)
@@ -274,6 +310,82 @@ def test_every_catalog_from_events_accepts_writes_and_reads_back(tmp_path_factor
     for name in ("event_years", "intensities", "counts", "sums"):
         a, b = getattr(back, name), getattr(catalog, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@st.composite
+def catalog_inputs(draw):
+    """Constructor arguments: a start year near 0 or at either int64 limit,
+    counts as a list or any numpy integer array, and intensities as a list
+    of doubles or integers, or a float32 array."""
+    start = draw(
+        st.integers(-1000, 3000)
+        | st.integers(_INT64_MIN - 2, _INT64_MIN + 40)
+        | st.integers(_INT64_MAX - 40, _INT64_MAX + 2)
+    )
+    counts = draw(st.lists(st.integers(0, 5), min_size=1, max_size=30))
+    forms = [list, *(lambda v, t=t: np.array(v, dtype=t) for t in NUMPY_INTEGERS)]
+    counts = draw(st.sampled_from(forms))(counts)
+    n = int(sum(counts))
+    doubles = st.floats(5e-324, 1.7976931348623157e308)
+    singles = st.floats(1.401298464324817e-45, 3.4028234663852886e38, width=32)
+    x = draw(
+        st.lists(doubles, min_size=n, max_size=n)
+        | st.lists(st.integers(1, 2**62), min_size=n, max_size=n)
+        | st.lists(singles, min_size=n, max_size=n).map(lambda v: np.array(v, np.float32))
+    )
+    return start, counts, x
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(args=catalog_inputs())
+@example(args=(0, [1, 0], [2.0]))
+def test_every_catalog_the_constructor_accepts_writes_and_reads_back(tmp_path_factory, args):
+    try:
+        catalog = sr.EventCatalog(*args)
+    except ValueError:
+        return
+    if catalog.n_events == 0:
+        return  # an event CSV without rows is refused
+    # the CSV holds events, so years without one at either end do not come
+    # back: the catalog read back runs from the first to the last year with one
+    held = np.flatnonzero(catalog.counts)
+    a, b = int(held[0]), int(held[-1]) + 1
+    path = tmp_path_factory.mktemp("events") / "events.csv"
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        write_events_stream(catalog, fh)
+    back = sr.read_events_csv(path)
+    assert back.start_year == catalog.start_year + a
+    expected = {
+        "counts": catalog.counts[a:b],
+        "sums": catalog.sums[a:b],
+        "event_years": catalog.event_years,
+        "intensities": catalog.intensities,
+    }
+    for name, want in expected.items():
+        got = getattr(back, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def test_a_catalog_keeps_one_double_per_event_plus_its_per_year_arrays():
+    # a stored per-event copy (years or year offsets) would double this
+    rng = np.random.default_rng(0)
+    years, intensities = rng.integers(0, 1000, 200_000), rng.random(200_000) + 0.5
+    config = stationary_config("gamma", lam=200.0, mu=1.0, shape=2.0, years=(1, 1000))
+    builds = [lambda: sr.EventCatalog.from_events(years, intensities),
+              lambda: sr.simulate_catalog(config)]
+    tracemalloc.start()
+    try:
+        for build in builds:
+            build()  # a first call may import modules, which stay
+            before = tracemalloc.get_traced_memory()[0]
+            catalog = build()
+            kept = tracemalloc.get_traced_memory()[0] - before
+            per_year = catalog.counts.nbytes + catalog.sums.nbytes
+            assert catalog.n_events > 190_000
+            assert kept <= 8 * catalog.n_events + per_year + 16384
+            del catalog
+    finally:
+        tracemalloc.stop()
 
 
 def test_csv_rows_match_csv_writer_across_chunks():
