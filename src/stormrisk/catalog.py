@@ -38,8 +38,10 @@ def _positive_finite(x: np.ndarray) -> bool:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+    """A read-only view of ``a``; ``a`` itself keeps its flags."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True, eq=False)

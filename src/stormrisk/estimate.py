@@ -22,6 +22,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +79,7 @@ class LongRunSeries:
             a = getattr(self, name)
             if len(a) != n:
                 raise ValueError(f"column {name} has length {len(a)}, expected {n}")
-            _frozen(a)
+            object.__setattr__(self, name, _frozen(a))
 
     @staticmethod
     def column_names() -> tuple[str, ...]:
@@ -88,24 +89,76 @@ class LongRunSeries:
         return len(self.years)
 
 
-def _normal_quantile(p: float) -> float:
-    """Standard normal quantile, the bits of ``scipy.stats.norm.ppf``.  SciPy
-    is imported on first use, only the intervals need it, and ``scipy.special``
-    alone: ``scipy.stats`` takes about 1 s and 70 MB more to import."""
-    from scipy.special import ndtri
+# Cephes ndtri's coefficients, highest power first.  With y = min(p, 1 - p):
+# P0/Q0 for y > exp(-2), P1/Q1 for x = sqrt(-2 log y) in [2, 8) and P2/Q2
+# for x >= 8.  Each Q has an implied leading 1.
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_SQRT_2PI = 2.50662827463100050242
 
-    return float(ndtri(p))
+
+def _rational(x: float, p: tuple, q: tuple) -> float:
+    """``x * P(x) / Q(x)`` by Horner's rule, with Q's leading 1 implied, as
+    Cephes' ``x * polevl(x, P) / p1evl(x, Q)``."""
+    num = p[0]
+    for c in p[1:]:
+        num = num * x + c
+    den = x + q[0]
+    for c in q[1:]:
+        den = den * x + c
+    return x * num / den
+
+
+def _normal_quantile(p: float) -> float:
+    """Standard normal quantile: a port of Cephes ``ndtri``, the routine of
+    ``scipy.special.ndtri``, with its coefficients and order of operations,
+    so it gives the same double for every ``p`` in [0, 1] (pinned by
+    ``tests/test_estimate.py::test_normal_quantile_matches_scipy_ndtri_bit_for_bit``)."""
+    if p == 0.0:
+        return -math.inf
+    if p == 1.0:
+        return math.inf
+    if not 0.0 < p < 1.0:
+        return math.nan
+    y, upper = p, p > 1.0 - _EXP_M2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_M2:
+        y -= 0.5
+        return (y + y * _rational(y * y, _P0, _Q0)) * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    pq = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)  # x = 8 at y = exp(-32)
+    x = x - math.log(x) / x - _rational(1.0 / x, *pq)
+    return x if upper else -x
 
 
 def fisher_interval(rho, n, level: float = 0.95):
     """Approximate confidence bounds ``(lo, hi)`` for Pearson correlations.
 
     Elementwise over ``rho`` and ``n`` (a scalar is a 0-d array, and
-    scalars give scalars): transforms to z = atanh(rho), adds
-    normal-quantile multiples of the standard deviation 1/sqrt(n - 3),
-    and maps back through tanh.  Both bounds are NaN where the interval
-    is undefined (|rho| >= 1, rho NaN, or fewer than 4 pairs).  Exact
-    only for i.i.d. bivariate-normal pairs.
+    scalars give scalars): transforms to z = atanh(rho), adds multiples
+    of the standard deviation 1/sqrt(n - 3) by the normal quantile at
+    (1 + level) / 2 (the package's port of Cephes ``ndtri``, the bits of
+    ``scipy.special.ndtri`` without importing SciPy), and maps back
+    through tanh.  Both bounds are NaN where the interval is undefined
+    (|rho| >= 1, rho NaN, or fewer than 4 pairs).  Exact only for i.i.d.
+    bivariate-normal pairs.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level: must lie in (0, 1), got {level}")

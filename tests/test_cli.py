@@ -747,16 +747,22 @@ def test_cli_import_leaves_scipy_unloaded():
     assert not scipy_modules(modules_loaded_by(""))
 
 
-def test_analyze_loads_scipy_special_not_scipy_stats(tmp_path):
-    # the Fisher quantile needs scipy.special alone, which imports in about
-    # a quarter of the time and memory that scipy.stats takes
+@pytest.mark.parametrize("command", ["theory", "simulate", "analyze", "verify"])
+def test_no_command_loads_scipy(tmp_path, command):
+    # the Fisher bounds' normal quantile is computed in the package, so
+    # SciPy is needed by the tests alone
     events = tmp_path / "events.csv"
     events.write_text("year,intensity\n1,1.0\n2,2.0\n3,1.5\n4,3.0\n5,2.5\n")
-    out = tmp_path / "series.csv"
-    argv = ["analyze", "--input", str(events), "--out", str(out)]
-    loaded = scipy_modules(modules_loaded_by(f"assert stormrisk.cli.main({argv!r}) == 0"))
-    assert "scipy.special" in loaded and "scipy.stats" not in loaded
-    assert out.exists()
+    cfg = write_config(tmp_path, simulate_config(mode=command, years=[1, 10]))
+    out = tmp_path / "out.csv"
+    argv = {
+        "theory": ["theory", "--config", cfg, "--out", str(out)],
+        "simulate": ["simulate", "--config", cfg, "--out", str(out)],
+        "analyze": ["analyze", "--input", str(events), "--window", "3", "--out", str(out)],
+        "verify": ["verify", "--config", cfg, "--replicates", "1000"],
+    }[command]
+    loaded = modules_loaded_by(f"assert stormrisk.cli.main({argv!r}) == 0")
+    assert not scipy_modules(loaded)
 
 
 def test_cli_import_leaves_the_csv_encoder_unloaded():

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stormrisk as sr
 from stormrisk import estimate
@@ -172,6 +174,38 @@ def test_fisher_interval_matches_the_scipy_stats_quantile_bit_for_bit(monkeypatc
     for level, (lo, hi) in zip(levels, got):
         ref_lo, ref_hi = fisher_interval(rho, n, level)
         assert lo.tobytes() == ref_lo.tobytes() and hi.tobytes() == ref_hi.tobytes(), level
+
+
+def _ndtri_sweep() -> np.ndarray:
+    """Quantile arguments at the edges of each branch of Cephes ``ndtri``."""
+    e2, e32 = math.exp(-2), math.exp(-32)
+    # a few ulps on each side of both exp(-2) switches
+    near = np.array([e2, 1 - e2]).view(np.int64)[:, None] + np.arange(-4, 5)
+    return np.concatenate((
+        [0.0, 1.0, 0.5, 5e-324, 2.2e-308, 1e-300, 1 - 2**-53, 2**-53],
+        near.ravel().view(np.float64),
+        e32 * (1 + np.linspace(-1e-9, 1e-9, 2001)),
+        np.geomspace(5e-324, 0.5, 4000),
+        1 - np.geomspace(1e-16, 0.5, 4000),
+        (1 + np.linspace(0.001, 0.999, 999)) / 2,
+    ))
+
+
+def test_normal_quantile_matches_scipy_ndtri_bit_for_bit():
+    from scipy.special import ndtri
+
+    p = _ndtri_sweep()
+    got = np.array([estimate._normal_quantile(float(v)) for v in p])
+    assert got.tobytes() == ndtri(p).tobytes()
+
+
+@settings(derandomize=True, max_examples=2000, deadline=None)
+@given(bits=st.integers(0, 0x3FF0_0000_0000_0000))  # every double in [0, 1]
+def test_normal_quantile_matches_scipy_ndtri_on_any_double(bits):
+    from scipy.special import ndtri
+
+    p = float(np.int64(bits).view(np.float64))
+    assert np.float64(estimate._normal_quantile(p)).tobytes() == ndtri(p).tobytes()
 
 
 def test_fisher_interval_validation():

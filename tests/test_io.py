@@ -388,6 +388,16 @@ def test_a_catalog_keeps_one_double_per_event_plus_its_per_year_arrays():
         tracemalloc.stop()
 
 
+def test_a_catalog_freezes_its_own_arrays_not_its_callers():
+    counts, intensities = np.array([1, 1]), np.array([1.0, 2.0])
+    catalog = sr.EventCatalog(1, counts, intensities)
+    assert counts.flags.writeable and intensities.flags.writeable
+    for a in (catalog.counts, catalog.intensities, catalog.sums):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 5
+
+
 def test_csv_rows_match_csv_writer_across_chunks():
     chunk = sr.io._CHUNK_ROWS
     for n in (chunk - 1, chunk, chunk + 1, 40_000):
