@@ -11,13 +11,7 @@ catalogs, and a CLI tying them together.
 __version__ = "0.1.0"
 
 from .catalog import EventCatalog
-from .estimate import (
-    LongRunSeries,
-    long_run_series,
-    mailier_index,
-    nx_independence,
-    season_activity,
-)
+from .estimate import LongRunSeries, analyze_catalog
 from .frequency import FrequencyModel, RateLink
 from .io import (
     CatalogFormatError,
@@ -43,10 +37,7 @@ __all__ = [
     "__version__",
     "EventCatalog",
     "LongRunSeries",
-    "long_run_series",
-    "mailier_index",
-    "nx_independence",
-    "season_activity",
+    "analyze_catalog",
     "FrequencyModel",
     "RateLink",
     "CatalogFormatError",

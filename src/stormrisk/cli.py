@@ -9,10 +9,10 @@ Subcommands:
 * ``analyze``  long-run series and diagnostics for an event CSV
 * ``verify``   fixed-year Monte Carlo against the closed forms
 
-The library holds every rule and run (``verify`` is one call); this
-module maps flags to arguments, a library error's argument to its flag
-(``_ARG_FLAGS``), and formats the reports.  Primary data (CSV) goes to
-``--out`` when given, else to stdout.  Human summaries go to stderr; a
+The library holds every rule and run (``analyze`` and ``verify`` are
+one call each); this module maps flags to arguments, a library error's
+argument to its flag (``_ARG_FLAGS``), and formats the reports.
+Primary data (CSV) goes to ``--out`` when given, else to stdout.  Human summaries go to stderr; a
 machine-readable JSON report (embedding the effective configuration and
 seed) goes to stdout whenever stdout is not already carrying CSV.  Exit
 codes: 0 ok, 1 verification failure, 2 input error, 3 internal error
@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .estimate import long_run_series, mailier_index, nx_independence, season_activity
+from .estimate import analyze_catalog
 from .io import (
     ConfigError,
     config_dict,
@@ -318,20 +318,7 @@ def _cmd_simulate(args) -> ExitReport:
 
 def _cmd_analyze(args) -> ExitReport:
     catalog = read_events_csv(args.input)
-    series = long_run_series(catalog, ci_level=args.level, window=args.window)
-
-    diagnostics: dict = {}
-    for name, call in (
-        ("nx_independence", lambda: _json_safe(nx_independence(catalog))),
-        ("mailier_index", lambda: mailier_index(catalog.counts)),
-        ("season_activity", lambda: season_activity(catalog.counts)),
-    ):
-        try:
-            diagnostics[name] = call()
-        except ValueError as exc:
-            diagnostics[name] = None
-            diagnostics[f"{name}_note"] = str(exc)
-
+    series, diagnostics = analyze_catalog(catalog, ci_level=args.level, window=args.window)
     return _emit(
         args,
         lambda fh: write_series_stream(series, fh),
@@ -344,7 +331,7 @@ def _cmd_analyze(args) -> ExitReport:
             "ci_level": args.level,
             "n_years": catalog.n_years,
             "n_events": catalog.n_events,
-            "diagnostics": diagnostics,
+            "diagnostics": {k: _json_safe(v) for k, v in diagnostics.items()},
         },
     )
 

@@ -6,6 +6,9 @@ count-aggregate correlation with Fisher-transform confidence intervals,
 and a few diagnostics (count/intensity independence, active-season
 classification, the subtract-one dispersion index).
 
+:func:`analyze_catalog` is the one entry: the series and diagnostics
+that ``analyze`` reports.  The functions it calls are its steps.
+
 Conventions
 -----------
 * All long-run variance estimators use the population form (divide by
@@ -31,6 +34,7 @@ from .catalog import EventCatalog, _frozen, _integer
 
 __all__ = [
     "LongRunSeries",
+    "analyze_catalog",
     "long_run_series",
     "fisher_interval",
     "nx_independence",
@@ -322,3 +326,29 @@ def mailier_index(counts) -> float:
     if mean <= 0:
         raise ValueError(f"mean count must be positive, got {mean}")
     return float(counts.var(ddof=0) / mean - 1.0)
+
+
+def analyze_catalog(
+    catalog: EventCatalog, ci_level: float = 0.95, window: int | None = None
+) -> tuple[LongRunSeries, dict]:
+    """The long-run series of ``catalog`` and its diagnostics.
+
+    The series is :func:`long_run_series`'s, whose argument errors are
+    raised before any diagnostic runs.  The dict holds the value of each
+    of :func:`nx_independence` (NaN kept), :func:`mailier_index` and
+    :func:`season_activity`; one that raises ValueError gives None
+    there, and its message under ``<name>_note``.
+    """
+    series = long_run_series(catalog, ci_level, window)
+    diagnostics: dict = {}
+    for name, call, arg in (
+        ("nx_independence", nx_independence, catalog),
+        ("mailier_index", mailier_index, catalog.counts),
+        ("season_activity", season_activity, catalog.counts),
+    ):
+        try:
+            diagnostics[name] = call(arg)
+        except ValueError as exc:
+            diagnostics[name] = None
+            diagnostics[f"{name}_note"] = str(exc)
+    return series, diagnostics

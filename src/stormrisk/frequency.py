@@ -9,6 +9,11 @@ of two links on a linear predictor:
 Construction requires the rate to be positive and finite over the
 model's declared horizon, for either link: the identity rate can go
 non-positive or overflow, the log rate can overflow or underflow to 0.
+
+Every count is drawn by ``_poisson``, given the rate: `sample_count`
+passes ``rate(model, t)``, and a catalog's per-year loop the year's rate
+from its one `rate` call.  Catalog lanes (``simulate._lane_draws``)
+reproduce those draws from raw PCG64 outputs.
 """
 
 from __future__ import annotations
@@ -132,6 +137,11 @@ def rate(model: FrequencyModel, t):
     return model._raw_rate(t)
 
 
+def _poisson(lam: float, rng: np.random.Generator, size: int | None = None):
+    """``size`` Poisson draws with mean ``lam``, or one int without ``size``."""
+    return rng.poisson(lam, size)
+
+
 def sample_count(model: FrequencyModel, t: float, rng: np.random.Generator, size: int):
     """``size`` Poisson draws with mean ``rate(model, t)``."""
-    return rng.poisson(rate(model, t), size=int(size))
+    return _poisson(rate(model, t), rng, int(size))

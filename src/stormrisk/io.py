@@ -47,7 +47,6 @@ __all__ = [
     "config_dict",
 ]
 
-SERIES_COLUMNS = ("t", "e_n", "e_s", "e_x", "phi", "rho", "rho_lo", "rho_hi", "j2phi")
 EVENT_COLUMNS = ("year", "intensity")
 _EVENT_DTYPE = np.dtype([("year", np.int64), ("intensity", np.float64)])
 
@@ -72,12 +71,16 @@ def read_events_csv(path) -> EventCatalog:
     The body is parsed in one bulk pass; any input that pass does not
     accept cleanly goes through the line-by-line parser instead, so every
     file is accepted or rejected exactly as by :func:`_read_events_lines`.
+    Either parser's events make the catalog in one call, whose errors
+    name the file.
     """
     path = Path(path)
     body = _load_events_body(path)
-    if body is None:
-        return _read_events_lines(path)
-    return EventCatalog.from_events(body["year"], body["intensity"])
+    events = _read_events_lines(path) if body is None else (body["year"], body["intensity"])
+    try:
+        return EventCatalog.from_events(*events)
+    except ValueError as exc:
+        raise CatalogFormatError(f"{path}: {exc}") from None
 
 
 def _is_header(row: list[str], columns: tuple[str, ...]) -> bool:
@@ -110,8 +113,9 @@ def _load_events_body(path: Path) -> np.ndarray | None:
     return body
 
 
-def _read_events_lines(path: Path) -> EventCatalog:
-    """Line-by-line event CSV parser; errors name the offending line."""
+def _read_events_lines(path: Path) -> tuple[list[int], list[float]]:
+    """Line-by-line event CSV parser: the years and intensities of the
+    events; errors name the offending line."""
     years: list[int] = []
     intensities: list[float] = []
     with path.open("r", encoding="utf-8-sig", newline="") as fh:
@@ -167,7 +171,7 @@ def _read_events_lines(path: Path) -> EventCatalog:
             raise CatalogFormatError(_not_utf8(path, "utf-8-sig")) from None
     if not years:
         raise CatalogFormatError(f"{path}: no event rows")
-    return EventCatalog.from_events(years, intensities)
+    return years, intensities
 
 
 def _not_utf8(path: Path, encoding: str) -> str:
@@ -226,12 +230,10 @@ def write_events_stream(catalog: EventCatalog, fh) -> None:
 
 
 def write_series_stream(series: LongRunSeries, fh) -> None:
-    """Write a long-run series as CSV rows to an open text stream."""
-    write_csv_rows(
-        fh,
-        SERIES_COLUMNS,
-        [getattr(series, name) for name in LongRunSeries.column_names()],
-    )
+    """Write a long-run series as CSV rows to an open text stream; the
+    header names its ``years`` column ``t``."""
+    names = LongRunSeries.column_names()
+    write_csv_rows(fh, ("t", *names[1:]), [getattr(series, name) for name in names])
 
 
 # --- run configuration -------------------------------------------------

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import _INT64_MAX, _INT64_MIN, _MAX_ROWS, EventCatalog, _integer
-from .frequency import FrequencyModel, _check_horizon, _exp, rate, sample_count
+from .frequency import FrequencyModel, _check_horizon, _exp, _poisson, rate, sample_count
 from .severity import _INVERSE_CDF, SeverityModel, _inverse_cdf, sample_intensity
 
 __all__ = [
@@ -330,7 +330,7 @@ def simulate_catalog(config: SimulationConfig) -> EventCatalog:
             continue
         years = zip(range(a + 1, b + 1), lam[a:b].tolist(), _streams(prefix, index[a:b]))
         for t, lam_t, rng in years:
-            n_t = counts[t - 1] = rng.poisson(lam_t)
+            n_t = counts[t - 1] = _poisson(lam_t, rng)
             if n_t > 0:
                 if inverse_cdf:
                     # marks follow after the loop, one inverse-CDF pass for all

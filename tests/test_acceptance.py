@@ -17,7 +17,7 @@ import pytest
 
 import stormrisk as sr
 from stormrisk.cli import ExitStatus, run
-from stormrisk.estimate import fisher_interval
+from stormrisk.estimate import fisher_interval, long_run_series, mailier_index, nx_independence
 from stormrisk.frequency import rate
 from stormrisk.io import CatalogFormatError
 from stormrisk.severity import severity_moments
@@ -76,7 +76,7 @@ def test_criterion_1_algebraic_identities():
     for k, family in enumerate(FAMILIES):
         shape = {"gamma": 1.5, "lognormal": 0.5, "gpd": 0.2}.get(family)
         config = stationary_config(family, lam=9.0, mu=2.0, shape=shape, seed=2000 + k)
-        series = sr.long_run_series(sr.simulate_catalog(config))
+        series = long_run_series(sr.simulate_catalog(config))
         defined = ~np.isnan(series.e_x)
         lhs = series.e_n[defined] * series.e_x[defined]
         assert np.all(np.abs(lhs - series.e_s[defined]) <= 1e-12 * np.abs(series.e_s[defined]))
@@ -253,7 +253,7 @@ def test_criterion_4_simulated_gpd_model():
     n_reps = 500
     for seed in range(n_reps):
         config = stationary_config("gpd", lam=20.0, mu=1.0, shape=xi, seed=seed)
-        series = sr.long_run_series(sr.simulate_catalog(config))
+        series = long_run_series(sr.simulate_catalog(config))
         terminal_j2phi.append(series.j2phi[-1])
         if series.rho_lo[-1] <= rho_target <= series.rho_hi[-1]:
             band_hits += 1
@@ -310,9 +310,9 @@ def test_criterion_6_dispersion_convergence():
         "exponential", lam=30.0, mu=26.7, years=(1, 10_000), seed=6001
     )
     catalog = sr.simulate_catalog(config)
-    series = sr.long_run_series(catalog)
+    series = long_run_series(catalog)
     phi_terminal = float(series.phi[-1])
-    index = sr.mailier_index(catalog.counts)
+    index = mailier_index(catalog.counts)
     ok = abs(phi_terminal - 1.0) <= 0.05 and abs(index) <= 0.05
     elapsed = time.perf_counter() - start
     _report(
@@ -340,7 +340,7 @@ def test_criterion_7_independence_diagnostic():
         config = stationary_config(
             "exponential", lam=29.5, mu=26.7, years=(1, years), seed=seed
         )
-        value = sr.nx_independence(sr.simulate_catalog(config))
+        value = nx_independence(sr.simulate_catalog(config))
         small += abs(value) < 0.1
     rate = small / n_reps
     ok = rate >= 0.95
@@ -379,7 +379,7 @@ def test_criterion_8_io_round_trip(tmp_path):
     assert np.array_equal(back.event_years, catalog.event_years)
     assert np.array_equal(back.intensities, catalog.intensities)
 
-    series = sr.long_run_series(catalog)
+    series = long_run_series(catalog)
     series_path = tmp_path / "series.csv"
     report = run(["analyze", "--input", str(events_path), "--out", str(series_path)])
     assert report.status is ExitStatus.OK

@@ -20,10 +20,7 @@ PUBLIC = [
     "__version__",
     "EventCatalog",
     "LongRunSeries",
-    "long_run_series",
-    "mailier_index",
-    "nx_independence",
-    "season_activity",
+    "analyze_catalog",
     "FrequencyModel",
     "RateLink",
     "CatalogFormatError",
@@ -46,7 +43,13 @@ PUBLIC = [
 
 # Steps and parts of the entries above, public in their modules only.
 MODULE_ONLY = {
-    "estimate": ["fisher_interval"],
+    "estimate": [
+        "fisher_interval",
+        "long_run_series",
+        "mailier_index",
+        "nx_independence",
+        "season_activity",
+    ],
     "frequency": ["rate", "sample_count"],
     "severity": ["Moments", "sample_intensity", "severity_moments"],
 }
@@ -54,7 +57,7 @@ MODULE_ONLY = {
 
 def test_public_names_are_exactly_the_listed_ones():
     assert sr.__all__ == PUBLIC
-    assert len(sr.__all__) == 24
+    assert len(sr.__all__) == 21
     assert all(hasattr(sr, name) for name in PUBLIC)
 
 
@@ -137,6 +140,19 @@ def test_cli_imports_no_private_package_name():
         )
     ]
     assert private == []
+
+
+def test_cli_calls_one_estimator_entry():
+    # what `analyze` reports, and what a diagnostic that cannot be
+    # computed becomes, is decided by `estimate.analyze_catalog`
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "estimate"
+        for alias in node.names
+    ]
+    assert imported == ["analyze_catalog"]
 
 
 def test_benchmark_hooks_resolve_in_the_package():

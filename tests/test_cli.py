@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import stormrisk as sr
 from stormrisk import catalog, simulate
 from stormrisk.cli import ExitStatus, main, run
+from stormrisk.estimate import long_run_series
 from stormrisk.verify import _checks
 
 from helpers import (
@@ -162,7 +163,7 @@ def test_simulate_then_analyze_pipeline(tmp_path):
     report = run(["analyze", "--input", str(events), "--out", str(series_path)])
     assert report.status is ExitStatus.OK
     series = read_series(series_path)
-    expected = sr.long_run_series(sr.read_events_csv(events))
+    expected = long_run_series(sr.read_events_csv(events))
     for name in expected.column_names()[1:]:
         assert np.array_equal(series[name], getattr(expected, name), equal_nan=True)
     defined = ~np.isnan(series["e_x"])
@@ -225,6 +226,41 @@ def test_simulate_at_any_accepted_gpd_shape_writes_positive_marks(tmp_path_facto
         code, marks = _simulated_marks(tmp_path_factory.mktemp("gpd"), cfg)
     assert code == 0, out.getvalue()
     assert np.all((marks > 0) & (marks < np.inf))
+
+
+@pytest.mark.parametrize(
+    "years, intensities",
+    [
+        (None, None),
+        ([2040, 2040, 2040], [1.0, 2.0, 3.0]),
+        ([1, 1, 2, 2, 3, 3, 4, 4], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 9.0]),
+    ],
+    ids=["simulated", "one year", "constant counts"],
+)
+def test_analyze_reports_the_diagnostics_of_the_library_entry(tmp_path, years, intensities):
+    if years is None:
+        config = stationary_config("gpd", lam=4.0, mu=1.0, shape=0.2, years=(1, 80), seed=5)
+        catalog = sr.simulate_catalog(config)
+    else:
+        catalog = sr.EventCatalog.from_events(years, intensities)
+    events = tmp_path / "events.csv"
+    with events.open("w", encoding="utf-8", newline="") as fh:
+        sr.io.write_events_stream(catalog, fh)
+    report = run(["analyze", "--input", str(events), "--out", str(tmp_path / "series.csv")])
+    assert report.status is ExitStatus.OK
+    _, diagnostics = sr.analyze_catalog(sr.read_events_csv(events))
+    expected = {k: sr.cli._json_safe(v) for k, v in diagnostics.items()}
+    assert report.payload["diagnostics"] == expected
+    if years is None:
+        assert None not in expected.values()
+    elif len(set(years)) == 1:  # every diagnostic needs two years or more
+        assert [k for k, v in expected.items() if v is None] == [
+            "nx_independence", "mailier_index", "season_activity"
+        ]
+    else:  # counts without variance: no count-intensity correlation
+        assert expected["nx_independence"] is None
+        assert "nx_independence_note" not in expected
+        assert expected["mailier_index"] == -1.0
 
 
 def test_analyze_with_window(tmp_path):

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 import stormrisk as sr
 from stormrisk import estimate
-from stormrisk.estimate import fisher_interval
+from stormrisk.estimate import (
+    analyze_catalog,
+    fisher_interval,
+    long_run_series,
+    mailier_index,
+    nx_independence,
+    season_activity,
+)
 
 from helpers import stationary_config
 
@@ -28,7 +35,7 @@ def catalog_from_yearly(counts, mean_intensities):
 
 def test_constant_catalog_long_run_values():
     catalog = catalog_from_yearly([2, 2, 2], [3.0, 3.0, 3.0])
-    series = sr.long_run_series(catalog)
+    series = long_run_series(catalog)
     assert np.allclose(series.e_n, [2, 2, 2])
     assert np.allclose(series.e_s, [6, 6, 6])
     assert np.allclose(series.e_x, 3.0)
@@ -37,7 +44,7 @@ def test_constant_catalog_long_run_values():
 
 def test_long_run_wald_identity_holds_at_every_cutoff():
     config = stationary_config("gamma", lam=8.0, mu=2.0, shape=1.5, years=(1, 200), seed=14)
-    series = sr.long_run_series(sr.simulate_catalog(config))
+    series = long_run_series(sr.simulate_catalog(config))
     defined = ~np.isnan(series.e_x)
     prod = series.e_n[defined] * series.e_x[defined]
     assert np.all(np.abs(prod - series.e_s[defined]) <= 1e-12 * np.abs(series.e_s[defined]))
@@ -48,7 +55,7 @@ def test_long_run_converges_to_model_values():
     config = stationary_config(
         "exponential", lam=29.5, mu=26.7, years=(1, 2000), seed=6
     )
-    series = sr.long_run_series(sr.simulate_catalog(config))
+    series = long_run_series(sr.simulate_catalog(config))
     assert abs(series.e_n[-1] - 29.5) <= 0.5
     assert abs(series.e_x[-1] - 26.7) <= 0.5
     assert abs(series.e_s[-1] - 787.65) <= 15.0
@@ -58,7 +65,7 @@ def test_long_run_converges_to_model_values():
 def test_e_x_undefined_until_first_event():
     counts = [0, 0, 3, 1]
     catalog = catalog_from_yearly(counts, [0.0, 0.0, 2.0, 4.0])
-    series = sr.long_run_series(catalog)
+    series = long_run_series(catalog)
     assert np.isnan(series.e_x[0]) and np.isnan(series.e_x[1])
     assert series.e_x[2] == 2.0
     assert np.isnan(series.j2phi[:2]).all()
@@ -66,7 +73,7 @@ def test_e_x_undefined_until_first_event():
 
 def test_phi_undefined_when_no_events_at_all():
     catalog = sr.EventCatalog.from_events([], [], year_range=(1, 5))
-    series = sr.long_run_series(catalog)
+    series = long_run_series(catalog)
     assert np.isnan(series.phi).all()
     assert np.isnan(series.e_x).all()
     assert np.all(series.e_n == 0.0)
@@ -77,41 +84,41 @@ def test_phi_undefined_when_no_events_at_all():
 
 def test_expanding_perfect_correlation():
     catalog = catalog_from_yearly([1, 2, 3], [1.0, 1.0, 1.0])  # pairs (n, s) on a line
-    series = sr.long_run_series(catalog)
+    series = long_run_series(catalog)
     assert np.isnan(series.rho[0]) and np.isnan(series.rho[1])
     assert series.rho[2] == pytest.approx(1.0)
 
 
 def test_expanding_undefined_for_constant_counts():
     catalog = catalog_from_yearly([2, 2, 2, 2], [1.0, 2.0, 3.0, 4.0])
-    series = sr.long_run_series(catalog)
+    series = long_run_series(catalog)
     assert np.isnan(series.rho).all()
 
 
 def test_expanding_needs_three_years():
     catalog = catalog_from_yearly([1, 2], [1.0, 3.0])
-    series = sr.long_run_series(catalog)
+    series = long_run_series(catalog)
     assert np.isnan(series.rho).all()
     assert np.isnan(series.rho_lo).all() and np.isnan(series.rho_hi).all()
 
 
 def test_moving_window_examples():
     catalog = catalog_from_yearly([1, 2, 3, 4], [1.0, 1.0, 1.0, 1.0])
-    series = sr.long_run_series(catalog, window=3)
+    series = long_run_series(catalog, window=3)
     assert np.isnan(series.rho[:2]).all()
     assert np.allclose(series.rho[2:], [1.0, 1.0])
     # a window covering the whole catalog equals the terminal expanding value
-    full = sr.long_run_series(catalog, window=4)
-    expanding = sr.long_run_series(catalog)
+    full = long_run_series(catalog, window=4)
+    expanding = long_run_series(catalog)
     assert full.rho[-1] == pytest.approx(expanding.rho[-1], rel=1e-12)
 
 
 def test_moving_window_validation():
     catalog = catalog_from_yearly([1, 2, 3, 4], [1.0] * 4)
     with pytest.raises(ValueError, match="at least 3"):
-        sr.long_run_series(catalog, window=2)
+        long_run_series(catalog, window=2)
     with pytest.raises(ValueError, match="exceeds"):
-        sr.long_run_series(catalog, window=5)
+        long_run_series(catalog, window=5)
 
 
 @pytest.mark.parametrize("window", [3.5, 4.0, math.nan, "4"])
@@ -119,16 +126,16 @@ def test_window_must_be_an_integer(window):
     catalog = catalog_from_yearly([1, 2, 3, 4], [1.0] * 4)
     message = f"window: must be an integer, got {window!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        sr.long_run_series(catalog, window=window)
+        long_run_series(catalog, window=window)
     # a numpy integer is an integer
-    series = sr.long_run_series(catalog, window=np.int64(4))
-    assert np.array_equal(series.rho, sr.long_run_series(catalog, window=4).rho, equal_nan=True)
+    series = long_run_series(catalog, window=np.int64(4))
+    assert np.array_equal(series.rho, long_run_series(catalog, window=4).rho, equal_nan=True)
 
 
 def test_moving_window_tracks_model_correlation():
     config = stationary_config("exponential", lam=20.0, mu=2.0, years=(1, 200), seed=9)
     catalog = sr.simulate_catalog(config)
-    series = sr.long_run_series(catalog, window=10)
+    series = long_run_series(catalog, window=10)
     target = sr.risk_summary(config.freq, config.sev, 1).cor_ns
     assert abs(np.nanmean(series.rho) - target) <= 0.1
 
@@ -136,8 +143,8 @@ def test_moving_window_tracks_model_correlation():
 def test_window_overlays_only_the_correlation_columns():
     config = stationary_config("exponential", lam=20.0, mu=2.0, years=(1, 50), seed=9)
     catalog = sr.simulate_catalog(config)
-    series = sr.long_run_series(catalog)
-    windowed = sr.long_run_series(catalog, window=10)
+    series = long_run_series(catalog)
+    windowed = long_run_series(catalog, window=10)
     for name in ("rho", "rho_lo", "rho_hi"):
         assert np.isnan(getattr(windowed, name)[:9]).all()
     for end in (10, 27, 50):
@@ -249,50 +256,105 @@ def test_fisher_interval_coverage_quick():
 def test_nx_independence_hand_values():
     # counts (1, 2, 3) with mean intensities (3, 2, 1): perfectly opposed
     catalog = catalog_from_yearly([1, 2, 3], [3.0, 2.0, 1.0])
-    assert sr.nx_independence(catalog) == pytest.approx(-1.0, rel=1e-12)
+    assert nx_independence(catalog) == pytest.approx(-1.0, rel=1e-12)
     # constant mean intensity has zero variance: undefined
     catalog = catalog_from_yearly([1, 2, 3], [2.0, 2.0, 2.0])
-    assert math.isnan(sr.nx_independence(catalog))
+    assert math.isnan(nx_independence(catalog))
 
 
 def test_nx_independence_skips_empty_years():
     catalog = catalog_from_yearly([1, 0, 2, 0, 3], [3.0, 0.0, 2.0, 0.0, 1.0])
-    assert sr.nx_independence(catalog) == pytest.approx(-1.0, rel=1e-12)
+    assert nx_independence(catalog) == pytest.approx(-1.0, rel=1e-12)
     with pytest.raises(ValueError, match="3 years"):
-        sr.nx_independence(catalog_from_yearly([1, 0, 2], [1.0, 0.0, 2.0]))
+        nx_independence(catalog_from_yearly([1, 0, 2], [1.0, 0.0, 2.0]))
 
 
 def test_season_activity_examples():
     inactive, active = "inactive", "active"
-    assert sr.season_activity([5, 5, 5, 5]) == [inactive] * 4
+    assert season_activity([5, 5, 5, 5]) == [inactive] * 4
     # mean 2.5, sample sd 5, threshold 7.5
-    assert sr.season_activity([0, 0, 0, 10]) == [inactive, inactive, inactive, active]
+    assert season_activity([0, 0, 0, 10]) == [inactive, inactive, inactive, active]
     # mean 3.5, sample sd ~0.7071, threshold ~4.2071
-    assert sr.season_activity([3, 4]) == [inactive, inactive]
+    assert season_activity([3, 4]) == [inactive, inactive]
     with pytest.raises(ValueError):
-        sr.season_activity([3])
+        season_activity([3])
 
 
 def test_mailier_index_examples():
-    assert sr.mailier_index([7, 7, 7]) == -1.0        # constant counts
-    assert sr.mailier_index([0, 2]) == 0.0            # variance 1, mean 1
+    assert mailier_index([7, 7, 7]) == -1.0        # constant counts
+    assert mailier_index([0, 2]) == 0.0            # variance 1, mean 1
     with pytest.raises(ValueError):
-        sr.mailier_index([0, 0, 0])
+        mailier_index([0, 0, 0])
     with pytest.raises(ValueError):
-        sr.mailier_index([5])
+        mailier_index([5])
 
 
 def test_mailier_index_poisson_convergence():
     draws = np.random.default_rng(13).poisson(30.0, size=10_000)
-    assert abs(sr.mailier_index(draws)) <= 0.05
+    assert abs(mailier_index(draws)) <= 0.05
+
+
+# --- the entry ---------------------------------------------------------------
+
+
+def test_analyze_catalog_is_the_series_and_the_diagnostics():
+    catalog = catalog_from_yearly([1, 3, 0, 2, 5], [1.0, 2.0, 0.0, 4.0, 3.0])
+    series, diagnostics = analyze_catalog(catalog, ci_level=0.9, window=3)
+    expected = long_run_series(catalog, ci_level=0.9, window=3)
+    for name in expected.column_names():
+        assert np.array_equal(getattr(series, name), getattr(expected, name), equal_nan=True)
+    assert diagnostics == {
+        "nx_independence": nx_independence(catalog),
+        "mailier_index": mailier_index(catalog.counts),
+        "season_activity": season_activity(catalog.counts),
+    }
+
+
+def test_analyze_catalog_keeps_nan_and_notes_what_cannot_be_computed():
+    _, constant = analyze_catalog(catalog_from_yearly([2, 2, 2, 2], [1.0, 3.0, 2.0, 5.0]))
+    assert math.isnan(constant["nx_independence"])
+    assert constant["mailier_index"] == -1.0
+    _, one_year = analyze_catalog(catalog_from_yearly([3], [2.0]))
+    assert one_year == {
+        "nx_independence": None,
+        "nx_independence_note": "need at least 3 years with events, got 1",
+        "mailier_index": None,
+        "mailier_index_note": "need counts for at least 2 years",
+        "season_activity": None,
+        "season_activity_note": "need counts for at least 2 years",
+    }
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"ci_level": 1.0}, "ci_level: must lie in (0, 1), got 1.0"),
+        ({"window": 2}, "window: must be at least 3 years, got 2"),
+        ({"window": 5}, "window: exceeds the 4-year catalog, got 5"),
+    ],
+)
+def test_analyze_catalog_raises_argument_errors_before_any_diagnostic(
+    monkeypatch, kwargs, message
+):
+    # the entry calls its steps by their module names, which the benchmark's
+    # tracer wraps
+    ran = []
+    for name in ("nx_independence", "mailier_index", "season_activity"):
+        monkeypatch.setattr(estimate, name, lambda arg, name=name: ran.append(name))
+    catalog = catalog_from_yearly([1, 2, 3, 4], [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        analyze_catalog(catalog, **kwargs)
+    assert ran == []
+    analyze_catalog(catalog)
+    assert ran == ["nx_independence", "mailier_index", "season_activity"]
 
 
 def test_terminal_phi_equals_mailier_plus_one():
     config = stationary_config("uniform", lam=12.0, mu=5.0, years=(1, 300), seed=44)
     catalog = sr.simulate_catalog(config)
-    series = sr.long_run_series(catalog)
+    series = long_run_series(catalog)
     assert series.phi[-1] == pytest.approx(
-        sr.mailier_index(catalog.counts) + 1.0, rel=1e-12, abs=1e-15
+        mailier_index(catalog.counts) + 1.0, rel=1e-12, abs=1e-15
     )
 
 
@@ -305,8 +367,8 @@ def test_terminal_phi_matches_mailier_plus_one_up_to_rounding():
         counts = rng.poisson(rng.uniform(0.5, 300.0), size=n)
         years = np.repeat(np.arange(n), counts)
         catalog = sr.EventCatalog.from_events(years, np.ones(len(years)), year_range=(0, n - 1))
-        phi = sr.long_run_series(catalog).phi[-1]
-        assert phi == pytest.approx(sr.mailier_index(catalog.counts) + 1.0, rel=1e-12)
+        phi = long_run_series(catalog).phi[-1]
+        assert phi == pytest.approx(mailier_index(catalog.counts) + 1.0, rel=1e-12)
 
 
 # --- replicate-level convergence -------------------------------------------------
@@ -321,7 +383,7 @@ def test_expanding_correlation_replicate_mean_lognormal():
         config = stationary_config(
             "lognormal", lam=20.0, mu=1.0, shape=0.5, years=(1, 500), seed=seed
         )
-        series = sr.long_run_series(sr.simulate_catalog(config))
+        series = long_run_series(sr.simulate_catalog(config))
         terminal.append(series.rho[-1])
     assert abs(np.mean(terminal) - target) <= 0.02
 
@@ -333,7 +395,7 @@ def test_one_pass_correlation_is_stable_on_long_catalogs():
         "lognormal", lam=30.0, mu=3.0, shape=0.5, years=(1, 100_000), seed=0
     )
     catalog = sr.simulate_catalog(config)
-    series = sr.long_run_series(catalog)
+    series = long_run_series(catalog)
     reference = np.corrcoef(catalog.counts, catalog.sums)[0, 1]
     assert series.rho[-1] == pytest.approx(reference, abs=1e-9)
     assert series.rho[-1] == pytest.approx(math.exp(-0.125), abs=0.02)
@@ -353,7 +415,7 @@ def test_mean_count_error_shrinks_with_time():
     errors = {t: [] for t in checkpoints}
     for seed in range(60):
         config = sr.SimulationConfig(freq=freq, sev=sev, years=(1, 1000), seed=seed)
-        series = sr.long_run_series(sr.simulate_catalog(config))
+        series = long_run_series(sr.simulate_catalog(config))
         for t in checkpoints:
             errors[t].append(abs(series.e_n[t - 1] - lam_bar[t]))
     means = [np.mean(errors[t]) for t in checkpoints]

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 import stormrisk as sr
 from stormrisk.catalog import _INT64_MAX, _INT64_MIN, _MAX_ROWS
 from stormrisk.cli import run
+from stormrisk.estimate import long_run_series
 from stormrisk.frequency import rate
 from stormrisk.io import (
     CatalogFormatError,
     ConfigError,
+    _load_events_body,
     config_dict,
     write_csv_rows,
     write_events_stream,
@@ -104,6 +106,27 @@ def test_read_events_errors_are_located(tmp_path):
     latin1.write_bytes(b"year,intensity\r\n" + b"2040,1.5\r\n" * 2000 + b"2041,\xff\r\n")
     with pytest.raises(CatalogFormatError, match=r"latin1\.csv: line 2002: not UTF-8, byte 0xff$"):
         sr.read_events_csv(latin1)
+
+
+@pytest.mark.parametrize(
+    "first_row, bulk",
+    [("-9223372036854775808,1.5", True), ('"-9223372036854775808",1.5', False)],
+    ids=["bulk pass", "line parser"],
+)
+def test_read_events_span_error_names_the_file(tmp_path, first_row, bulk):
+    # a quoted field is left to the line parser; either parser's events
+    # make the catalog in the one call whose error is located
+    path = write(tmp_path, "span.csv", f"year,intensity\n{first_row}\n9223372036854775807,2\n")
+    assert (_load_events_body(path) is not None) == bulk
+    message = (
+        f"{path}: event years -9223372036854775808 to 9223372036854775807 span "
+        f"18446744073709551616 years, more than the {_MAX_ROWS} a catalog may hold"
+    )
+    with pytest.raises(CatalogFormatError) as info:
+        sr.read_events_csv(path)
+    assert str(info.value) == message
+    report = run(["analyze", "--input", str(path)])
+    assert report.payload == {"error": message}
 
 
 def test_catalog_at_the_edges_of_its_value_ranges():
@@ -479,7 +502,7 @@ def test_csv_rows_format_constant_and_repeated_columns(monkeypatch):
 
 def test_series_round_trip(tmp_path):
     config = stationary_config("exponential", lam=20.0, mu=2.0, years=(1, 60), seed=1)
-    series = sr.long_run_series(sr.simulate_catalog(config))
+    series = long_run_series(sr.simulate_catalog(config))
     path = tmp_path / "series.csv"
     write_series(series, path)
     header = path.read_text().splitlines()[0]
@@ -492,7 +515,7 @@ def test_series_round_trip(tmp_path):
 
 def test_series_single_cutoff_two_lines(tmp_path):
     catalog = sr.EventCatalog.from_events([1], [4.5])
-    series = sr.long_run_series(catalog)
+    series = long_run_series(catalog)
     path = tmp_path / "one.csv"
     write_series(series, path)
     lines = path.read_text().strip().splitlines()
@@ -501,7 +524,7 @@ def test_series_single_cutoff_two_lines(tmp_path):
 
 def test_series_undefined_rho_serialized_empty(tmp_path):
     catalog = sr.EventCatalog.from_events([1, 2, 2], [1.0, 2.0, 3.0])
-    series = sr.long_run_series(catalog)
+    series = long_run_series(catalog)
     path = tmp_path / "nan.csv"
     write_series(series, path)
     first_row = path.read_text().splitlines()[1].split(",")

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stormrisk as sr
-from stormrisk import simulate
+from stormrisk import frequency, simulate
 from stormrisk.catalog import _MAX_ROWS
 from stormrisk.frequency import rate, sample_count
 from stormrisk.severity import sample_intensity, severity_moments
@@ -204,6 +204,44 @@ def test_intensities_positive_and_years_contiguous():
 
 
 # --- fixed-year ensembles ----------------------------------------------------
+
+
+def test_catalog_and_ensemble_counts_are_drawn_by_one_function(monkeypatch):
+    # frequency._poisson is the one home of the count law: a catalog's
+    # per-year loop (gamma years take no lanes) and an ensemble's blocks
+    # both draw every count through it
+    original = frequency._poisson
+    assert simulate._poisson is original
+    drawn = []
+
+    def recorded(lam, rng, size=None):
+        n = original(lam, rng, size)
+        drawn.append(n)
+        return n
+
+    monkeypatch.setattr(frequency, "_poisson", recorded)
+    monkeypatch.setattr(simulate, "_poisson", recorded)
+    config = stationary_config("gamma", lam=5.0, mu=1.0, shape=2.0, years=(1, 40), seed=3)
+    catalog = sr.simulate_catalog(config)
+    assert drawn == catalog.counts.tolist()
+    drawn.clear()
+    sample = sr.replicate_fixed_year(config, 7, 1000)  # one block
+    assert len(drawn) == 1
+    assert np.array_equal(drawn[0], sample.counts)
+
+
+@pytest.mark.parametrize("family", ["gamma", "gpd"], ids=["per-year loop", "lanes"])
+def test_a_catalog_computes_its_rates_in_one_call(monkeypatch, family):
+    calls = []
+
+    def counted(model, t):
+        calls.append(t)
+        return rate(model, t)
+
+    monkeypatch.setattr(simulate, "rate", counted)
+    config = stationary_config(family, lam=5.0, mu=1.0, shape=0.2, years=(1, 50), seed=1)
+    sr.simulate_catalog(config)
+    assert len(calls) == 1
 
 
 def test_replicates_deterministic_and_prefix_stable():
