@@ -90,15 +90,11 @@ class EventCatalog:
             object.__setattr__(self, name, _frozen(a))
 
     @classmethod
-    def from_events(
-        cls, years, intensities, year_range: tuple[int, int] | None = None
-    ) -> EventCatalog:
-        """Build a catalog from per-event years and intensities.
-
-        ``year_range`` widens (or pins) the contiguous span of years;
-        by default the span runs from the earliest to the latest event
-        year.  Events are sorted by year, stable within a year.  Years are an
-        array of signed or int64-sized unsigned integers, or an empty list.
+    def from_events(cls, years, intensities) -> EventCatalog:
+        """Build a catalog from per-event years and intensities, over the
+        years from the earliest to the latest event.  Events are sorted by
+        year, stable within a year.  Years are an array of signed or
+        int64-sized unsigned integers, at least one.
         """
         years = np.asarray(years)
         if years.size and not (
@@ -109,18 +105,9 @@ class EventCatalog:
         intensities = np.asarray(intensities)
         if years.shape != intensities.shape or years.ndim != 1:
             raise ValueError("years and intensities must be 1-d and aligned")
-        if year_range is None:
-            if len(years) == 0:
-                raise ValueError("empty event list needs an explicit year_range")
-            start, end = int(years.min()), int(years.max())
-        else:
-            start, end = (_integer(year_range[i], "year_range") for i in (0, 1))
-            if start > end:
-                raise ValueError(f"year_range must be increasing, got {year_range}")
-            if start < _INT64_MIN or end > _INT64_MAX:
-                raise ValueError(f"year_range: must be signed 64-bit integers, got {year_range}")
-            if len(years) and (years.min() < start or years.max() > end):
-                raise ValueError("events fall outside the requested year_range")
+        if len(years) == 0:
+            raise ValueError("empty event list: a catalog's years come from its events")
+        start, end = int(years.min()), int(years.max())
         n_years = end - start + 1  # a Python int: cannot overflow
         if n_years > _MAX_ROWS:
             raise ValueError(

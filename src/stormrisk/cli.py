@@ -139,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--year",
         type=int,
         default=None,
-        help="year index to verify at (default: middle of the horizon)",
+        help="year index to verify at (default: middle of the years)",
     )
     p_ver.add_argument("--out", help="write the JSON report here as well")
     return parser

@@ -6,9 +6,12 @@ of two links on a linear predictor:
 * log link:       lambda_t = exp(alpha0 + alpha1 * t)
 * identity link:  lambda_t = alpha0 + alpha1 * t
 
-Construction requires the rate to be positive and finite over the
-model's declared horizon, for either link: the identity rate can go
+A model holds no years.  The rate must be positive and finite at every
+year where it is used, for either link: the identity rate can go
 non-positive or overflow, the log rate can overflow or underflow to 0.
+`_check_span` is that rule over a span of years;
+`~stormrisk.simulate.SimulationConfig` applies it to a run's years
+once, and `rate`, so `sample_count` too, to the years it is given.
 
 Every count is drawn by ``_poisson``, given the rate: `sample_count`
 passes ``rate(model, t)``, and a catalog's per-year loop the year's rate
@@ -39,52 +42,19 @@ class RateLink(str, Enum):
 
 @dataclass(frozen=True, kw_only=True)
 class FrequencyModel:
-    """Immutable Poisson count model with a log or identity rate link."""
+    """Immutable Poisson count model with a log or identity rate link;
+    its rate is checked where it is used (`_check_span`)."""
 
     alpha0: float
     alpha1: float
     link: RateLink
-    horizon: tuple[float, float]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "link", RateLink(self.link))
-        t_min, t_max = _horizon_bounds(self.horizon)
-
-        # The linear predictor and exp are monotone in t, so a rate that is
-        # positive and finite at both endpoints is so on the whole horizon.
-        if self.link is RateLink.IDENTITY:
-            # Report the first non-positive integer year for a usable message.
-            if min(self._raw_rate(t_min), self._raw_rate(t_max)) <= 0:
-                t_bad = self._first_nonpositive_year()
-                raise ValueError(
-                    f"identity-link rate non-positive at t={t_bad}: "
-                    f"{self.alpha0} + {self.alpha1}*{t_bad} <= 0"
-                )
-        for t in (t_min, t_max):
-            try:
-                lam = self._raw_rate(t)
-            except OverflowError:
-                lam = math.inf
-            if not 0 < lam < math.inf:
-                raise ValueError(
-                    f"{self.link.value}-link rate at t={t} is {lam}, not positive "
-                    f"and finite"
-                )
 
     def _raw_rate(self, t):
         eta = self.alpha0 + self.alpha1 * t
         return _exp(eta) if self.link is RateLink.LOG else eta
-
-    def _first_nonpositive_year(self) -> float:
-        t_min, t_max = self.horizon
-        if self._raw_rate(t_min) <= 0:
-            return t_min
-        # rate decreasing; first integer year at or past the root
-        root = -self.alpha0 / self.alpha1
-        t = max(t_min, math.ceil(root))
-        while self._raw_rate(t) > 0 and t <= t_max:
-            t += 1
-        return min(t, t_max)
 
 
 # Elements per chunk in `_each`: the most Python floats it holds at once.
@@ -104,25 +74,41 @@ def _exp(x):
     return _each(math.exp, x) if isinstance(x, np.ndarray) else math.exp(x)
 
 
-def _horizon_bounds(horizon: tuple[float, float]) -> tuple[float, float]:
-    """A model's ``horizon``, checked to be finite and ordered."""
-    t_min, t_max = horizon
-    if not (math.isfinite(t_min) and math.isfinite(t_max)):
-        raise ValueError(f"horizon: bounds must be finite, got {horizon}")
-    if t_min > t_max:
-        raise ValueError(f"horizon: must satisfy t_min <= t_max, got {horizon}")
-    return t_min, t_max
+def _ends(t):
+    """The first and last year of ``t``, a year index or a 1-D array of
+    them, as Python numbers: ``t`` twice, an array's least and greatest,
+    or None for an empty array, which has no year to check."""
+    if not isinstance(t, np.ndarray):
+        return t, t
+    return (t.min().item(), t.max().item()) if t.size else None
 
 
-def _check_horizon(horizon: tuple[float, float], t) -> None:
-    """Raise naming ``t``, or an array's first year, outside ``horizon``."""
-    t_min, t_max = horizon
-    if isinstance(t, np.ndarray):
-        if t.size == 0 or (t_min <= t.min() and t.max() <= t_max):
-            return
-        t = t[~((t_min <= t) & (t <= t_max))][0].item()
-    if not (t_min <= t <= t_max):
-        raise ValueError(f"t: must lie in [{t_min}, {t_max}], got {t}")
+def _check_span(model: FrequencyModel, t_min, t_max) -> None:
+    """Raise unless the rate is positive and finite at every year of
+    ``[t_min, t_max]``.  The linear predictor and exp are monotone in t,
+    so a rate that is so at both ends is so on the whole span."""
+    raw = model._raw_rate
+    if model.link is RateLink.IDENTITY and min(raw(t_min), raw(t_max)) <= 0:
+        # name the first non-positive integer year: the rate falls from t_min
+        t = t_min
+        if raw(t_min) > 0:
+            t = max(t_min, math.ceil(-model.alpha0 / model.alpha1))
+            while raw(t) > 0 and t <= t_max:
+                t += 1
+            t = min(t, t_max)
+        raise ValueError(
+            f"identity-link rate non-positive at t={t}: "
+            f"{model.alpha0} + {model.alpha1}*{t} <= 0"
+        )
+    for t in (t_min, t_max):
+        try:
+            lam = raw(t)
+        except OverflowError:
+            lam = math.inf
+        if not 0 < lam < math.inf:
+            raise ValueError(
+                f"{model.link.value}-link rate at t={t} is {lam}, not positive and finite"
+            )
 
 
 def rate(model: FrequencyModel, t):
@@ -131,9 +117,11 @@ def rate(model: FrequencyModel, t):
     ``t`` is a year index or a 1-D array of them.  An array gives each
     year the bits of its own scalar call, so the log link applies libm's
     ``exp`` per element: numpy's differs in the last bit on a few percent
-    of inputs.
+    of inputs.  Raises where the rate is not positive and finite
+    (`_check_span` over ``t``'s first and last year).
     """
-    _check_horizon(model.horizon, t)
+    if (ends := _ends(t)) is not None:
+        _check_span(model, *ends)
     return model._raw_rate(t)
 
 

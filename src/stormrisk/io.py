@@ -14,8 +14,9 @@ written as empty fields.
 
 JSON run config: the models, year span and seed of one run; ``simulate``
 and ``verify`` require the seed, and ``theory`` checks one given but uses none.
-``parse_config`` reads it and ``config_dict`` writes its fields back, so
-this module alone knows the field names.
+``parse_config`` reads it and ``config_dict`` writes its fields back
+(all but ``mode``, which is optional), so this module alone knows the
+field names.
 
 Parse errors carry the offending location (line number or JSON field
 path) and never escape as bare exceptions from deeper layers.
@@ -241,6 +242,8 @@ def write_series_stream(series: LongRunSeries, fh) -> None:
 _TOP_FIELDS = {"mode", "frequency", "severity", "years", "seed"}
 _FREQ_FIELDS = {"link", "alpha0", "alpha1"}
 _SEV_FIELDS = {"family", "beta0", "beta1", "shape"}
+# The config field of each `SimulationConfig` model argument.
+_MODEL_FIELDS = {"freq": "frequency", "sev": "severity"}
 
 
 def _fields(obj, allowed: set[str], where: str) -> dict:
@@ -290,11 +293,13 @@ def _run_seed(raw: dict, mode: str) -> int | None:
 def parse_config(path, mode: str) -> SimulationConfig:
     """Parse and validate the JSON run configuration of command ``mode``.
 
-    The config's ``mode`` must name the command.  Unknown fields are
-    rejected.  Model parameters are validated by constructing the models
-    against the configured year span, so for example a GPD shape of 0.6
-    is rejected here with the violated constraint ('shape must be < 0.5
-    for finite variance').  The seed follows the mode's rule (`_run_seed`).
+    A config's ``mode``, if it has one, must name the command; one
+    without, as `config_dict` writes it, is read as the command's.
+    Unknown fields are rejected.  Model parameters are validated by
+    constructing the models and then the config, whose span checks run
+    over the configured years, so for example a GPD shape of 0.6 is
+    rejected here with the violated constraint ('shape must be < 0.5 for
+    finite variance').  The seed follows the mode's rule (`_run_seed`).
     """
     path = Path(path)
     try:
@@ -307,28 +312,27 @@ def parse_config(path, mode: str) -> SimulationConfig:
         raise ConfigError(f"{path}: top level must be a JSON object")
     _fields(raw, _TOP_FIELDS, "config")
 
-    mode_raw = _require(raw, "mode", "config")
-    if mode_raw != mode:
-        raise ConfigError(f"config.mode: expected {mode!r}, got {mode_raw!r}")
+    if "mode" in raw and raw["mode"] != mode:
+        raise ConfigError(f"config.mode: expected {mode!r}, got {raw['mode']!r}")
 
     if "years" not in raw:
         raise ConfigError(f"config.years: required for mode {mode!r}")
     y = raw["years"]
     if not (isinstance(y, list) and len(y) == 2):
         raise ConfigError("config.years: expected [start, end]")
-    try:  # before the models, whose horizons the years set
-        start, end = _check_years(*y)
+    try:
+        years = _check_years(*y)
     except ValueError as exc:
         raise ConfigError(f"config.{exc}") from None
 
     seed = _run_seed(raw, mode)
-    horizon = (1, end - start + 1)
-    return SimulationConfig(
-        freq=_parse_frequency(_require(raw, "frequency", "config"), horizon),
-        sev=_parse_severity(_require(raw, "severity", "config"), horizon),
-        years=(start, end),
-        seed=seed,
-    )
+    freq = _parse_frequency(_require(raw, "frequency", "config"))
+    sev = _parse_severity(_require(raw, "severity", "config"))
+    try:  # the models' span checks, the one rule left that can fail
+        return SimulationConfig(freq=freq, sev=sev, years=years, seed=seed)
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(": ")
+        raise ConfigError(f"config.{_MODEL_FIELDS[name]}: {rest}") from None
 
 
 def config_dict(config: SimulationConfig) -> dict:
@@ -344,7 +348,7 @@ def config_dict(config: SimulationConfig) -> dict:
     }
 
 
-def _parse_frequency(obj, horizon: tuple[int, int]) -> FrequencyModel:
+def _parse_frequency(obj) -> FrequencyModel:
     where = "config.frequency"
     obj = _fields(obj, _FREQ_FIELDS, where)
     link_raw = _require(obj, "link", where)
@@ -353,13 +357,10 @@ def _parse_frequency(obj, horizon: tuple[int, int]) -> FrequencyModel:
     except ValueError:
         raise ConfigError(f"{where}.link: expected 'log' or 'identity', got {link_raw!r}") from None
     alpha0, alpha1 = _numbers(obj, where, "alpha0", "alpha1")
-    try:
-        return FrequencyModel(alpha0=alpha0, alpha1=alpha1, link=link, horizon=horizon)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    return FrequencyModel(alpha0=alpha0, alpha1=alpha1, link=link)
 
 
-def _parse_severity(obj, horizon: tuple[int, int]) -> SeverityModel:
+def _parse_severity(obj) -> SeverityModel:
     where = "config.severity"
     obj = _fields(obj, _SEV_FIELDS, where)
     family_raw = _require(obj, "family", where)
@@ -371,6 +372,6 @@ def _parse_severity(obj, horizon: tuple[int, int]) -> SeverityModel:
     beta0, beta1 = _numbers(obj, where, "beta0", "beta1")
     shape = None if obj.get("shape") is None else _as_number(obj["shape"], f"{where}.shape")
     try:
-        return SeverityModel(family=family, beta0=beta0, beta1=beta1, horizon=horizon, shape=shape)
+        return SeverityModel(family=family, beta0=beta0, beta1=beta1, shape=shape)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None

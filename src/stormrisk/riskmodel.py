@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frequency import FrequencyModel, _check_horizon, _each, rate
+from .frequency import FrequencyModel, _each, rate
 from .severity import Family, SeverityModel, j_squared, severity_moments
 
 __all__ = [
@@ -79,7 +79,9 @@ def risk_summary(freq: FrequencyModel, sev: SeverityModel, t) -> RiskSummary:
     array, unwrapped to Python floats), or over a 1-D integer array of
     years, with each year's bits those of its own call.
 
-    Evaluates the rate and the intensity moments once.  The aggregate
+    Evaluates the rate and the intensity moments once, after the span
+    checks of `rate` and `severity_moments` over ``t``'s first and last
+    year, which raise where a model is unusable.  The aggregate
     variance is the Blackwell-Girshick form with ``Var(N) = E[N]``; the
     tests check it against the Poisson shortcut and the dispersion form.
     Raises ValueError at the first year whose aggregate variance is zero
@@ -89,9 +91,7 @@ def risk_summary(freq: FrequencyModel, sev: SeverityModel, t) -> RiskSummary:
     libm per element; ``+ - * /`` and ``sqrt`` round alike.
     """
     years = np.atleast_1d(t)
-    if years.dtype == object:  # a Python int past int64: check it as is, use it as a float
-        for model in (freq, sev):
-            _check_horizon(model.horizon, t)
+    if years.dtype == object:  # a Python int past int64, evaluated as a float
         years = years.astype(np.float64)
     lam = rate(freq, years)
     m = severity_moments(sev, years)
@@ -144,8 +144,6 @@ def table1_row(
     uniform has cor sqrt(3)/2 and J^2 = 3; gamma J^2 = theta; lognormal
     cor exp(-s^2/2); gpd cor sqrt((1-2xi)/(2-2xi)).
     """
-    sev = SeverityModel(
-        family=Family(family), beta0=mu, beta1=0.0, horizon=(1, 1), shape=shape
-    )
-    freq = FrequencyModel(alpha0=lam, alpha1=0.0, link="identity", horizon=(1, 1))
+    sev = SeverityModel(family=Family(family), beta0=mu, beta1=0.0, shape=shape)
+    freq = FrequencyModel(alpha0=lam, alpha1=0.0, link="identity")
     return risk_summary(freq, sev, 1)

@@ -18,8 +18,13 @@ gpd             GPD(0, scale 1/mu_t, xi)    xi < 1/2
 Note the GPD scale is the reciprocal of the driver, so its mean falls as
 ``mu_t`` grows; the threshold is fixed at zero.  For the lognormal
 family ``mu_t`` is the log-scale location and may take any real value;
-for all other families the driver must stay strictly positive over the
-model's declared horizon, which is validated at construction.
+for all other families the driver must be strictly positive.  A model
+holds no years.  `_check_span` checks the driver's sign and the moments
+(finite, with positive variance) over a span of years:
+`~stormrisk.simulate.SimulationConfig` runs it once over a run's years,
+and `severity_moments` over the years it is given.
+`SeverityModel.driver`, and so `sample_intensity`, checks only the sign,
+all a draw needs, which keeps a catalog's per-year draws cheap.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .frequency import _check_horizon, _exp, _horizon_bounds
+from .frequency import _ends, _exp
 
 __all__ = [
     "Family",
@@ -73,33 +78,25 @@ class Moments:
     variance: float
     second_moment: float
 
-    def __post_init__(self) -> None:
-        low = np.min(self.variance).item()
-        if low < 0:
-            raise ValueError(f"variance must be non-negative, got {low}")
-
 
 @dataclass(frozen=True, kw_only=True)
 class SeverityModel:
     """Immutable severity model: family, linear trend ``beta0 + beta1 * t``
-    on the scale driver, horizon and shape.
+    on the scale driver, and shape.
 
-    ``horizon`` is the closed interval of year indices ``[t_min, t_max]``
-    over which the model is valid.  Construction fails if the trend
-    driver is non-positive anywhere on the horizon (lognormal excepted)
-    or if the shape parameter is out of range for the family.
+    Construction fails if the shape parameter is out of range for the
+    family.  The years at which the model is usable (a positive driver,
+    lognormal excepted, and finite moments with positive variance) are
+    checked where it is used, by `_check_span`.
     """
 
     family: Family
     beta0: float
     beta1: float
-    horizon: tuple[float, float]
     shape: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", Family(self.family))
-        t_min, t_max = _horizon_bounds(self.horizon)
-
         fam = self.family
         if fam in _SHAPED:
             if self.shape is None:
@@ -119,31 +116,45 @@ class SeverityModel:
         elif self.shape is not None:
             raise ValueError(f"{fam.value} family takes no shape parameter")
 
-        # The driver is linear in t and every family's moments are
-        # monotone in the driver, so checks at both endpoints cover the
-        # whole interval.
-        for t in (t_min, t_max):
-            mu = self.beta0 + self.beta1 * t
-            if fam in _POSITIVE_DRIVER and mu <= 0:
-                raise ValueError(
-                    f"scale driver is non-positive at t={t}: "
-                    f"{self.beta0} + {self.beta1}*{t} = {mu}"
-                )
-            try:
-                m = _moments(self, mu)
-                usable = math.isfinite(m.second_moment) and m.variance > 0
-            except (OverflowError, ZeroDivisionError):
-                usable = False
-            if not usable:
-                raise ValueError(
-                    f"intensity moments at t={t} (driver {mu}) are not finite "
-                    f"with positive variance"
-                )
-
     def driver(self, t):
-        """Driver ``mu_t`` at a year or an array of years; raises outside the horizon."""
-        _check_horizon(self.horizon, t)
+        """Driver ``mu_t`` at a year or a 1-D array of years.  Raises where
+        it is non-positive (lognormal excepted), at ``t``'s first or last
+        year, the driver rule of `_check_span`; the moments rule is checked
+        where moments are computed.  Linear in t, so the ends decide."""
+        if not isinstance(t, np.ndarray):
+            return _driver(self, t)
+        for end in _ends(t) or ():
+            _driver(self, end)
         return self.beta0 + self.beta1 * t
+
+
+def _driver(model: SeverityModel, t) -> float:
+    """The driver at one year ``t``, checked to be positive (lognormal excepted)."""
+    mu = model.beta0 + model.beta1 * t
+    if mu <= 0 and model.family in _POSITIVE_DRIVER:
+        raise ValueError(
+            f"scale driver is non-positive at t={t}: {model.beta0} + {model.beta1}*{t} = {mu}"
+        )
+    return mu
+
+
+def _check_span(model: SeverityModel, t_min, t_max) -> None:
+    """Raise unless, at every year of ``[t_min, t_max]``, the driver is
+    positive (lognormal excepted) and the moments are finite with positive
+    variance.  The driver is linear in t and every family's moments are
+    monotone in the driver, so the two ends decide."""
+    for t in (t_min, t_max):
+        mu = _driver(model, t)
+        try:
+            m = _moments(model, mu)
+            usable = math.isfinite(m.second_moment) and m.variance > 0
+        except (OverflowError, ZeroDivisionError):
+            usable = False
+        if not usable:
+            raise ValueError(
+                f"intensity moments at t={t} (driver {mu}) are not finite "
+                f"with positive variance"
+            )
 
 
 def severity_moments(model: SeverityModel, t) -> Moments:
@@ -157,7 +168,12 @@ def severity_moments(model: SeverityModel, t) -> Moments:
     * exponential:  mean mu,                    var mu^2
     * lognormal:    mean exp(mu + s^2/2),       var (e^{s^2}-1) exp(2mu + s^2)
     * gpd:          mean 1/(mu(1-xi)),          var 1/(mu^2 (1-xi)^2 (1-2xi))
+
+    Raises where the moments are unusable (`_check_span` over ``t``'s
+    first and last year).
     """
+    if (ends := _ends(t)) is not None:
+        _check_span(model, *ends)
     return _moments(model, model.driver(t))
 
 

@@ -7,7 +7,7 @@ identical configurations give bit-identical output regardless of how
 the work is ordered or split.
 
 * Catalogs use one substream per year (keyed by the year offset), so
-  extending the simulation horizon never perturbs earlier years.
+  extending the simulated years never perturbs earlier years.
 * Fixed-year ensembles use one pair of substreams (counts, marks) per
   block of ``_BATCH`` replicates, so the first R results are a prefix of
   any longer run and blocks can be generated independently.  They are
@@ -36,8 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import frequency, severity
 from .catalog import _INT64_MAX, _INT64_MIN, _MAX_ROWS, EventCatalog, _integer
-from .frequency import FrequencyModel, _check_horizon, _exp, _poisson, rate, sample_count
+from .frequency import FrequencyModel, _exp, _poisson, rate, sample_count
 from .severity import _INVERSE_CDF, SeverityModel, _inverse_cdf, sample_intensity
 
 __all__ = [
@@ -246,10 +247,11 @@ class SimulationConfig:
     """A frequency/severity pair, an inclusive year span and a seed: one
     validated run configuration.
 
-    Year ``y`` maps to the model year index ``t = y - start + 1``; both
-    model horizons must cover ``[1, end - start + 1]``; the years follow
-    `_check_years` and the seed `_check_seed`, kept as the ints they return.
-    ``seed`` may be None for the closed forms; the simulators require it.
+    Year ``y`` maps to the model year index ``t = y - start + 1``.  The
+    years follow `_check_years` and the seed `_check_seed`, kept as the
+    ints they return; then each model's span check runs once over
+    ``[1, n_years]``, its error prefixed ``freq:`` or ``sev:``.  ``seed``
+    may be None for the closed forms; the simulators require it.
     """
 
     freq: FrequencyModel
@@ -261,14 +263,11 @@ class SimulationConfig:
         object.__setattr__(self, "years", _check_years(*self.years))
         if self.seed is not None:
             object.__setattr__(self, "seed", _check_seed(self.seed))
-        n = self.n_years
-        for name, model in (("freq", self.freq), ("sev", self.sev)):
-            t_min, t_max = model.horizon
-            if t_min > 1 or t_max < n:
-                raise ValueError(
-                    f"{name}: horizon [{t_min}, {t_max}] does not cover "
-                    f"year indices [1, {n}]"
-                )
+        for name, check in (("freq", frequency._check_span), ("sev", severity._check_span)):
+            try:
+                check(getattr(self, name), 1, self.n_years)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
 
     @property
     def n_years(self) -> int:
@@ -389,7 +388,8 @@ def _each_block(draw, n_blocks: int) -> None:
 def _year_index(config: SimulationConfig, t) -> int:
     """The year rule of an ensemble: ``t`` as an int in ``[1, config.n_years]``."""
     t = _integer(t, "t")
-    _check_horizon((1, config.n_years), t)
+    if not 1 <= t <= config.n_years:
+        raise ValueError(f"t: must lie in [1, {config.n_years}], got {t}")
     return t
 
 

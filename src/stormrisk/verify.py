@@ -71,7 +71,7 @@ def _batch_se(values) -> float:
 def verification_checks(
     config: simulate.SimulationConfig, replicates: int, sigma: float = 4.0, t: int | None = None
 ) -> tuple[int, list[dict]]:
-    """The year index ``t`` (default: mid-horizon) and one dict per check
+    """The year index ``t`` (default: the middle of the years) and one dict per check
     of ``replicates`` draws there: name, estimate, target, batch-means
     standard error ``se`` and ``passed``.  A check whose estimate, target
     or se is not finite fails; one with a zero se passes only on an exact

@@ -28,9 +28,8 @@ EXTREME_FLOATS = st.one_of(
     st.floats(-1e-300, 1e-300),
     st.floats(),
 )
-HORIZONS = st.tuples(st.integers(-2, 3), st.integers(0, 30)).map(
-    lambda h: (h[0], h[0] + h[1])
-)
+# Random models below are usable on the year indices 1 to RANDOM_YEARS.
+RANDOM_YEARS = 60
 
 
 def rel_err(a: float, b: float) -> float:
@@ -54,18 +53,18 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
-def random_severity(rng, family=None, horizon=(1, 60)) -> sr.SeverityModel:
-    """A random valid severity model on the given horizon."""
+def random_severity(rng, family=None) -> sr.SeverityModel:
+    """A random severity model, usable on the years 1 to RANDOM_YEARS."""
     if family is None:
         family = FAMILIES[rng.integers(len(FAMILIES))]
-    t_max = horizon[1]
+    t_max = RANDOM_YEARS
     if family == "lognormal":
         beta0 = rng.uniform(-1.0, 2.0)
         beta1 = rng.uniform(-0.02, 0.02)
         shape = rng.uniform(0.2, 1.5)
     else:
         beta0 = rng.uniform(0.5, 20.0)
-        # slope bounded so the driver stays above beta0 / 2 on the horizon
+        # slope bounded so the driver stays above beta0 / 2 on those years
         beta1 = rng.uniform(-beta0 / (2 * t_max), beta0 / t_max)
         if family == "gamma":
             shape = rng.uniform(0.3, 5.0)
@@ -73,48 +72,35 @@ def random_severity(rng, family=None, horizon=(1, 60)) -> sr.SeverityModel:
             shape = rng.uniform(-1.0, 0.45)
         else:
             shape = None
-    return sr.SeverityModel(
-        family=family,
-        beta0=beta0,
-        beta1=beta1,
-        horizon=horizon,
-        shape=shape,
-    )
+    return sr.SeverityModel(family=family, beta0=beta0, beta1=beta1, shape=shape)
 
 
-def random_frequency(rng, horizon=(1, 60)) -> sr.FrequencyModel:
-    """A random valid frequency model on the given horizon."""
-    t_max = horizon[1]
+def random_frequency(rng) -> sr.FrequencyModel:
+    """A random frequency model, usable on the years 1 to RANDOM_YEARS."""
+    t_max = RANDOM_YEARS
     if rng.random() < 0.5:
         # keep the linear predictor non-negative so the rate stays >= 1,
         # inside the regime where every closed-form identity is in range
         alpha0 = rng.uniform(0.2, 3.0)
         alpha1 = rng.uniform(-alpha0 / (2 * t_max), alpha0 / t_max)
-        return sr.FrequencyModel(
-            alpha0=alpha0, alpha1=alpha1, link="log", horizon=horizon
-        )
+        return sr.FrequencyModel(alpha0=alpha0, alpha1=alpha1, link="log")
     alpha0 = rng.uniform(1.0, 40.0)
     alpha1 = rng.uniform(-alpha0 / (2 * t_max), alpha0 / t_max)
-    return sr.FrequencyModel(
-        alpha0=alpha0, alpha1=alpha1, link="identity", horizon=horizon
-    )
+    return sr.FrequencyModel(alpha0=alpha0, alpha1=alpha1, link="identity")
 
 
-def random_model_pair(rng, family=None, horizon=(1, 60)):
+def random_model_pair(rng, family=None):
     """(frequency, severity, year index) with everything in range."""
-    freq = random_frequency(rng, horizon)
-    sev = random_severity(rng, family, horizon)
-    t = int(rng.integers(horizon[0], horizon[1] + 1))
+    freq = random_frequency(rng)
+    sev = random_severity(rng, family)
+    t = int(rng.integers(1, RANDOM_YEARS + 1))
     return freq, sev, t
 
 
 def stationary_config(family, *, lam, mu, shape=None, years=(1, 60), seed=0):
     """Simulation config with constant rate and constant severity scale."""
-    n = years[1] - years[0] + 1
-    freq = sr.FrequencyModel(alpha0=lam, alpha1=0.0, link="identity", horizon=(1, n))
-    sev = sr.SeverityModel(
-        family=family, beta0=mu, beta1=0.0, horizon=(1, n), shape=shape
-    )
+    freq = sr.FrequencyModel(alpha0=lam, alpha1=0.0, link="identity")
+    sev = sr.SeverityModel(family=family, beta0=mu, beta1=0.0, shape=shape)
     return sr.SimulationConfig(freq=freq, sev=sev, years=years, seed=seed)
 
 

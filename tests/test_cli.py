@@ -213,7 +213,11 @@ GPD_SHAPES = st.one_of(
 @given(shape=GPD_SHAPES, alpha0=st.sampled_from([2.0, 20.0]))
 def test_simulate_at_any_accepted_gpd_shape_writes_positive_marks(tmp_path_factory, shape, alpha0):
     try:
-        sr.SeverityModel(family="gpd", beta0=1.0, beta1=0.0, horizon=(1, 20), shape=shape)
+        sr.SimulationConfig(
+            freq=sr.FrequencyModel(alpha0=alpha0, alpha1=0.0, link="identity"),
+            sev=sr.SeverityModel(family="gpd", beta0=1.0, beta1=0.0, shape=shape),
+            years=(1, 20),
+        )
     except ValueError:
         return  # a shape the model rejects is an input error, tested elsewhere
     cfg = simulate_config(
@@ -712,6 +716,18 @@ def test_verify_rejects_non_finite_sigma(tmp_path, capsys, sigma):
     payload = strict_json(captured.out.strip().splitlines()[-1])
     assert payload["error"].startswith("--sigma: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, flags", [("theory", []), ("simulate", []), ("verify", ["--replicates", "1000"])]
+)
+def test_a_reports_config_reads_back_to_the_config_it_ran(tmp_path, command, flags):
+    # the embedded config has no mode; parse_config reads it as the command's
+    path = write_config(tmp_path, simulate_config(mode=command))
+    report = run([command, "--config", path, *flags, "--out", str(tmp_path / "out")])
+    assert report.status is ExitStatus.OK
+    back = write_config(tmp_path, report.payload["config"], name="back.json")
+    assert sr.parse_config(back, command) == sr.parse_config(path, command)
 
 
 # --- dispatch and exit codes ------------------------------------------------------

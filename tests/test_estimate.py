@@ -21,13 +21,9 @@ from helpers import stationary_config
 
 
 def catalog_from_yearly(counts, mean_intensities):
-    """Catalog with the given per-year counts, every event in a year
-    carrying that year's mean intensity."""
-    years, xs = [], []
-    for i, (n, x) in enumerate(zip(counts, mean_intensities)):
-        years.extend([i + 1] * n)
-        xs.extend([x] * n)
-    return sr.EventCatalog.from_events(years, xs, year_range=(1, len(counts)))
+    """Catalog of years 1 to ``len(counts)`` with the given per-year counts,
+    every event in a year carrying that year's mean intensity."""
+    return sr.EventCatalog(1, np.array(counts), np.repeat(mean_intensities, counts))
 
 
 # --- long-run series ---------------------------------------------------------
@@ -72,11 +68,18 @@ def test_e_x_undefined_until_first_event():
 
 
 def test_phi_undefined_when_no_events_at_all():
-    catalog = sr.EventCatalog.from_events([], [], year_range=(1, 5))
+    catalog = sr.EventCatalog(1, np.zeros(5, dtype=np.int64), np.empty(0))
     series = long_run_series(catalog)
     assert np.isnan(series.phi).all()
     assert np.isnan(series.e_x).all()
     assert np.all(series.e_n == 0.0)
+
+
+def test_series_columns_must_align_with_the_years():
+    columns = {name: np.zeros(3) for name in estimate.LongRunSeries.column_names()}
+    columns["rho_hi"] = np.zeros(2)
+    with pytest.raises(ValueError, match="^column rho_hi has length 2, expected 3$"):
+        estimate.LongRunSeries(**columns)
 
 
 # --- expanding and moving-window correlation ----------------------------------
@@ -213,6 +216,13 @@ def test_normal_quantile_matches_scipy_ndtri_on_any_double(bits):
 
     p = float(np.int64(bits).view(np.float64))
     assert np.float64(estimate._normal_quantile(p)).tobytes() == ndtri(p).tobytes()
+
+
+@pytest.mark.parametrize("p", [-5e-324, -1.0, 1.0 + 2**-52, 2.0, math.inf, -math.inf, math.nan])
+def test_normal_quantile_outside_zero_to_one_is_nan_as_ndtri_gives(p):
+    from scipy.special import ndtri
+
+    assert math.isnan(estimate._normal_quantile(p)) and math.isnan(ndtri(p))
 
 
 def test_fisher_interval_validation():
@@ -365,8 +375,7 @@ def test_terminal_phi_matches_mailier_plus_one_up_to_rounding():
     for _ in range(50):
         n = int(rng.integers(2, 3001))
         counts = rng.poisson(rng.uniform(0.5, 300.0), size=n)
-        years = np.repeat(np.arange(n), counts)
-        catalog = sr.EventCatalog.from_events(years, np.ones(len(years)), year_range=(0, n - 1))
+        catalog = sr.EventCatalog(0, counts, np.ones(counts.sum()))
         phi = long_run_series(catalog).phi[-1]
         assert phi == pytest.approx(mailier_index(catalog.counts) + 1.0, rel=1e-12)
 
@@ -404,9 +413,9 @@ def test_one_pass_correlation_is_stable_on_long_catalogs():
 def test_mean_count_error_shrinks_with_time():
     """Expanding mean of a trending count process tracks the running
     mean rate, with error decaying in t (strong-law behaviour)."""
-    freq = sr.FrequencyModel(alpha0=20.0, alpha1=0.01, link="identity", horizon=(1, 1000))
+    freq = sr.FrequencyModel(alpha0=20.0, alpha1=0.01, link="identity")
     sev = sr.SeverityModel(
-        family="exponential", beta0=1.0, beta1=0.0, horizon=(1, 1000)
+        family="exponential", beta0=1.0, beta1=0.0
     )
     checkpoints = [50, 200, 1000]
     lam_bar = {

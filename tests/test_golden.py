@@ -203,19 +203,16 @@ def _model(
     family: str, *, frequency=FREQUENCY, severity=None, seed=SEED
 ) -> sr.SimulationConfig:
     sev = SEVERITIES[family] if severity is None else severity
-    n = YEARS[1] - YEARS[0] + 1
     return sr.SimulationConfig(
         freq=sr.FrequencyModel(
             alpha0=frequency["alpha0"],
             alpha1=frequency["alpha1"],
             link=frequency["link"],
-            horizon=(1, n),
         ),
         sev=sr.SeverityModel(
             family=family,
             beta0=sev["beta0"],
             beta1=sev["beta1"],
-            horizon=(1, n),
             shape=sev.get("shape"),
         ),
         years=YEARS,

@@ -134,7 +134,7 @@ def test_catalog_at_the_edges_of_its_value_ranges():
     with pytest.raises(ValueError, match=r"^intensities must be positive and finite, found nan$"):
         sr.EventCatalog.from_events([1, 2], [1.0, math.nan])
     # the last year may be the largest int64
-    catalog = sr.EventCatalog.from_events([2**63 - 1], [1.0], year_range=(2**63 - 3, 2**63 - 1))
+    catalog = sr.EventCatalog(2**63 - 3, np.array([0, 0, 1]), np.array([1.0]))
     assert catalog.years.tolist() == [2**63 - 3, 2**63 - 2, 2**63 - 1]
 
 
@@ -203,15 +203,7 @@ CATALOG_ERROR_CASES = {
     ),
     "empty-no-range": (
         lambda: sr.EventCatalog.from_events([], []),
-        "empty event list needs an explicit year_range",
-    ),
-    "range-decreasing": (
-        lambda: sr.EventCatalog.from_events([], [], year_range=(5, 4)),
-        "year_range must be increasing, got (5, 4)",
-    ),
-    "events-outside-range": (
-        lambda: sr.EventCatalog.from_events([1, 9], [1.0, 1.0], year_range=(1, 5)),
-        "events fall outside the requested year_range",
+        "empty event list: a catalog's years come from its events",
     ),
     "years-float": (
         lambda: sr.EventCatalog.from_events([1.5, 2.7], [1.0, 1.0]),
@@ -232,14 +224,6 @@ CATALOG_ERROR_CASES = {
     "years-list-past-int64": (
         lambda: sr.EventCatalog.from_events([2**63], [1.0]),
         "years: must be signed 64-bit integers, got uint64 values",
-    ),
-    "range-float": (
-        lambda: sr.EventCatalog.from_events([2], [1.0], year_range=(1.5, 3)),
-        "year_range: must be an integer, got 1.5",
-    ),
-    "range-past-int64": (
-        lambda: sr.EventCatalog.from_events([], [], year_range=(2**63, 2**63)),
-        f"year_range: must be signed 64-bit integers, got ({2**63}, {2**63})",
     ),
     "intensity-inf": (
         lambda: sr.EventCatalog.from_events([1, 2], [1.0, math.inf]),
@@ -658,8 +642,8 @@ def test_parse_config_requires_the_seed_of_a_run(tmp_path, monkeypatch, mode):
 
 @st.composite
 def model_pairs(draw, n: int):
-    """A frequency and a severity model on the horizon ``(1, n)`` that a
-    config file gives them, or None where the drawn parameters are invalid."""
+    """A frequency and a severity model of the kind a config file over
+    ``n`` years gives, or None where the drawn shape is invalid."""
     link = draw(st.sampled_from(["log", "identity"]))
     family = draw(st.sampled_from(["uniform", "gamma", "exponential", "lognormal", "gpd"]))
     shapes = {"gamma": st.floats(0.3, 5.0), "lognormal": st.floats(0.2, 1.5),
@@ -668,11 +652,11 @@ def model_pairs(draw, n: int):
     try:
         freq = sr.FrequencyModel(
             alpha0=draw(st.floats(0.2, 40.0)), alpha1=draw(st.floats(-0.1, 0.1)) / n,
-            link=link, horizon=(1, n),
+            link=link,
         )
         sev = sr.SeverityModel(
             family=family, beta0=draw(st.floats(0.5, 20.0)), beta1=draw(st.floats(-0.1, 0.1)) / n,
-            horizon=(1, n), shape=draw(shapes[family]) if family in shapes else None,
+            shape=draw(shapes[family]) if family in shapes else None,
         )
     except ValueError:
         return None

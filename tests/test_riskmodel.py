@@ -13,10 +13,10 @@ from helpers import FAMILIES, random_model_pair, rel_err
 
 def pair(family, mu, lam, shape=None, n_years=60):
     freq = sr.FrequencyModel(
-        alpha0=lam, alpha1=0.0, link="identity", horizon=(1, n_years)
+        alpha0=lam, alpha1=0.0, link="identity"
     )
     sev = sr.SeverityModel(
-        family=family, beta0=mu, beta1=0.0, horizon=(1, n_years), shape=shape
+        family=family, beta0=mu, beta1=0.0, shape=shape
     )
     return freq, sev
 
@@ -116,7 +116,6 @@ def test_cor_ns_invariant_to_trend_rescaling():
             family=sev.family,
             beta0=c * sev.beta0,
             beta1=c * sev.beta1,
-            horizon=sev.horizon,
             shape=sev.shape,
         )
         assert rel_err(cor_ns(freq, sev, t), cor_ns(freq, scaled, t)) <= 1e-12
@@ -126,7 +125,6 @@ def test_cor_ns_invariant_to_trend_rescaling():
         family=sev.family,
         beta0=sev.beta0 + 2.5,
         beta1=sev.beta1,
-        horizon=sev.horizon,
         shape=sev.shape,
     )
     assert rel_err(cor_ns(freq, sev, t), cor_ns(freq, shifted, t)) <= 1e-12
@@ -287,9 +285,8 @@ ARRAY_SEVERITIES = {
 def test_array_of_years_has_the_bits_of_per_year_evaluation(link, severity):
     # libm's functions go over the years in chunks; cross a few boundaries
     assert ARRAY_YEARS > 2 * _EACH_CHUNK and ARRAY_YEARS % _EACH_CHUNK
-    horizon = (1, ARRAY_YEARS)
-    freq = sr.FrequencyModel(**ARRAY_FREQUENCIES[link], horizon=horizon)
-    sev = sr.SeverityModel(**ARRAY_SEVERITIES[severity], horizon=horizon)
+    freq = sr.FrequencyModel(**ARRAY_FREQUENCIES[link])
+    sev = sr.SeverityModel(**ARRAY_SEVERITIES[severity])
     years = np.arange(1, ARRAY_YEARS + 1)
     s = sr.risk_summary(freq, sev, years)
     reference = np.array([reference_summary(freq, sev, t) for t in range(1, ARRAY_YEARS + 1)])
@@ -303,8 +300,8 @@ def test_array_of_years_has_the_bits_of_per_year_evaluation(link, severity):
 
 
 def test_scalar_year_gives_python_floats():
-    freq = sr.FrequencyModel(**ARRAY_FREQUENCIES["log"], horizon=(1, 30))
-    sev = sr.SeverityModel(**ARRAY_SEVERITIES["lognormal"], horizon=(1, 30))
+    freq = sr.FrequencyModel(**ARRAY_FREQUENCIES["log"])
+    sev = sr.SeverityModel(**ARRAY_SEVERITIES["lognormal"])
     s = sr.risk_summary(freq, sev, 7)
     assert s.t == 7 and s.phi == 1.0
     assert all(type(getattr(s, f.name)) is float for f in fields(s) if f.name != "t")
@@ -313,26 +310,37 @@ def test_scalar_year_gives_python_floats():
 
 def test_scalar_year_past_int64_is_evaluated_as_a_float():
     # numpy holds such a year as a Python int in an object array
-    freq = sr.FrequencyModel(**ARRAY_FREQUENCIES["identity"], horizon=(1, 1e30))
-    sev = sr.SeverityModel(**ARRAY_SEVERITIES["gamma"], horizon=(1, 1e30))
+    freq = sr.FrequencyModel(**ARRAY_FREQUENCIES["identity"])
+    sev = sr.SeverityModel(**ARRAY_SEVERITIES["gamma"])
     s = sr.risk_summary(freq, sev, 10**20)
     assert s == sr.RiskSummary(*reference_summary(freq, sev, 10**20))
-    with pytest.raises(ValueError, match=r"^t: must lie in \[1, 1e\+30\], got 10{31}$"):
-        sr.risk_summary(freq, sev, 10**31)
+    # where a model is unusable, the span check names the year as a float
+    with pytest.raises(ValueError, match=r"^intensity moments at t=1e\+160 \(driver 3.17e\+156\)"):
+        sr.risk_summary(freq, sev, 10**160)
 
 
 def test_array_of_years_names_the_first_failing_year():
     # E[X^2] is about 7.5e304, so the aggregate variance overflows once
     # the rate 1000 + 100 t reaches 2400, at t = 14
-    freq = sr.FrequencyModel(alpha0=1000.0, alpha1=100.0, link="identity", horizon=(1, 60))
-    sev = sr.SeverityModel(
-        family="lognormal", beta0=350.0, beta1=0.0, horizon=(1, 60), shape=1.0
-    )
+    freq = sr.FrequencyModel(alpha0=1000.0, alpha1=100.0, link="identity")
+    sev = sr.SeverityModel(family="lognormal", beta0=350.0, beta1=0.0, shape=1.0)
     with pytest.raises(ValueError) as scalar:
         sr.risk_summary(freq, sev, 14)
     with pytest.raises(ValueError) as array:
         sr.risk_summary(freq, sev, np.arange(1, 61))
     assert str(array.value) == str(scalar.value)
     assert str(array.value).startswith("aggregate variance overflows at t=14: rate 2400.0 ")
-    with pytest.raises(ValueError, match=r"^t: must lie in \[1, 60\], got 61$"):
-        sr.risk_summary(freq, sev, np.arange(55, 70))
+    # a rate 1000 - 100 t that reaches 0 at t = 10: the span check's message
+    falling = sr.FrequencyModel(alpha0=1000.0, alpha1=-100.0, link="identity")
+    for t in (10, np.arange(1, 61)):
+        with pytest.raises(ValueError, match=r"^identity-link rate non-positive at t=10: "):
+            sr.risk_summary(falling, sev, t)
+
+
+def test_risk_summary_rejects_a_zero_aggregate_variance():
+    # a usable rate of 5e-324 times E[X^2] = 0.02 underflows to 0
+    freq = sr.FrequencyModel(alpha0=5e-324, alpha1=0.0, link="identity")
+    sev = sr.SeverityModel(family="exponential", beta0=0.1, beta1=0.0)
+    for t in (1, np.arange(1, 4)):
+        with pytest.raises(ValueError, match="^zero variance; correlation undefined$"):
+            sr.risk_summary(freq, sev, t)

@@ -9,6 +9,7 @@ from scipy import stats
 
 import stormrisk as sr
 from stormrisk.severity import (
+    _check_span,
     _exponential_ppf,
     _gpd_ppf,
     _inverse_cdf,
@@ -17,12 +18,12 @@ from stormrisk.severity import (
     severity_moments,
 )
 
-from helpers import EXTREME_FLOATS, FAMILIES, HORIZONS, random_severity, rel_err
+from helpers import EXTREME_FLOATS, FAMILIES, random_severity, rel_err
 
 
-def make(family, beta0, beta1=0.0, shape=None, horizon=(1, 60)):
+def make(family, beta0, beta1=0.0, shape=None):
     return sr.SeverityModel(
-        family=family, beta0=beta0, beta1=beta1, horizon=horizon, shape=shape
+        family=family, beta0=beta0, beta1=beta1, shape=shape
     )
 
 
@@ -118,7 +119,6 @@ def test_j_squared_invariant_to_trend_and_year():
             family=model.family,
             beta0=beta0,
             beta1=beta1,
-            horizon=model.horizon,
             shape=model.shape,
         )
         assert rel_err(sr.j_squared(rescaled), j) <= 1e-12
@@ -140,24 +140,39 @@ def test_invalid_parameters_rejected():
         make("exponential", 1.0, shape=1.0)
 
 
+def span_message(model, t_min, t_max):
+    """The span check's error over ``[t_min, t_max]``, or None."""
+    try:
+        _check_span(model, t_min, t_max)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def config(sev, n):
+    freq = sr.FrequencyModel(alpha0=5.0, alpha1=0.0, link="identity")
+    return sr.SimulationConfig(freq=freq, sev=sev, years=(1, n))
+
+
 def test_driver_positivity_enforced():
-    with pytest.raises(ValueError, match="non-positive"):
-        make("exponential", 1.0, -0.1, horizon=(1, 60))  # hits 0 at t = 10
+    with pytest.raises(ValueError, match="^sev: scale driver is non-positive at t=60"):
+        config(make("exponential", 1.0, -0.1), 60)  # hits 0 at t = 10
     # log-scale location may be negative
-    make("lognormal", -2.0, 0.0, shape=1.0)
-    # positive everywhere on a shorter horizon is fine
-    make("exponential", 1.0, -0.1, horizon=(1, 9))
+    config(make("lognormal", -2.0, 0.0, shape=1.0), 60)
+    # positive at every year of a shorter span is fine
+    config(make("exponential", 1.0, -0.1), 9)
 
 
 def test_moments_must_be_finite_with_positive_variance_on_the_horizon():
     # exp(710) overflows; 1 / (1e-300)^2 divides by zero; (1e-200)^2 underflows to 0
     for family, beta0, shape in (("lognormal", 710.0, 1.0), ("gpd", 1e-300, 0.2), ("uniform", 1e-200, None)):
-        with pytest.raises(ValueError, match="not finite with positive variance"):
-            make(family, beta0, shape=shape)
-    # only the far endpoint leaves the range: E[X^2] = exp(2 (340 + t) + 2)
+        message = "^sev: intensity moments at t=1 .* not finite with positive variance"
+        with pytest.raises(ValueError, match=message):
+            config(make(family, beta0, shape=shape), 60)
+    # only the far end of the span leaves the range: E[X^2] = exp(2 (340 + t) + 2)
     with pytest.raises(ValueError, match="t=20"):
-        make("lognormal", 340.0, 1.0, shape=1.0, horizon=(1, 20))
-    make("lognormal", 340.0, 1.0, shape=1.0, horizon=(1, 5))
+        config(make("lognormal", 340.0, 1.0, shape=1.0), 20)
+    config(make("lognormal", 340.0, 1.0, shape=1.0), 5)
 
 
 SHAPES = {
@@ -173,33 +188,62 @@ SHAPES = {
     family=st.sampled_from(FAMILIES),
     beta0=EXTREME_FLOATS,
     beta1=EXTREME_FLOATS,
-    horizon=HORIZONS,
+    n=st.integers(1, 31),
 )
-def test_constructed_model_has_usable_moments_at_every_year(
-    data, family, beta0, beta1, horizon
-):
-    # driver() checks only the horizon: construction must guarantee the rest
+def test_constructed_model_has_usable_moments_at_every_year(data, family, beta0, beta1, n):
+    # over the years of any config that accepts the model, its moments are
+    # usable; at any year, severity_moments and risk_summary raise exactly
+    # where the span check does, with its message, and a draw where its
+    # driver rule does
     shape = None
     if family in SHAPES:
         shape = data.draw(st.one_of(EXTREME_FLOATS, SHAPES[family]))
     try:
-        model = make(family, beta0, beta1, shape=shape, horizon=horizon)
+        model = make(family, beta0, beta1, shape=shape)
     except ValueError:
         return
-    for t in range(horizon[0], horizon[1] + 1):
-        m = severity_moments(model, t)
-        assert math.isfinite(m.mean) and math.isfinite(m.second_moment)
-        assert 0 < m.variance < math.inf
-        if family != "lognormal":
-            assert model.driver(t) > 0
+    try:
+        config(model, n)
+        accepted = True
+    except ValueError as exc:
+        assert str(exc) == f"sev: {span_message(model, 1, n)}"
+        accepted = False
+    for t in range(-2, n + 4):
+        message = span_message(model, t, t)
+        assert not (accepted and 1 <= t <= n and message)
+        if message is None:
+            m = severity_moments(model, t)
+            assert math.isfinite(m.mean) and math.isfinite(m.second_moment)
+            assert 0 < m.variance < math.inf
+            if family != "lognormal":
+                assert model.driver(t) > 0
+            continue
+        freq = sr.FrequencyModel(alpha0=5.0, alpha1=0.0, link="identity")
+        for evaluate in (severity_moments, lambda m, t: sr.risk_summary(freq, m, t)):
+            with pytest.raises(ValueError) as excinfo:
+                evaluate(model, t)
+            assert str(excinfo.value) == message
+        if message.startswith("scale driver"):
+            with pytest.raises(ValueError) as excinfo:
+                sample_intensity(model, t, np.random.default_rng(0), size=1)
+            assert str(excinfo.value) == message
 
 
 def test_horizon_violation_raises():
-    model = make("exponential", 2.0, horizon=(1, 10))
-    with pytest.raises(ValueError, match=r"^t: must lie in \[1, 10\], got 11$"):
-        severity_moments(model, 11)
-    with pytest.raises(ValueError, match=r"^t: must lie in \[1, 10\], got 0$"):
-        sample_intensity(model, 0, np.random.default_rng(0), size=1)
+    # a model holds no years: severity_moments checks the years it is
+    # given, and names an array's first failing end
+    model = make("exponential", 2.0, beta1=-0.2)
+    assert severity_moments(model, 9).mean == pytest.approx(0.2)
+    for t in (10, np.arange(1, 13)):
+        with pytest.raises(ValueError, match=r"^scale driver is non-positive at t=(10|12): "):
+            severity_moments(model, t)
+    with pytest.raises(ValueError, match=r"^scale driver is non-positive at t=0: "):
+        sample_intensity(make("exponential", 0.0, beta1=1.0), 0, np.random.default_rng(0), size=1)
+    # a draw needs only the driver; the moments rule is checked where moments are used
+    huge = make("gamma", 1e200, shape=2.0)
+    with pytest.raises(ValueError, match=r"^intensity moments at t=1 \(driver 1e\+200\)"):
+        severity_moments(huge, 1)
+    assert sample_intensity(huge, 1, np.random.default_rng(0), size=3).shape == (3,)
 
 
 # --- sampling -------------------------------------------------------------
@@ -242,7 +286,7 @@ def test_one_inverse_cdf_pass_matches_per_year_sampling(family, shape):
     # simulate_catalog draws each year's uniforms from its own stream and
     # maps all years' draws at once; year t here draws t marks, so the
     # 1..64 lengths put every array position in a SIMD tail somewhere.
-    model = make(family, 2.0, beta1=0.05, shape=shape, horizon=(1, 64))
+    model = make(family, 2.0, beta1=0.05, shape=shape)
     years = range(1, 65)
     per_year = [sample_intensity(model, t, np.random.default_rng(t), size=t) for t in years]
     u = np.concatenate([np.random.default_rng(t).random(t) for t in years])

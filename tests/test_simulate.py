@@ -29,11 +29,8 @@ from helpers import FAMILIES, random_severity, stationary_config
 
 
 def gpd_trend_config(seed=0, years=(1, 60)):
-    n = years[1] - years[0] + 1
-    freq = sr.FrequencyModel(alpha0=20.0, alpha1=0.5, link="identity", horizon=(1, n))
-    sev = sr.SeverityModel(
-        family="gpd", beta0=1.0, beta1=0.01, horizon=(1, n), shape=0.2
-    )
+    freq = sr.FrequencyModel(alpha0=20.0, alpha1=0.5, link="identity")
+    sev = sr.SeverityModel(family="gpd", beta0=1.0, beta1=0.01, shape=0.2)
     return sr.SimulationConfig(freq=freq, sev=sev, years=years, seed=seed)
 
 
@@ -130,11 +127,10 @@ def test_lanes_match_numpy_poisson_then_random(seed, first, lam):
     ],
 )
 def test_catalog_matches_per_year_numpy_draws(family, alpha0, alpha1, n_years):
-    horizon = (1, n_years)
-    freq = sr.FrequencyModel(alpha0=alpha0, alpha1=alpha1, link="identity", horizon=horizon)
+    freq = sr.FrequencyModel(alpha0=alpha0, alpha1=alpha1, link="identity")
     shape = {"gpd": 0.2, "gamma": 2.0}.get(family)
-    sev = sr.SeverityModel(family=family, beta0=2.0, beta1=0.01, horizon=horizon, shape=shape)
-    config = sr.SimulationConfig(freq=freq, sev=sev, years=horizon, seed=77)
+    sev = sr.SeverityModel(family=family, beta0=2.0, beta1=0.01, shape=shape)
+    config = sr.SimulationConfig(freq=freq, sev=sev, years=(1, n_years), seed=77)
     lam = rate(freq, np.arange(1, n_years + 1))
     assert (10.0 in lam) == (n_years == 40)
     catalog = sr.simulate_catalog(config)
@@ -272,7 +268,7 @@ def test_replicate_moments_lognormal():
 def test_fixed_year_covariances_per_family(family):
     rng = np.random.default_rng(sum(map(ord, family)))
     sev = random_severity(rng, family)
-    freq = sr.FrequencyModel(alpha0=15.0, alpha1=0.1, link="identity", horizon=(1, 60))
+    freq = sr.FrequencyModel(alpha0=15.0, alpha1=0.1, link="identity")
     config = sr.SimulationConfig(freq=freq, sev=sev, years=(1, 60), seed=37)
     t = 30
     ens = sr.replicate_fixed_year(config, t, 200_000)
@@ -303,9 +299,9 @@ def test_fixed_year_covariances_per_family(family):
 
 def test_trended_ensembles_track_their_year():
     # fixed-year draws must use that year's rate and scale, not year 1's
-    freq = sr.FrequencyModel(alpha0=5.0, alpha1=1.0, link="identity", horizon=(1, 50))
+    freq = sr.FrequencyModel(alpha0=5.0, alpha1=1.0, link="identity")
     sev = sr.SeverityModel(
-        family="gamma", beta0=1.0, beta1=0.1, horizon=(1, 50), shape=2.0
+        family="gamma", beta0=1.0, beta1=0.1, shape=2.0
     )
     config = sr.SimulationConfig(freq=freq, sev=sev, years=(1, 50), seed=4)
     for t in (1, 25, 50):
@@ -449,15 +445,18 @@ def test_ensemble_year_must_be_an_integer(t):
 
 
 def test_config_validation():
-    n = 10
-    freq = sr.FrequencyModel(alpha0=5.0, alpha1=0.0, link="identity", horizon=(1, n))
-    sev = sr.SeverityModel(
-        family="exponential", beta0=1.0, beta1=0.0, horizon=(1, n)
-    )
+    freq = sr.FrequencyModel(alpha0=5.0, alpha1=0.0, link="identity")
+    sev = sr.SeverityModel(family="exponential", beta0=1.0, beta1=0.0)
     with pytest.raises(ValueError, match="start 5 exceeds end 4"):
         sr.SimulationConfig(freq=freq, sev=sev, years=(5, 4), seed=0)
-    with pytest.raises(ValueError, match="horizon"):
-        sr.SimulationConfig(freq=freq, sev=sev, years=(1, 11), seed=0)
+    # each model's span check runs over the years, its error named by the argument
+    falling = sr.FrequencyModel(alpha0=5.0, alpha1=-0.5, link="identity")
+    with pytest.raises(ValueError, match=r"^freq: identity-link rate non-positive at t=10: "):
+        sr.SimulationConfig(freq=falling, sev=sev, years=(1, 11), seed=0)
+    sr.SimulationConfig(freq=falling, sev=sev, years=(2001, 2009), seed=0)
+    shrinking = sr.SeverityModel(family="exponential", beta0=1.0, beta1=-0.1)
+    with pytest.raises(ValueError, match=r"^sev: scale driver is non-positive at t=11: "):
+        sr.SimulationConfig(freq=freq, sev=shrinking, years=(1, 11), seed=0)
     for seed, message in (
         (-1, "seed: must fit in unsigned 64 bits, got -1"),
         (2**64, f"seed: must fit in unsigned 64 bits, got {2**64}"),
@@ -489,8 +488,8 @@ def test_config_validation():
 def test_config_rejects_float_years(years, bad):
     # a float year that equals an integer is still not one: the simulators
     # index with the years
-    freq = sr.FrequencyModel(alpha0=5.0, alpha1=0.0, link="identity", horizon=(1, 10))
-    sev = sr.SeverityModel(family="exponential", beta0=1.0, beta1=0.0, horizon=(1, 10))
+    freq = sr.FrequencyModel(alpha0=5.0, alpha1=0.0, link="identity")
+    sev = sr.SeverityModel(family="exponential", beta0=1.0, beta1=0.0)
     message = f"years: must be an integer, got {bad}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         sr.SimulationConfig(freq=freq, sev=sev, years=years, seed=0)
@@ -498,8 +497,8 @@ def test_config_rejects_float_years(years, bad):
 
 def test_config_spans_numpy_years_without_wrapping():
     # end - start of two int64 years can wrap to a small or negative span
-    freq = sr.FrequencyModel(alpha0=5.0, alpha1=0.0, link="identity", horizon=(1, 10))
-    sev = sr.SeverityModel(family="exponential", beta0=1.0, beta1=0.0, horizon=(1, 10))
+    freq = sr.FrequencyModel(alpha0=5.0, alpha1=0.0, link="identity")
+    sev = sr.SeverityModel(family="exponential", beta0=1.0, beta1=0.0)
     years = (np.int64(-(2**63)), np.int64(2**63 - 8))
     with pytest.raises(ValueError, match=f"^years: span {2**64 - 7} years, more than"):
         sr.SimulationConfig(freq=freq, sev=sev, years=years, seed=0)
@@ -507,8 +506,8 @@ def test_config_spans_numpy_years_without_wrapping():
 
 def test_config_rejects_a_year_span_past_the_row_budget():
     n = 2 * 10**7
-    freq = sr.FrequencyModel(alpha0=5.0, alpha1=0.0, link="identity", horizon=(1, n))
-    sev = sr.SeverityModel(family="exponential", beta0=1.0, beta1=0.0, horizon=(1, n))
+    freq = sr.FrequencyModel(alpha0=5.0, alpha1=0.0, link="identity")
+    sev = sr.SeverityModel(family="exponential", beta0=1.0, beta1=0.0)
     with pytest.raises(ValueError, match=f"years: span {n} years, more than the 10000000"):
         sr.SimulationConfig(freq=freq, sev=sev, years=(1, n), seed=0)
     sr.SimulationConfig(freq=freq, sev=sev, years=(1, 10**7), seed=0)
@@ -569,8 +568,8 @@ def test_ensemble_past_the_total_marks_budget_raises_before_allocating(lam):
 @pytest.mark.parametrize("t", [-1, 0, 17, 18])
 def test_ensemble_year_outside_the_run_is_rejected(t):
     # the models accept years -5..20, the run holds year indices 1..16
-    freq = sr.FrequencyModel(alpha0=5.0, alpha1=0.0, link="identity", horizon=(-5, 20))
-    sev = sr.SeverityModel(family="exponential", beta0=1.0, beta1=0.0, horizon=(-5, 20))
+    freq = sr.FrequencyModel(alpha0=5.0, alpha1=0.0, link="identity")
+    sev = sr.SeverityModel(family="exponential", beta0=1.0, beta1=0.0)
     config = sr.SimulationConfig(freq=freq, sev=sev, years=(1, 16), seed=0)
     with pytest.raises(ValueError, match=rf"^t: must lie in \[1, 16\], got {t}$"):
         sr.replicate_fixed_year(config, t, 10)
@@ -583,7 +582,7 @@ def test_catalog_past_the_event_budget_is_rejected_before_drawing():
     with pytest.raises(ValueError, match=r"^freq: expects 1\.0004e\+07 events over 2501"):
         sr.simulate_catalog(config)
     log_config = sr.SimulationConfig(
-        freq=sr.FrequencyModel(alpha0=700.0, alpha1=0.0, link="log", horizon=(1, 2)),
+        freq=sr.FrequencyModel(alpha0=700.0, alpha1=0.0, link="log"),
         sev=config.sev,
         years=(1, 2),
         seed=0,

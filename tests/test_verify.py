@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -7,7 +8,7 @@ import pytest
 import stormrisk as sr
 from stormrisk import riskmodel, simulate
 from stormrisk.riskmodel import j_squared_from_correlation
-from stormrisk.verify import _checks, verification_checks
+from stormrisk.verify import _CHECKS, _checks, verification_checks
 
 from helpers import FAMILIES, stationary_config
 
@@ -132,6 +133,40 @@ DEGENERATE = _degenerate_samples()
 @pytest.mark.parametrize("name", DEGENERATE)
 def test_degenerate_samples_match_the_reference_bit_for_bit(name):
     assert_same_bits(DEGENERATE[name])
+
+
+# --- the gate: a check passes when |estimate - target| <= sigma * se --------------
+
+
+def with_targets(**targets):
+    """SUMMARY with the given `_CHECKS` fields set to synthetic targets."""
+    return dataclasses.replace(SUMMARY, **targets)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_gate_passes_a_target_within_sigma_standard_errors_and_fails_beyond(sign):
+    sample = sr.replicate_fixed_year(_GAMMA, 1, 1000)
+    checks = _checks(sample, SUMMARY, 4.0)
+    assert all(c["se"] > 0 for c in checks)
+    for distance, passed in ((3.9, True), (4.1, False)):
+        targets = {field: c["estimate"] + sign * distance * c["se"]
+                   for (_, field), c in zip(_CHECKS, checks)}
+        got = _checks(sample, with_targets(**targets), 4.0)
+        assert [c["passed"] for c in got] == [passed] * len(_CHECKS), distance
+
+
+def test_a_zero_se_check_passes_only_on_an_exact_match():
+    # every replicate has two events: the count checks have se 0
+    marks = np.random.default_rng(0).exponential(size=(1000, 2))
+    sample = simulate.FixedYearSample(
+        counts=np.full(1000, 2), sums=marks.sum(axis=1), first_marks=marks[:, 0]
+    )
+    count_checks = slice(0, 2)  # mean count, count variance
+    exact = _checks(sample, with_targets(e_n=2.0, var_n=0.0), 4.0)[count_checks]
+    got = [(c["estimate"], c["se"], c["passed"]) for c in exact]
+    assert got == [(2.0, 0.0, True), (0.0, 0.0, True)]
+    off = _checks(sample, with_targets(e_n=np.nextafter(2.0, 3.0), var_n=5e-324), 4.0)
+    assert [c["passed"] for c in off[count_checks]] == [False, False]
 
 
 # --- the entry: rules before any work ---------------------------------------------
