@@ -6,6 +6,12 @@ year (both possibly trending over the years), the package provides the
 closed-form moment identities for the aggregate, seeded Monte Carlo
 simulation of event catalogs, long-run empirical estimators over
 catalogs, and a CLI tying them together.
+
+The top level holds the entry of each command (`risk_summary`,
+`table1_row`, `simulate_catalog`, `analyze_catalog`,
+`verification_checks`), the two file readers, the types that their
+signatures name, the readers' two errors and ``__version__``.  Steps of
+the entries stay public in their modules only.
 """
 
 __version__ = "0.1.0"
@@ -19,19 +25,10 @@ from .io import (
     parse_config,
     read_events_csv,
 )
-from .riskmodel import (
-    RiskSummary,
-    j_squared_from_correlation,
-    risk_summary,
-    table1_row,
-)
-from .severity import Family, SeverityModel, j_squared
-from .simulate import (
-    FixedYearSample,
-    SimulationConfig,
-    replicate_fixed_year,
-    simulate_catalog,
-)
+from .riskmodel import RiskSummary, risk_summary, table1_row
+from .severity import Family, SeverityModel
+from .simulate import SimulationConfig, simulate_catalog
+from .verify import verification_checks
 
 __all__ = [
     "__version__",
@@ -45,14 +42,11 @@ __all__ = [
     "parse_config",
     "read_events_csv",
     "RiskSummary",
-    "j_squared_from_correlation",
     "risk_summary",
     "table1_row",
     "Family",
     "SeverityModel",
-    "j_squared",
-    "FixedYearSample",
     "SimulationConfig",
-    "replicate_fixed_year",
     "simulate_catalog",
+    "verification_checks",
 ]

@@ -40,6 +40,7 @@ import numpy as np
 from . import __version__
 from .estimate import analyze_catalog
 from .io import (
+    MODEL_FIELDS,
     ConfigError,
     config_dict,
     parse_config,
@@ -223,7 +224,7 @@ def _emit(args, write, summary: str, payload: dict) -> ExitReport:
 
 # The flag or config field of each argument whose name starts a library ValueError.
 _ARG_FLAGS = {
-    "freq": "config.frequency",
+    **MODEL_FIELDS,
     "ci_level": "--level",
     "window": "--window",
     "replicates": "--replicates",

@@ -242,8 +242,9 @@ def write_series_stream(series: LongRunSeries, fh) -> None:
 _TOP_FIELDS = {"mode", "frequency", "severity", "years", "seed"}
 _FREQ_FIELDS = {"link", "alpha0", "alpha1"}
 _SEV_FIELDS = {"family", "beta0", "beta1", "shape"}
-# The config field of each `SimulationConfig` model argument.
-_MODEL_FIELDS = {"freq": "frequency", "sev": "severity"}
+# The config field of each `SimulationConfig` model argument; the CLI
+# reports a library error that starts with the argument under it too.
+MODEL_FIELDS = {"freq": "config.frequency", "sev": "config.severity"}
 
 
 def _fields(obj, allowed: set[str], where: str) -> dict:
@@ -332,7 +333,7 @@ def parse_config(path, mode: str) -> SimulationConfig:
         return SimulationConfig(freq=freq, sev=sev, years=years, seed=seed)
     except ValueError as exc:
         name, _, rest = str(exc).partition(": ")
-        raise ConfigError(f"config.{_MODEL_FIELDS[name]}: {rest}") from None
+        raise ConfigError(f"{MODEL_FIELDS[name]}: {rest}") from None
 
 
 def config_dict(config: SimulationConfig) -> dict:

@@ -352,26 +352,24 @@ def _usable_cpus() -> int:
 
 
 def _each_block(draw, n_blocks: int) -> None:
-    """Call ``draw(blocks)`` on ``min(_usable_cpus(), n_blocks)`` threads,
-    the calling one among them, where ``blocks`` yields the block indices
-    that thread takes, each index once in all.  The first exception of
-    any thread is raised once every thread has stopped."""
+    """Call ``draw(b)`` once for each block index ``b`` in
+    ``range(n_blocks)``, on ``min(_usable_cpus(), n_blocks)`` threads, the
+    calling one among them, each taking the next index while any is left.
+    The first exception of any thread is raised once every thread has
+    stopped."""
     todo = iter(range(n_blocks))
     n_threads = min(_usable_cpus(), n_blocks)
     lock = threading.Lock()
     errors: list[BaseException] = []
 
-    def blocks():
-        while not errors:  # after a failure, take no further block
-            with lock:
-                block = next(todo, None)
-            if block is None:
-                return
-            yield block
-
     def run():
         try:
-            draw(blocks())
+            while not errors:  # after a failure, take no further block
+                with lock:
+                    block = next(todo, None)
+                if block is None:
+                    return
+                draw(block)
         except BaseException as exc:  # re-raised by the calling thread
             errors.append(exc)
 
@@ -428,30 +426,27 @@ def replicate_fixed_year(
     sums = np.empty(replicates, dtype=np.float64)
     first = np.full(replicates, np.nan)
 
-    def draw(taken: Iterator[int]) -> None:
+    def draw(b: int) -> None:
         # Blocks write disjoint slices.
-        for b in taken:
-            lo = b * _BATCH
-            hi = min(lo + _BATCH, replicates)
-            counts_rng = np.random.default_rng([seed, _REPLICATE_COUNTS, t_int, b])
-            marks_rng = np.random.default_rng([seed, _REPLICATE_MARKS, t_int, b])
-            n = counts[lo:hi] = sample_count(config.freq, t_int, counts_rng, size=hi - lo)
-            before = np.concatenate(([0], np.cumsum(n)))  # marks before each replicate
-            # Pieces of whole replicates, in order, draw the block's marks
-            # and sum each replicate's left to right, as one call would.
-            a = 0
-            while a < len(n):
-                # the most whole replicates from a within _PIECE marks, at least one
-                z = max(a + 1, int(np.searchsorted(before, before[a] + _PIECE, "right")) - 1)
-                x = sample_intensity(
-                    config.sev, t_int, marks_rng, size=int(before[z] - before[a])
-                )
-                m = n[a:z]
-                rep = np.repeat(np.arange(z - a), m)
-                sums[lo + a : lo + z] = np.bincount(rep, weights=x, minlength=z - a)
-                marked = m > 0
-                first[lo + a : lo + z][marked] = x[before[a:z][marked] - before[a]]
-                a = z
+        lo = b * _BATCH
+        hi = min(lo + _BATCH, replicates)
+        counts_rng = np.random.default_rng([seed, _REPLICATE_COUNTS, t_int, b])
+        marks_rng = np.random.default_rng([seed, _REPLICATE_MARKS, t_int, b])
+        n = counts[lo:hi] = sample_count(config.freq, t_int, counts_rng, size=hi - lo)
+        before = np.concatenate(([0], np.cumsum(n)))  # marks before each replicate
+        # Pieces of whole replicates, in order, draw the block's marks
+        # and sum each replicate's left to right, as one call would.
+        a = 0
+        while a < len(n):
+            # the most whole replicates from a within _PIECE marks, at least one
+            z = max(a + 1, int(np.searchsorted(before, before[a] + _PIECE, "right")) - 1)
+            x = sample_intensity(config.sev, t_int, marks_rng, size=int(before[z] - before[a]))
+            m = n[a:z]
+            rep = np.repeat(np.arange(z - a), m)
+            sums[lo + a : lo + z] = np.bincount(rep, weights=x, minlength=z - a)
+            marked = m > 0
+            first[lo + a : lo + z][marked] = x[before[a:z][marked] - before[a]]
+            a = z
 
     _each_block(draw, -(-replicates // _BATCH))
     return FixedYearSample(counts=counts, sums=sums, first_marks=first)

@@ -20,7 +20,9 @@ from stormrisk.cli import ExitStatus, run
 from stormrisk.estimate import fisher_interval, long_run_series, mailier_index, nx_independence
 from stormrisk.frequency import rate
 from stormrisk.io import CatalogFormatError
-from stormrisk.severity import severity_moments
+from stormrisk.riskmodel import j_squared_from_correlation
+from stormrisk.severity import j_squared, severity_moments
+from stormrisk.simulate import replicate_fixed_year
 
 from helpers import (
     FAMILIES,
@@ -69,7 +71,7 @@ def test_criterion_1_algebraic_identities():
         worst = max(worst, *errs)
         assert all(e <= 1e-12 for e in errs)
         assert rel_err(
-            sr.j_squared_from_correlation(rho, 1.0), sr.j_squared(sev)
+            j_squared_from_correlation(rho, 1.0), j_squared(sev)
         ) <= 1e-10
 
     # long-run Wald identity at every cutoff, one catalog per family
@@ -156,7 +158,7 @@ def test_criterion_3_monte_carlo_oracle():
     for k, (family, mu, shape) in enumerate(MC_CASES):
         config = stationary_config(family, lam=20.0, mu=mu, shape=shape, seed=3000 + k)
         summary = sr.risk_summary(config.freq, config.sev, 1)
-        ens = sr.replicate_fixed_year(config, 1, replicates)
+        ens = replicate_fixed_year(config, 1, replicates)
         n = ens.counts.astype(np.float64)
         s = ens.sums
 

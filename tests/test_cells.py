@@ -88,6 +88,9 @@ def test_nan_is_the_missing_value_text():
     assert cells(values, "") == ["", "1.5", "", "inf"]
     assert cells(values, "nan") == ["nan", "1.5", "nan", "inf"]
     assert cells(values, "not a number") == ["not a number", "1.5", "not a number", "inf"]
+    # a missing-value text longer than any number's words
+    long = "missing value " * 4
+    assert cells(values, long) == reference(values, long)
 
 
 def test_int64_columns_are_written_as_str():

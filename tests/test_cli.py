@@ -119,6 +119,15 @@ def test_theory_yearly_summaries(tmp_path):
     )
 
 
+def test_help_and_version_are_ok_reports_on_stdout(capsys):
+    report = run(["--help"])
+    assert report.status is ExitStatus.OK
+    assert report.summary.startswith("usage: stormrisk")
+    assert report.payload == {"message": report.summary}
+    assert main(["--version"]) == 0
+    assert capsys.readouterr() == (f"{sr.__version__}\n", "")
+
+
 def test_theory_requires_config_or_table1():
     report = run(["theory"])
     assert report.status is ExitStatus.INPUT_ERROR
@@ -438,6 +447,12 @@ FIELD_ERROR_CASES = {
         [],
         "config.frequency: expects inf events over 2 years",
     ),
+    # the severity model's span check, mapped as the frequency model's
+    "severity-moments-overflow": (
+        {"severity": {"family": "lognormal", "beta0": 710.0, "beta1": 0.0, "shape": 1.0}},
+        [],
+        "config.severity: intensity moments at t=1 (driver 710.0) are not finite",
+    ),
     "replicates-floor": (
         {"mode": "verify"}, ["--replicates", "500"], "--replicates: need at least 1000"
     ),
@@ -559,6 +574,7 @@ PATHS_NAMED_LIKE_ARGUMENTS = {
     "window": (["analyze", "--input", "window"], f"window: {_NOT_AN_EVENT}"),
     "ci_level": (["analyze", "--input", "ci_level"], f"ci_level: {_NOT_AN_EVENT}"),
     "freq": (["simulate", "--config", "freq"], f"freq: {_NOT_JSON}"),
+    "sev": (["simulate", "--config", "sev"], f"sev: {_NOT_JSON}"),
     "t": (["verify", "--config", "t", "--replicates", "1000"], f"t: {_NOT_JSON}"),
     "replicates": (
         ["verify", "--config", "replicates", "--replicates", "1000"],
@@ -643,7 +659,7 @@ def test_verification_fails_checks_whose_statistics_overflow():
     counts = np.random.default_rng(0).poisson(10.0, 1000)
     sums = counts * 1e131
     first = np.where(counts > 0, 1e131, np.nan)
-    sample = sr.FixedYearSample(counts=counts, sums=sums, first_marks=first)
+    sample = simulate.FixedYearSample(counts=counts, sums=sums, first_marks=first)
     config = stationary_config("lognormal", lam=10.0, mu=1.0, shape=1.0)
     summary = sr.risk_summary(config.freq, config.sev, 1)
     # no floating-point warning escapes: pytest makes warnings errors

@@ -36,6 +36,7 @@ def test_constant_catalog_long_run_values():
     assert np.allclose(series.e_s, [6, 6, 6])
     assert np.allclose(series.e_x, 3.0)
     assert np.allclose(series.phi, 0.0)
+    assert len(series) == 3
 
 
 def test_long_run_wald_identity_holds_at_every_cutoff():

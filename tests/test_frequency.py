@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,12 @@ def test_identity_link_positivity_validated_at_construction():
 
     with pytest.raises(ValueError, match="^freq: identity-link rate non-positive at t=10"):
         config(identity_model(1.0, -0.1), 60)
+    # -alpha0 / alpha1 is exactly 267.0, but the float rate at 267 is
+    # 2.8e-14 > 0, so the search for the first such year steps on to 268
+    assert rate(identity_model(186.9, -0.7), 267) > 0
+    message = "freq: identity-link rate non-positive at t=268: 186.9 + -0.7*268 <= 0"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        config(identity_model(186.9, -0.7), 300)
     # strictly positive over fewer years is fine
     config(identity_model(1.0, -0.1), 9)
     with pytest.raises(ValueError, match="non-positive"):

@@ -24,7 +24,7 @@ import pytest
 
 import stormrisk as sr
 from stormrisk.cli import ExitStatus, run
-from stormrisk.simulate import _BATCH
+from stormrisk.simulate import _BATCH, replicate_fixed_year
 
 from helpers import FAMILIES
 
@@ -226,7 +226,7 @@ def catalog_digest(family: str, **model) -> str:
 
 
 def replicate_digest(family: str, **model) -> str:
-    e = sr.replicate_fixed_year(_model(family, **model), REPLICATE_YEAR, REPLICATES)
+    e = replicate_fixed_year(_model(family, **model), REPLICATE_YEAR, REPLICATES)
     return _sha256(e.counts, e.sums, e.first_marks)
 
 

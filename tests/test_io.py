@@ -2,7 +2,9 @@ import csv
 import io
 import json
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +107,16 @@ def test_read_events_errors_are_located(tmp_path):
     latin1 = tmp_path / "latin1.csv"
     latin1.write_bytes(b"year,intensity\r\n" + b"2040,1.5\r\n" * 2000 + b"2041,\xff\r\n")
     with pytest.raises(CatalogFormatError, match=r"latin1\.csv: line 2002: not UTF-8, byte 0xff$"):
+        sr.read_events_csv(latin1)
+
+
+def test_a_file_that_decodes_when_read_again_names_no_line(tmp_path, monkeypatch):
+    # the line parser fails to decode, then the whole file decodes: it
+    # changed between the two reads
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"year,intensity\r\n2041,\xff\r\n")
+    monkeypatch.setattr(Path, "read_bytes", lambda self: b"year,intensity\r\n2041,1.5\r\n")
+    with pytest.raises(CatalogFormatError, match=f"^{re.escape(str(latin1))}: not UTF-8$"):
         sr.read_events_csv(latin1)
 
 

@@ -6,7 +6,8 @@ import pytest
 
 import stormrisk as sr
 from stormrisk.frequency import _EACH_CHUNK, rate
-from stormrisk.severity import severity_moments
+from stormrisk.riskmodel import j_squared_from_correlation
+from stormrisk.severity import j_squared, severity_moments
 
 from helpers import FAMILIES, random_model_pair, rel_err
 
@@ -134,24 +135,24 @@ def test_cor_ns_invariant_to_trend_rescaling():
 
 
 def test_j_squared_from_correlation_reference_values():
-    assert sr.j_squared_from_correlation(math.sqrt(2) / 2, 1.0) == pytest.approx(
+    assert j_squared_from_correlation(math.sqrt(2) / 2, 1.0) == pytest.approx(
         1.0, rel=1e-12
     )
-    assert sr.j_squared_from_correlation(math.sqrt(3) / 2, 1.0) == pytest.approx(
+    assert j_squared_from_correlation(math.sqrt(3) / 2, 1.0) == pytest.approx(
         3.0, rel=1e-12
     )
     xi = 0.25
     rho = math.sqrt((1 - 2 * xi) / (2 - 2 * xi))
-    assert sr.j_squared_from_correlation(rho, 1.0) == pytest.approx(0.5, rel=1e-12)
+    assert j_squared_from_correlation(rho, 1.0) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_j_squared_from_correlation_domain():
     with pytest.raises(ValueError):
-        sr.j_squared_from_correlation(1.0, 1.0)
+        j_squared_from_correlation(1.0, 1.0)
     with pytest.raises(ValueError):
-        sr.j_squared_from_correlation(0.0, 1.0)
+        j_squared_from_correlation(0.0, 1.0)
     with pytest.raises(ValueError):
-        sr.j_squared_from_correlation(0.5, 0.0)
+        j_squared_from_correlation(0.5, 0.0)
 
 
 # --- reference table -------------------------------------------------------
@@ -206,7 +207,7 @@ def test_identity_suite_random_models():
         # dispersion form of the correlation
         assert rel_err(rho, m.mean / math.sqrt(m.variance + m.mean**2)) <= 1e-12
         assert rel_err(
-            sr.j_squared_from_correlation(rho, 1.0), sr.j_squared(sev)
+            j_squared_from_correlation(rho, 1.0), j_squared(sev)
         ) <= 1e-10
 
 

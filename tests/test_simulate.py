@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import threading
 import tracemalloc
@@ -23,6 +24,7 @@ from stormrisk.simulate import (
     _REPLICATE_MARKS,
     _lane_draws,
     _streams,
+    replicate_fixed_year,
 )
 
 from helpers import FAMILIES, random_severity, stationary_config
@@ -70,6 +72,12 @@ def test_keyed_stream_is_reset_between_keys():
             0, 2**31, dtype=np.uint32
         )
         assert rng.random() == reference.random()
+
+
+def test_a_negative_substream_key_is_refused():
+    # without the check, -1 >> 32 stays -1 and the split never ends
+    with pytest.raises(ValueError, match="^substream keys must be non-negative integers, got -1$"):
+        simulate._words(-1)
 
 
 # --- low-rate lanes against numpy's Generator ---------------------------------
@@ -221,7 +229,7 @@ def test_catalog_and_ensemble_counts_are_drawn_by_one_function(monkeypatch):
     catalog = sr.simulate_catalog(config)
     assert drawn == catalog.counts.tolist()
     drawn.clear()
-    sample = sr.replicate_fixed_year(config, 7, 1000)  # one block
+    sample = replicate_fixed_year(config, 7, 1000)  # one block
     assert len(drawn) == 1
     assert np.array_equal(drawn[0], sample.counts)
 
@@ -242,19 +250,19 @@ def test_a_catalog_computes_its_rates_in_one_call(monkeypatch, family):
 
 def test_replicates_deterministic_and_prefix_stable():
     config = stationary_config("lognormal", lam=20.0, mu=1.0, shape=0.5, seed=21)
-    a = sr.replicate_fixed_year(config, 7, 50_000)
-    b = sr.replicate_fixed_year(config, 7, 50_000)
+    a = replicate_fixed_year(config, 7, 50_000)
+    b = replicate_fixed_year(config, 7, 50_000)
     assert np.array_equal(a.counts, b.counts)
     assert np.array_equal(a.sums, b.sums)
     # a shorter run is a prefix of a longer one
-    small = sr.replicate_fixed_year(config, 7, 1_000)
+    small = replicate_fixed_year(config, 7, 1_000)
     assert np.array_equal(small.counts, a.counts[:1000])
     assert np.array_equal(small.sums, a.sums[:1000])
 
 
 def test_replicate_moments_lognormal():
     config = stationary_config("lognormal", lam=20.0, mu=1.0, shape=0.5, seed=2)
-    ens = sr.replicate_fixed_year(config, 1, 1_000_000)
+    ens = replicate_fixed_year(config, 1, 1_000_000)
     summary = sr.risk_summary(config.freq, config.sev, 1)
 
     se_mean = math.sqrt(summary.var_s / len(ens))
@@ -271,7 +279,7 @@ def test_fixed_year_covariances_per_family(family):
     freq = sr.FrequencyModel(alpha0=15.0, alpha1=0.1, link="identity")
     config = sr.SimulationConfig(freq=freq, sev=sev, years=(1, 60), seed=37)
     t = 30
-    ens = sr.replicate_fixed_year(config, t, 200_000)
+    ens = replicate_fixed_year(config, t, 200_000)
     summary = sr.risk_summary(freq, sev, t)
     r = len(ens)
 
@@ -305,7 +313,7 @@ def test_trended_ensembles_track_their_year():
     )
     config = sr.SimulationConfig(freq=freq, sev=sev, years=(1, 50), seed=4)
     for t in (1, 25, 50):
-        ens = sr.replicate_fixed_year(config, t, 200_000)
+        ens = replicate_fixed_year(config, t, 200_000)
         summary = sr.risk_summary(freq, sev, t)
         se = math.sqrt(summary.var_s / len(ens))
         assert abs(ens.sums.mean() - summary.e_s) <= 4 * se
@@ -316,7 +324,7 @@ def test_trended_ensembles_track_their_year():
 
 def test_first_marks_nan_only_for_empty_replicates():
     config = stationary_config("exponential", lam=0.7, mu=2.0, seed=5)
-    ens = sr.replicate_fixed_year(config, 1, 20_000)
+    ens = replicate_fixed_year(config, 1, 20_000)
     empty = ens.counts == 0
     assert np.all(np.isnan(ens.first_marks[empty]))
     assert not np.any(np.isnan(ens.first_marks[~empty]))
@@ -359,7 +367,7 @@ def test_ensemble_bits_depend_on_neither_threads_nor_pieces(monkeypatch, family,
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
     config = stationary_config(family, lam=20.0, mu=1.5, shape=ENSEMBLE_SHAPES.get(family), seed=9)
     replicates = 5 * _BATCH + 777
-    ens = sr.replicate_fixed_year(config, 4, replicates)
+    ens = replicate_fixed_year(config, 4, replicates)
     assert_same_ensemble(ens, one_call_per_block(config, 4, replicates))
 
 
@@ -375,10 +383,19 @@ def test_pieces_are_cut_by_marks_in_a_block_near_the_marks_budget(monkeypatch):
     monkeypatch.setattr(simulate, "sample_intensity", recorded)
     config = stationary_config("exponential", lam=300.0, mu=1.0, seed=4)
     replicates = _BATCH + 777
-    ens = sr.replicate_fixed_year(config, 1, replicates)
+    ens = replicate_fixed_year(config, 1, replicates)
     assert max(sizes) <= _PIECE and sum(sizes) == ens.counts.sum()
     assert len(sizes) >= ens.counts.sum() / _PIECE
     assert_same_ensemble(ens, one_call_per_block(config, 1, replicates))
+
+
+def test_usable_cpus_without_an_affinity_call(monkeypatch):
+    # the only path on platforms without os.sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert simulate._usable_cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert simulate._usable_cpus() == 1
 
 
 @pytest.mark.parametrize("cpus, replicates", [(1, 5 * _BATCH), (3, _BATCH)])
@@ -389,7 +406,7 @@ def test_one_cpu_or_one_block_starts_no_thread(monkeypatch, cpus, replicates):
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(threading, "Thread", no_thread)
     config = stationary_config("exponential", lam=2.0, mu=1.0, seed=1)
-    assert len(sr.replicate_fixed_year(config, 1, replicates)) == replicates
+    assert len(replicate_fixed_year(config, 1, replicates)) == replicates
 
 
 def test_an_exception_in_a_worker_thread_reaches_the_caller_unchanged(monkeypatch):
@@ -408,7 +425,7 @@ def test_an_exception_in_a_worker_thread_reaches_the_caller_unchanged(monkeypatc
     config = stationary_config("exponential", lam=2.0, mu=1.0, seed=1)
     threads = threading.active_count()
     with pytest.raises(RuntimeError) as caught:
-        sr.replicate_fixed_year(config, 1, 5 * _BATCH)
+        replicate_fixed_year(config, 1, 5 * _BATCH)
     assert caught.value is error
     assert threading.active_count() == threads
 
@@ -427,7 +444,7 @@ def test_an_exception_at_one_cpu_reaches_the_caller_unchanged(monkeypatch):
     monkeypatch.setattr(threading, "Thread", no_thread)
     config = stationary_config("exponential", lam=2.0, mu=1.0, seed=1)
     with pytest.raises(RuntimeError) as caught:
-        sr.replicate_fixed_year(config, 1, 5 * _BATCH)
+        replicate_fixed_year(config, 1, 5 * _BATCH)
     assert caught.value is error
 
 
@@ -436,9 +453,9 @@ def test_ensemble_year_must_be_an_integer(t):
     config = stationary_config("exponential", lam=2.0, mu=1.0, years=(1, 5), seed=1)
     message = f"t: must be an integer, got {t!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        sr.replicate_fixed_year(config, t, 100)
+        replicate_fixed_year(config, t, 100)
     # an integral float or a bool is not an integer; a numpy integer is
-    assert len(sr.replicate_fixed_year(config, np.int64(4), 100)) == 100
+    assert len(replicate_fixed_year(config, np.int64(4), 100)) == 100
 
 
 # --- config validation --------------------------------------------------------
@@ -470,14 +487,14 @@ def test_config_validation():
         sr.SimulationConfig(freq=freq, sev=sev, years=(1, 10), seed=0, replicates=2)
     config = sr.SimulationConfig(freq=freq, sev=sev, years=(1, 10), seed=0)
     with pytest.raises(ValueError, match="replicates"):
-        sr.replicate_fixed_year(config, 1, 1)
+        replicate_fixed_year(config, 1, 1)
     # the closed forms need no seed; the simulators do
     unseeded = sr.SimulationConfig(freq=freq, sev=sev, years=(1, 10))
     assert unseeded.seed is None
     with pytest.raises(ValueError, match="seed"):
         sr.simulate_catalog(unseeded)
     with pytest.raises(ValueError, match="seed"):
-        sr.replicate_fixed_year(unseeded, 1, 2)
+        replicate_fixed_year(unseeded, 1, 2)
 
 
 @pytest.mark.parametrize(
@@ -518,8 +535,8 @@ def test_replicate_count_must_be_an_integer(replicates):
     config = stationary_config("exponential", lam=5.0, mu=1.0, seed=0)
     message = f"replicates: must be an integer, got {re.escape(repr(replicates))}"
     with pytest.raises(ValueError, match=message):
-        sr.replicate_fixed_year(config, 1, replicates)
-    assert len(sr.replicate_fixed_year(config, 1, np.int64(3))) == 3
+        replicate_fixed_year(config, 1, replicates)
+    assert len(replicate_fixed_year(config, 1, np.int64(3))) == 3
 
 
 @pytest.mark.parametrize("replicates", [10**7 + 1, 10**9])
@@ -528,7 +545,7 @@ def test_replicate_count_past_the_row_budget_raises_before_allocating(replicates
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=f"replicates: at most .*, got {replicates}"):
-            sr.replicate_fixed_year(config, 1, replicates)
+            replicate_fixed_year(config, 1, replicates)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -543,7 +560,7 @@ def test_replicate_block_past_the_marks_budget_raises_before_allocating(lam, rep
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=f"marks in a block of {block} replicates"):
-            sr.replicate_fixed_year(config, 1, replicates)
+            replicate_fixed_year(config, 1, replicates)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -558,7 +575,7 @@ def test_ensemble_past_the_total_marks_budget_raises_before_allocating(lam):
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=f"marks in {_MAX_ROWS} replicates .* {_MAX_MARKS} an"):
-            sr.replicate_fixed_year(config, 1, _MAX_ROWS)
+            replicate_fixed_year(config, 1, _MAX_ROWS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -572,8 +589,8 @@ def test_ensemble_year_outside_the_run_is_rejected(t):
     sev = sr.SeverityModel(family="exponential", beta0=1.0, beta1=0.0)
     config = sr.SimulationConfig(freq=freq, sev=sev, years=(1, 16), seed=0)
     with pytest.raises(ValueError, match=rf"^t: must lie in \[1, 16\], got {t}$"):
-        sr.replicate_fixed_year(config, t, 10)
-    assert len(sr.replicate_fixed_year(config, 16, 10)) == 10
+        replicate_fixed_year(config, t, 10)
+    assert len(replicate_fixed_year(config, 16, 10)) == 10
 
 
 def test_catalog_past_the_event_budget_is_rejected_before_drawing():

@@ -98,11 +98,11 @@ def assert_same_bits(sample):
 def test_statistics_match_the_per_statistic_reference_bit_for_bit(family, replicates):
     # 100 batches divide none of these sizes, so the batches differ in length
     config = stationary_config(family, lam=3.0, mu=2.0, shape=SHAPES.get(family), seed=7)
-    assert_same_bits(sr.replicate_fixed_year(config, 1, replicates))
+    assert_same_bits(simulate.replicate_fixed_year(config, 1, replicates))
 
 
 def _sample(counts, sums, first):
-    return sr.FixedYearSample(
+    return simulate.FixedYearSample(
         counts=np.asarray(counts, dtype=np.int64),
         sums=np.asarray(sums, dtype=np.float64),
         first_marks=np.asarray(first, dtype=np.float64),
@@ -145,7 +145,7 @@ def with_targets(**targets):
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_gate_passes_a_target_within_sigma_standard_errors_and_fails_beyond(sign):
-    sample = sr.replicate_fixed_year(_GAMMA, 1, 1000)
+    sample = simulate.replicate_fixed_year(_GAMMA, 1, 1000)
     checks = _checks(sample, SUMMARY, 4.0)
     assert all(c["se"] > 0 for c in checks)
     for distance, passed in ((3.9, True), (4.1, False)):
@@ -253,7 +253,7 @@ def test_entry_defaults_to_the_middle_year_through_the_modules(monkeypatch):
     spy(simulate, "replicate_fixed_year")
     t, checks = verification_checks(SEEDED, 1009)
     assert (t, calls) == (30, ["risk_summary", "replicate_fixed_year"])
-    sample = sr.replicate_fixed_year(SEEDED, 30, 1009)
+    sample = simulate.replicate_fixed_year(SEEDED, 30, 1009)
     summary = sr.risk_summary(SEEDED.freq, SEEDED.sev, 30)
     assert checks == _checks(sample, summary, 4.0)
     assert verification_checks(SEEDED, 1009, 4.0, 30) == (30, checks)
