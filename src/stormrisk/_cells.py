@@ -105,6 +105,16 @@ def _tables():
     return words, pow10, schubfach
 
 
+def _mul_64(a: np.ndarray, b: np.ndarray):
+    """The 128-bit products of uint64 ``a`` and ``b``, as their low and
+    high words, from the 32 x 32-bit products of the halves."""
+    a0, a1 = a & _UM32, a >> _U32
+    b0, b1 = b & _UM32, b >> _U32
+    p00, p10, p01 = a0 * b0, a1 * b0, a0 * b1
+    mid = (p00 >> _U32) + (p10 & _UM32) + (p01 & _UM32)
+    return p00 & _UM32 | mid << _U32, a1 * b1 + (p10 >> _U32) + (p01 >> _U32) + (mid >> _U32)
+
+
 def _shortest(bits: np.ndarray):
     """Schubfach's shortest digits of positive doubles, given as int64
     bits of a finite value of at least three subnormal steps: ``(f, e)``
@@ -118,15 +128,8 @@ def _shortest(bits: np.ndarray):
     out = c & 1  # an odd significand's rounding interval is open
     cp = (c << h).view(np.uint64)
 
-    # P = g * cp exactly, from the 32 x 32-bit products of the halves of
-    # cp and of each 64-bit limb of g.
-    g = row[2:4].view(np.uint64)
-    a0, a1 = cp & _UM32, cp >> _U32
-    g0, g1 = g & _UM32, g >> _U32
-    p00, p01, p10 = g0 * a0, g1 * a0, g0 * a1
-    mid = (p00 >> _U32) + (p01 & _UM32) + (p10 & _UM32)
-    lo = p00 & _UM32 | mid << _U32  # the two 128-bit products, low words
-    hi = g1 * a1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+    # P = g * cp exactly, from the two 128-bit products of cp and a limb of g
+    lo, hi = _mul_64(row[2:4].view(np.uint64), cp)
     b1 = hi[0] + lo[1]  # bits 64..127 of P
     top = (hi[1] + (b1 < lo[1]) << _U1 | b1 >> _U63).view(np.int64)  # floor(P / 2^127)
     b1 &= _UM63

@@ -6,7 +6,10 @@ with ``.`` separator.  Rows may come in any order; years missing between
 the earliest and latest event are materialised with zero events.
 UTF-8; read with LF, CRLF or CR line ends, written with CRLF as
 ``csv.writer`` does and each double as ``repr`` writes it, a chunk of
-rows at a time (``write_csv_rows``).
+rows at a time (``write_csv_rows``).  A body of plain rows, digits with
+a sign, point and exponent where a number has them, is decoded in
+integer arrays (``_decode.event_cells``); any other body goes to the
+line parser, which names the offending line.
 
 Series CSV schema (written, never read): header
 ``t,e_n,e_s,e_x,phi,rho,rho_lo,rho_hi,j2phi``; undefined values are
@@ -24,10 +27,10 @@ path) and never escape as bare exceptions from deeper layers.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +52,7 @@ __all__ = [
 ]
 
 EVENT_COLUMNS = ("year", "intensity")
-_EVENT_DTYPE = np.dtype([("year", np.int64), ("intensity", np.float64)])
+_BLOCK_BYTES = 1 << 17  # an event CSV is read this many bytes at a time
 
 # Written CSVs end lines as csv.writer does.  Rows are encoded and
 # written this many at a time, which keeps memory flat: a chunk's words
@@ -69,15 +72,18 @@ class ConfigError(ValueError):
 def read_events_csv(path) -> EventCatalog:
     """Parse an event CSV into a catalog.
 
-    The body is parsed in one bulk pass; any input that pass does not
-    accept cleanly goes through the line-by-line parser instead, so every
-    file is accepted or rejected exactly as by :func:`_read_events_lines`.
-    Either parser's events make the catalog in one call, whose errors
-    name the file.
+    The body is read by the array decoder when every line is empty or a
+    row ``[+-]digits,[+]digits[.digits][(e|E)[+-]digits]``, fields maybe
+    padded with spaces or tabs, and every intensity is positive and
+    finite; each decimal becomes the double that ``float`` gives.  Any
+    other file, quoted fields, a whitespace-only line or an intensity of
+    0 or ``inf`` for example, goes through the line-by-line parser, so
+    every file is accepted or rejected exactly as by
+    :func:`_read_events_lines`.  Either parser's events make the catalog
+    in one call, whose errors name the file.
     """
     path = Path(path)
-    body = _load_events_body(path)
-    events = _read_events_lines(path) if body is None else (body["year"], body["intensity"])
+    events = _load_events_body(path) or _read_events_lines(path)
     try:
         return EventCatalog.from_events(*events)
     except ValueError as exc:
@@ -88,30 +94,64 @@ def _is_header(row: list[str], columns: tuple[str, ...]) -> bool:
     return [c.strip().lower() for c in row] == list(columns)
 
 
-def _load_events_body(path: Path) -> np.ndarray | None:
-    """Event rows as a structured array, or None where the line parser
-    must decide: an unreadable file, a bad header, any parse error or
-    warning, no rows, or an intensity that is not positive and finite.
+def _load_events_body(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
+    """Event years and intensities read by the array decoder, or None
+    where the line parser must decide: an unreadable file, a bad header,
+    a line the decoder does not read (see `_decode.event_cells`) or
+    longer than ``_BLOCK_BYTES``, no rows, or an intensity that is not
+    positive and finite.
 
-    ``np.loadtxt`` accepts a subset of what the line parser accepts (no
-    quotes, underscores, non-ASCII digits or whitespace-only lines), and
-    parses the same decimal strings to the same doubles.
+    The file is read twice into one buffer of ``_BLOCK_BYTES``: once to
+    count its commas, one to a row, which bounds the rows the outputs are
+    allocated for, then in blocks cut after a line end.  The decoder is
+    imported on first use, as `_row_words` imports the encoder.
     """
+    from ._decode import event_cells
+
+    block = bytearray(_BLOCK_BYTES)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with path.open("r", encoding="utf-8-sig", newline="") as fh:
-                header = next(csv.reader(fh), None)
-                if header is None or not _is_header(header, EVENT_COLUMNS):
+        with path.open("rb") as fh:
+            size = _commas(fh, block)
+            fh.seek(0)
+            head = block[: fh.readinto(block)]
+            bom = len(codecs.BOM_UTF8) if head.startswith(codecs.BOM_UTF8) else 0
+            cut = min((i for i in (head.find(b"\n", bom), head.find(b"\r", bom)) if i >= 0), default=-1)
+            header = next(csv.reader([head[bom:cut].decode()]), None) if cut >= 0 else None
+            if header is None or not _is_header(header, EVENT_COLUMNS):
+                return None
+            fh.seek(cut)
+            # one allocation: two of half the size left peak RSS about 0.3 MB higher
+            out = np.empty((2, size), np.int64)
+            years, intensities = out[0], out[1].view(np.float64)
+            n = have = 0  # rows decoded, bytes of a line carried to the next block
+            while True:
+                if have == len(block):
+                    return None  # a line longer than a block
+                got = fh.readinto(memoryview(block)[have:])
+                end = have + got
+                cut = max(block.rfind(b"\n", 0, end), block.rfind(b"\r", 0, end)) + 1 if got else end
+                cells = event_cells(memoryview(block)[:cut])
+                if cells is None or n + len(cells[0]) > size:  # or the file grew
                     return None
-                body = np.loadtxt(
-                    fh, delimiter=",", dtype=_EVENT_DTYPE, comments=None, ndmin=1
-                )
-    except (OSError, ValueError, csv.Error, Warning):
+                k = len(cells[0])
+                years[n : n + k], intensities[n : n + k] = cells
+                n, have = n + k, end - cut
+                if not got:
+                    break
+                block[:have] = block[cut:end]
+    except (OSError, UnicodeDecodeError, csv.Error):
         return None
-    if len(body) == 0 or not _positive_finite(body["intensity"]):
+    if n == 0 or not _positive_finite(intensities[:n]):
         return None
-    return body
+    return years[:n], intensities[:n]
+
+
+def _commas(fh, block: bytearray) -> int:
+    """The commas in the rest of binary file ``fh``, read into ``block``."""
+    n = 0
+    while got := fh.readinto(block):
+        n += np.count_nonzero(np.frombuffer(block, np.uint8, got) == ord(","))
+    return n
 
 
 def _read_events_lines(path: Path) -> tuple[list[int], list[float]]:

@@ -57,13 +57,18 @@ class Family(str, Enum):
     GPD = "gpd"
 
 
+# The members under module names: `Family.GAMMA` is a class-attribute
+# lookup of about 100 ns, a global about 15 ns, and `sample_intensity`
+# and `_moments` test the family on every per-year draw.
+_UNIFORM, _GAMMA, _EXPONENTIAL, _LOGNORMAL, _GPD = Family
+
 #: Families whose scale driver must be strictly positive.  The lognormal
 #: driver is a log-scale location and is exempt.
 _POSITIVE_DRIVER = frozenset(
-    {Family.UNIFORM, Family.GAMMA, Family.EXPONENTIAL, Family.GPD}
+    {_UNIFORM, _GAMMA, _EXPONENTIAL, _GPD}
 )
 
-_SHAPED = frozenset({Family.GAMMA, Family.LOGNORMAL, Family.GPD})
+_SHAPED = frozenset({_GAMMA, _LOGNORMAL, _GPD})
 
 
 @dataclass(frozen=True)
@@ -103,13 +108,13 @@ class SeverityModel:
                 raise ValueError(f"{fam.value} family requires a shape parameter")
             if not math.isfinite(self.shape):
                 raise ValueError(f"shape must be finite, got {self.shape}")
-            if fam is Family.GAMMA and self.shape <= 0:
+            if fam is _GAMMA and self.shape <= 0:
                 raise ValueError(f"gamma shape must be > 0, got {self.shape}")
-            if fam is Family.LOGNORMAL and self.shape <= 0:
+            if fam is _LOGNORMAL and self.shape <= 0:
                 # shape == 0 would be a degenerate point mass; reject here
                 # rather than special-case zero variance downstream.
                 raise ValueError(f"lognormal log-sd must be > 0, got {self.shape}")
-            if fam is Family.GPD and self.shape >= 0.5:
+            if fam is _GPD and self.shape >= 0.5:
                 raise ValueError(
                     f"gpd shape must be < 0.5 for finite variance, got {self.shape}"
                 )
@@ -179,17 +184,17 @@ def severity_moments(model: SeverityModel, t) -> Moments:
 
 def _moments(model: SeverityModel, mu: float) -> Moments:
     fam = model.family
-    if fam is Family.UNIFORM:
+    if fam is _UNIFORM:
         mean = 0.5 * mu
         var = mu * mu / 12.0
-    elif fam is Family.GAMMA:
+    elif fam is _GAMMA:
         theta = model.shape
         mean = theta * mu
         var = theta * mu * mu
-    elif fam is Family.EXPONENTIAL:
+    elif fam is _EXPONENTIAL:
         mean = mu
         var = mu * mu
-    elif fam is Family.LOGNORMAL:
+    elif fam is _LOGNORMAL:
         s2 = model.shape**2
         mean = _exp(mu + 0.5 * s2)
         var = math.expm1(s2) * _exp(2.0 * mu + s2)
@@ -209,13 +214,13 @@ def j_squared(model: SeverityModel) -> float:
     1/(e^{s^2} - 1), gpd 1 - 2*xi.
     """
     fam = model.family
-    if fam is Family.UNIFORM:
+    if fam is _UNIFORM:
         return 3.0
-    if fam is Family.GAMMA:
+    if fam is _GAMMA:
         return float(model.shape)
-    if fam is Family.EXPONENTIAL:
+    if fam is _EXPONENTIAL:
         return 1.0
-    if fam is Family.LOGNORMAL:
+    if fam is _LOGNORMAL:
         return 1.0 / math.expm1(model.shape**2)
     return 1.0 - 2.0 * model.shape  # GPD
 
@@ -242,7 +247,7 @@ def _gpd_ppf(u, scale, xi):
 
 
 #: Families sampled by the inverse CDF of one uniform draw per mark.
-_INVERSE_CDF = frozenset({Family.UNIFORM, Family.EXPONENTIAL, Family.GPD})
+_INVERSE_CDF = frozenset({_UNIFORM, _EXPONENTIAL, _GPD})
 
 
 def _inverse_cdf(model: SeverityModel, u: np.ndarray, mu) -> np.ndarray:
@@ -255,9 +260,9 @@ def _inverse_cdf(model: SeverityModel, u: np.ndarray, mu) -> np.ndarray:
     depend on an element's place in the array (tests check that).
     """
     fam = model.family
-    if fam is Family.UNIFORM:
+    if fam is _UNIFORM:
         return _uniform_ppf(u, mu)
-    if fam is Family.EXPONENTIAL:
+    if fam is _EXPONENTIAL:
         return _exponential_ppf(u, mu)
     return _gpd_ppf(u, 1.0 / mu, model.shape)  # GPD, scale 1/mu
 
@@ -275,6 +280,6 @@ def sample_intensity(
     fam = model.family
     if fam in _INVERSE_CDF:
         return _inverse_cdf(model, rng.random(size=size), mu)
-    if fam is Family.GAMMA:
+    if fam is _GAMMA:
         return rng.gamma(model.shape, scale=mu, size=size)
     return rng.lognormal(mean=mu, sigma=model.shape, size=size)

@@ -837,6 +837,11 @@ def test_cli_import_leaves_the_csv_encoder_unloaded():
     assert "stormrisk._cells" not in modules_loaded_by("")
 
 
+def test_cli_import_leaves_the_csv_decoder_unloaded():
+    # `read_events_csv` imports it on first use, as the writer the encoder
+    assert "stormrisk._decode" not in modules_loaded_by("")
+
+
 def test_cli_import_leaves_concurrent_futures_unloaded():
     # ensembles start their threads with `threading`, which the import
     # loads anyway; concurrent.futures would add about 10 ms to every call

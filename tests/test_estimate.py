@@ -17,6 +17,8 @@ from stormrisk.estimate import (
     season_activity,
 )
 
+from stormrisk.io import write_events_stream
+
 from helpers import stationary_config
 
 
@@ -430,3 +432,34 @@ def test_mean_count_error_shrinks_with_time():
             errors[t].append(abs(series.e_n[t - 1] - lam_bar[t]))
     means = [np.mean(errors[t]) for t in checkpoints]
     assert means[0] > means[1] > means[2]
+
+
+# --- scale invariance ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("window", [None, 30])
+@pytest.mark.parametrize("factor", [2.0, 2.0**-10])
+def test_rescaled_intensities_leave_the_correlations_and_scale_the_means(
+    tmp_path, factor, window
+):
+    # The paper's identities hold for any unit of intensity.  A power of
+    # two rescales every double exactly, so the written catalog, read back
+    # and analysed, must give the same correlation columns bit for bit and
+    # the means times the factor exactly.
+    config = stationary_config("gamma", lam=5.0, mu=1.0, shape=2.0, years=(1, 200))
+    catalog = sr.simulate_catalog(config)
+    scaled = sr.EventCatalog(catalog.start_year, catalog.counts, catalog.intensities * factor)
+    series = []
+    for name, c in (("base", catalog), ("scaled", scaled)):
+        path = tmp_path / f"{name}.csv"
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            write_events_stream(c, fh)
+        read = sr.read_events_csv(path)
+        assert np.array_equal(read.intensities, c.intensities)
+        series.append(analyze_catalog(read, window=window)[0])
+    base, rescaled = series
+    for name in ("e_n", "rho", "rho_lo", "rho_hi", "phi", "j2phi"):
+        assert getattr(rescaled, name).tobytes() == getattr(base, name).tobytes(), name
+    for name in ("e_s", "e_x"):
+        assert (getattr(rescaled, name) / factor).tobytes() == getattr(base, name).tobytes(), name
+    assert np.isfinite(base.rho[-100:]).all() and np.isfinite(base.j2phi).all()
