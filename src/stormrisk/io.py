@@ -6,10 +6,12 @@ with ``.`` separator.  Rows may come in any order; years missing between
 the earliest and latest event are materialised with zero events.
 UTF-8; read with LF, CRLF or CR line ends, written with CRLF as
 ``csv.writer`` does and each double as ``repr`` writes it, a chunk of
-rows at a time (``write_csv_rows``).  A body of plain rows, digits with
-a sign, point and exponent where a number has them, is decoded in
-integer arrays (``_decode.event_cells``); any other body goes to the
-line parser, which names the offending line.
+rows at a time (``write_csv_rows``).  Chunks are sized by cells, about
+8192 float cells to an encoder call, and a broadcast column is encoded
+once per write.  A body of plain rows, digits with a sign, point and
+exponent where a number has them, is decoded in integer arrays
+(``_decode.event_cells``); any other body goes to the line parser,
+which names the offending line.
 
 Series CSV schema (written, never read): header
 ``t,e_n,e_s,e_x,phi,rho,rho_lo,rho_hi,j2phi``; undefined values are
@@ -55,10 +57,12 @@ EVENT_COLUMNS = ("year", "intensity")
 _BLOCK_BYTES = 1 << 17  # an event CSV is read this many bytes at a time
 
 # Written CSVs end lines as csv.writer does.  Rows are encoded and
-# written this many at a time, which keeps memory flat: a chunk's words
-# and temporaries take a few megabytes.
+# written a chunk at a time, which keeps memory flat: a chunk's words and
+# temporaries take a few megabytes.  A chunk holds this many float cells,
+# where the encoder's cost per cell is lowest, spread over its float
+# columns.
 _EOL = "\r\n"
-_CHUNK_ROWS = 4096
+_CHUNK_CELLS = 8192
 
 
 class CatalogFormatError(ValueError):
@@ -227,7 +231,7 @@ def _not_utf8(path: Path, encoding: str) -> str:
 
 
 def write_csv_rows(fh, header, columns, *, na_rep: str = "") -> None:
-    """Write a header and aligned columns as CSV, ``_CHUNK_ROWS`` rows at a time.
+    """Write a header and aligned columns as CSV, a chunk of rows at a time.
 
     A float array column is written as ``repr`` writes each double, the
     shortest string that reads back to the same double, and NaN as
@@ -236,29 +240,51 @@ def write_csv_rows(fh, header, columns, *, na_rep: str = "") -> None:
     may contain ``,``, ``"`` or a line break, and lines end in CRLF: the
     bytes are those ``csv.writer`` writes for the same cells.
 
-    No cell of an array becomes a Python string.  Each column chunk is
-    encoded at once to NUL-padded words (see ``_cells``), a column object
-    passed more than once is encoded once per chunk, and the chunk's rows
-    are laid side by side, stripped of NULs and decoded in one piece.
+    No cell of an array becomes a Python string.  A column object passed
+    more than once is encoded once.  A 1-d array of stride 0, as
+    ``np.broadcast_to`` makes, holds one value: its words are encoded
+    once per write and repeated in every chunk.  Chunks are sized by
+    cells: with m other float arrays, a chunk has ``_CHUNK_CELLS // m``
+    rows, and its m column slices go to the encoder in one call.  Every
+    other column chunk is encoded on its own (see ``_cells``), and the
+    chunk's rows are laid side by side, stripped of NULs and decoded in
+    one piece.  The encoder is imported on first use: compiling it is
+    about 5 ms of the start of every CLI call, and most calls write no CSV.
     """
     fh.write(",".join(header) + _EOL)
-    for lo in range(0, len(columns[0]), _CHUNK_ROWS):
-        rows = _row_words(columns, lo, na_rep).T
-        fh.write(rows.tobytes().translate(None, b"\0").decode())
-
-
-def _row_words(columns, lo: int, na_rep: str) -> np.ndarray:
-    """The words of the cells, commas and line ends of the chunk of rows
-    from ``lo``, one row of words per word of a CSV row.  The column words
-    are freed on return, before the chunk's text is made, which keeps
-    the peak memory of a write down.  The encoder is imported on first
-    use: compiling it is about 5 ms of the start of every CLI call, and
-    most calls write no CSV."""
+    n = len(columns[0])
+    if not n:
+        return
     from ._cells import column_words
 
-    distinct = {id(col): col for col in columns}
-    words = {k: column_words(col[lo : lo + _CHUNK_ROWS], na_rep) for k, col in distinct.items()}
-    n = min(_CHUNK_ROWS, len(columns[0]) - lo)
+    arrays = {id(col): col for col in columns if isinstance(col, np.ndarray)}
+    once = {k: column_words(col[:1], na_rep) for k, col in arrays.items() if col.strides == (0,)}
+    floats = [col for k, col in arrays.items() if k not in once and col.dtype.kind == "f"]
+    rows = _CHUNK_CELLS // max(len(floats), 1)
+    for lo in range(0, n, rows):
+        words = _row_words(columns, slice(lo, min(lo + rows, n)), once, floats, na_rep).T
+        fh.write(words.tobytes().translate(None, b"\0").decode())
+
+
+def _row_words(columns, part: slice, once: dict, floats: list, na_rep: str) -> np.ndarray:
+    """The words of the cells, commas and line ends of the rows ``part``,
+    one row of words per word of a CSV row: ``once`` holds the words of
+    each broadcast column by ``id``, and the slices of the ``floats``
+    columns are encoded in one call and split per column.  The column
+    words are freed on return, before the chunk's text is made, which
+    keeps the peak memory of a write down."""
+    from ._cells import column_words, float_words
+
+    n = part.stop - part.start
+    words = {k: np.broadcast_to(w, (len(w), n)) for k, w in once.items()}
+    if floats:
+        cells = float_words(np.concatenate([col[part] for col in floats]), na_rep)
+        for i, col in enumerate(floats):
+            w = cells[:, i * n : (i + 1) * n]
+            words[id(col)] = w[w.any(axis=1)]
+    for col in columns:
+        if id(col) not in words:
+            words[id(col)] = column_words(col[part], na_rep)
     comma = np.full((1, n), ord(","), np.uint32)
     parts = [p for col in columns for p in (words[id(col)], comma)]
     parts[-1] = np.full((1, n), int.from_bytes(_EOL.encode(), "little"), np.uint32)
@@ -267,7 +293,28 @@ def _row_words(columns, lo: int, na_rep: str) -> np.ndarray:
 
 def write_events_stream(catalog: EventCatalog, fh) -> None:
     """Write a catalog as event CSV rows to an open text stream."""
-    write_csv_rows(fh, EVENT_COLUMNS, [catalog.event_years, catalog.intensities])
+    write_csv_rows(fh, EVENT_COLUMNS, [_EventYears(catalog), catalog.intensities])
+
+
+class _EventYears:
+    """A catalog's ``event_years`` as a column that yields a slice of
+    events at a time, so a write holds the years of one chunk, not 8
+    bytes for every event."""
+
+    def __init__(self, catalog: EventCatalog):
+        self.start, self.counts = catalog.start_year, catalog.counts
+        self.ends = np.cumsum(catalog.counts)  # events up to each year's end
+
+    def __len__(self) -> int:
+        return int(self.ends[-1])
+
+    def __getitem__(self, part: slice) -> np.ndarray:
+        lo, hi, _ = part.indices(len(self))
+        a, b = np.searchsorted(self.ends, [lo, hi - 1], side="right")  # years of lo and hi - 1
+        counts = self.counts[a : b + 1].copy()
+        counts[0] = self.ends[a] - lo
+        counts[-1] -= self.ends[b] - hi
+        return np.repeat(np.arange(a, b + 1), counts) + self.start
 
 
 def write_series_stream(series: LongRunSeries, fh) -> None:

@@ -19,6 +19,7 @@ from stormrisk.frequency import rate
 from stormrisk.io import (
     CatalogFormatError,
     ConfigError,
+    _EventYears,
     _load_events_body,
     config_dict,
     write_csv_rows,
@@ -418,41 +419,54 @@ def test_a_catalog_freezes_its_own_arrays_not_its_callers():
 
 
 def test_csv_rows_match_csv_writer_across_chunks():
-    chunk = sr.io._CHUNK_ROWS
-    for n in (chunk - 1, chunk, chunk + 1, 40_000):
-        fh = io.StringIO(newline="")
-        header, columns, expected = mixed_columns(n)
-        write_csv_rows(fh, header, columns)
-        assert fh.getvalue() == expected, n
+    # a chunk has _CHUNK_CELLS // m rows with m float arrays: tables of 1,
+    # 2 and 8 float columns end a row short of, on and a row past a chunk
+    for m in (1, 2, 8):
+        rows = sr.io._CHUNK_CELLS // m
+        for n in (rows - 1, rows, rows + 1, 40_000):
+            fh = io.StringIO(newline="")
+            header, columns, expected = mixed_columns(n, m)
+            write_csv_rows(fh, header, columns)
+            assert fh.getvalue() == expected, (m, n)
 
 
-def mixed_columns(n):
+def mixed_columns(n, m=2):
     """Header, columns and the csv.writer bytes of ``n`` rows of every
     kind of column: int64, float (with NaN, signed zeros, infinities and
     extremes, on both sides of the first chunk edge), range, strings, a
-    column object passed twice, a constant float and table1's strings."""
+    column object passed twice, a constant float and table1's strings.
+    These hold two float arrays; with ``m`` 1 the constant is broadcast
+    and with ``m`` above 2 there are ``m - 2`` more float columns, of
+    other widths and with NaN."""
     rng = np.random.default_rng(3)
     ints = rng.integers(-(2**62), 2**62, size=n)
     floats = rng.lognormal(0.0, 30.0, size=n) * rng.choice([-1.0, 1.0], size=n)
     odd = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308]
     floats[rng.integers(0, n, size=500)] = rng.choice(odd, size=500)
-    edge = min(sr.io._CHUNK_ROWS, n - 1)
+    edge = min(sr.io._CHUNK_CELLS // m, n - 1)
     floats[edge - 3 : edge + 1] = [math.nan, -0.0, math.inf, math.nan]
     labels = [f"r{i % 7}" for i in range(n)]
-    constant = np.full(n, 0.1 + 0.2)
+    constant = np.full(n, 0.1 + 0.2) if m > 1 else np.broadcast_to(0.1 + 0.2, n)
     families = [("uniform", "gamma", "exponential", "lognormal", "gpd")[i % 5] for i in range(n)]
     shapes = ["" if i % 5 in (0, 2) else repr(0.25 * (i % 5)) for i in range(n)]
     header = ("i", "x", "y", "label", "x2", "c", "family", "shape")
     columns = [ints, floats, range(n), labels, floats, constant, families, shapes]
+    more = [np.round(rng.normal(0.0, 10.0**j, size=n), 3 - j) for j in range(m - 2)]
+    for x in more[1::2]:
+        x[rng.integers(0, n, size=50)] = math.nan
+    header += tuple(f"z{j}" for j in range(len(more)))
+    columns += more
 
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(header)
-    for i, x, y, label, c, family, shape in zip(
-        ints.tolist(), floats.tolist(), range(n), labels, constant.tolist(), families, shapes
+    for i, x, y, label, c, family, shape, *zs in zip(
+        ints.tolist(), floats.tolist(), range(n), labels, constant.tolist(), families, shapes,
+        *(z.tolist() for z in more),
     ):
         cell = "" if math.isnan(x) else repr(x)
-        writer.writerow([i, cell, y, label, cell, repr(c), family, shape])
+        zcells = ["" if math.isnan(z) else repr(z) for z in zs]
+        writer.writerow([i, cell, y, label, cell, repr(c), family, shape, *zcells])
     return header, columns, expected.getvalue()
 
 
@@ -466,8 +480,8 @@ def csv_writer_bytes(header, columns, na_rep):
 
 
 def test_csv_rows_format_constant_and_repeated_columns(monkeypatch):
-    # 2 rows a chunk
-    monkeypatch.setattr(sr.io, "_CHUNK_ROWS", 2)
+    # 2 rows a chunk with two float arrays, 4 with one
+    monkeypatch.setattr(sr.io, "_CHUNK_CELLS", 4)
     n = 9
     constant = np.full(n, 0.1 + 0.2)
     signed_zeros = np.array([0.0, -0.0] * 4 + [0.0])
@@ -491,6 +505,74 @@ def test_csv_rows_format_constant_and_repeated_columns(monkeypatch):
     write_csv_rows(fh, ("z",), [signed_zeros])
     assert fh.getvalue().split("\r\n")[1:3] == ["0.0", "-0.0"]
 
+
+def test_csv_rows_encode_a_broadcast_column_once(monkeypatch):
+    # 4 rows a chunk beside one other float array: chunks of 4, 4 and 1 rows
+    monkeypatch.setattr(sr.io, "_CHUNK_CELLS", 4)
+    from stormrisk import _cells
+
+    encoded = []
+    float_words = _cells.float_words
+    monkeypatch.setattr(_cells, "float_words", lambda x, na: encoded.append(len(x)) or float_words(x, na))
+    n = 9
+    mixed = np.linspace(-1.0, 1.0, n)
+    cells = np.broadcast_to(0.1 + 0.2, n)
+    nan = np.broadcast_to(math.nan, n)
+    year = np.broadcast_to(np.int64(-7), n)
+    one, zero = np.broadcast_to(2.5, 1), np.broadcast_to(-0.0, 1)
+    assert all(c.strides == (0,) for c in (cells, nan, year, one, zero))
+    cases = [
+        ([cells, mixed], "", n + 1),
+        ([mixed, nan], "nan", n + 1),
+        ([nan, mixed], "", n + 1),
+        ([year, mixed], "", n),
+        ([cells, mixed, cells], "", n + 1),
+        ([cells, year, mixed, nan], "nan", n + 2),
+        ([one, mixed[:1]], "", 2),
+        ([zero], "", 1),
+    ]
+    for columns, na_rep, count in cases:
+        encoded.clear()
+        header = tuple("abcd"[: len(columns)])
+        fh = io.StringIO(newline="")
+        write_csv_rows(fh, header, columns, na_rep=na_rep)
+        assert fh.getvalue() == csv_writer_bytes(header, columns, na_rep)
+        assert sum(encoded) == count  # each broadcast float cell once
+
+
+def test_event_years_column_slices_as_event_years():
+    # empty years on either side of the ends, and the last year 2^63 - 1
+    counts = np.array([0, 3, 0, 0, 1, 5, 0, 2, 0])
+    catalog = sr.EventCatalog(_INT64_MAX - 8, counts, np.ones(11))
+    years = _EventYears(catalog)
+    assert len(years) == 11
+    for lo in range(11):
+        for hi in range(lo + 1, 12):
+            assert years[lo:hi].tolist() == catalog.event_years[lo:hi].tolist(), (lo, hi)
+
+
+def test_event_write_memory_does_not_grow_with_its_rows(tmp_path):
+    rng = np.random.default_rng(5)
+    catalogs = [
+        sr.EventCatalog(1, np.full(1000, n // 1000), rng.lognormal(0.0, 1.0, size=n))
+        for n in (50_000, 400_000)
+    ]
+    path = tmp_path / "events.csv"
+    peaks = []
+    with path.open("w", newline="") as fh:
+        write_events_stream(catalogs[0], fh)  # imports the encoder, builds its tables
+    tracemalloc.start()
+    try:
+        for catalog in catalogs:
+            with path.open("w", newline="") as fh:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                write_events_stream(catalog, fh)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert catalogs[1].n_events == 400_000
+    assert abs(peaks[1] - peaks[0]) < 2**20, peaks
 
 
 # --- series CSV -----------------------------------------------------------------
