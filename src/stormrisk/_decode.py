@@ -9,9 +9,12 @@ words, the point dropped by taking the digits before it from the window
 one byte earlier, and combined eight at a time (D. Lemire's SWAR digit
 parse) into a uint64 significand and a decimal exponent.  The doubles are
 rounded by Eisel-Lemire against a 128-bit power-of-five table built for
-the exponents a block uses; a cell that this cannot round for certain
-(more than 19 significant digits, a subnormal or infinite result) is read
-by ``float`` alone.  The encoder of the same cells is in `_cells`, whose
+the exponents a block uses; a cell that this cannot round for certain, a
+subnormal or infinite result, is read by ``float`` alone.
+
+The decoder reads the rows that `io.write_events_stream` writes and no
+other form: a block with any other line is None, and the line parser
+reads its file.  The encoder of the same cells is in `_cells`, whose
 128-bit product this module shares.
 """
 
@@ -25,7 +28,7 @@ from ._cells import _mul_64
 
 
 # What a byte is in an event row, 0 for a byte no row of `event_cells` holds.
-_EOL, _COMMA, _POINT, _EXP, _SIGN, _SPACE = range(1, 7)
+_EOL, _COMMA, _POINT, _EXP, _SIGN = range(1, 6)
 _PAD = b"\n" * 32  # before a block: a cell's words reach 25 bytes back
 # Rows decoded at once: their temporaries, about 230 bytes a row, stay
 # under 2 MB however short the rows of a block are.
@@ -42,7 +45,7 @@ def _decode_tables():
     and ``digits``.
 
     ``kind[b]``: what byte ``b`` is in an event row, ``_EOL`` to
-    ``_SPACE``, 7 for a digit, or 0.
+    ``_SIGN``, 6 for a digit, or 0.
 
     ``tail[t]``: the three little-endian words of a 24-byte window, its
     bytes j >= t set and the others clear.  ``digits[t]``: the same with
@@ -50,7 +53,7 @@ def _decode_tables():
     its value.
     """
     kind = np.zeros(256, np.uint8)
-    chars = [b"\n\r", b",", b".", b"eE", b"+-", b" \t", b"0123456789"]
+    chars = [b"\n\r", b",", b".", b"eE", b"+-", b"0123456789"]
     for k, c in enumerate(chars, start=1):
         kind[list(c)] = k
     j = np.arange(24).reshape(1, 3, 8)
@@ -148,18 +151,6 @@ def _number(parts: np.ndarray) -> np.ndarray:
     return value
 
 
-def _without_spaces(text: bytes) -> bytes | None:
-    """``text``, which starts and ends with a line end, without its spaces
-    and tabs, or None if one sits inside a field or on a line of its own."""
-    kind = _decode_tables()[0].take(np.frombuffer(text, np.uint8))
-    spaces = np.flatnonzero(kind == _SPACE)
-    cut = np.flatnonzero(np.diff(spaces) != 1)  # runs of spaces end here
-    before, after = kind[spaces[np.r_[0, cut + 1]] - 1], kind[spaces[np.r_[cut, -1]] + 1]
-    if ((before >= _POINT) & (after >= _POINT) | (before == _EOL) & (after == _EOL)).any():
-        return None
-    return np.delete(np.frombuffer(text, np.uint8), spaces).tobytes()
-
-
 def _in_fields(at: np.ndarray, comma: np.ndarray, end: np.ndarray):
     """The row of each position of ``at``, which must lie in intensity
     fields, one at most in a field; None where they do not."""
@@ -180,18 +171,17 @@ def _rows(buf: np.ndarray):
     kind_of = _decode_tables()[0]
     nd = np.flatnonzero(buf - np.uint8(48) > 9)  # the bytes that are not digits
     kind = kind_of.take(buf[nd])
-    if kind.min() == 0 or kind.max() == _SPACE:
+    if kind.min() == 0:
         return None
-    eol, comma, point, exp, signs = (np.compress(kind == k, nd) for k in range(_EOL, _SPACE))
+    eol, comma, point, exp, signs = (np.compress(kind == k, nd) for k in (_EOL, _COMMA, _POINT, _EXP, _SIGN))
     # A line that is not empty is a row, with one comma.
     line = np.flatnonzero(np.diff(eol) > 1)
     start, end = eol[line] + 1, eol[line + 1]
     if len(line) != len(comma) or not ((start < comma) & (comma < end)).all():
         return None
-    # A sign starts a year or, as "+", an intensity, or follows the "e".
+    # A sign starts a year, as "-", or follows the "e".
     before = kind_of.take(buf[signs - 1])
-    plus = (before == _COMMA) & (buf[signs] == ord("+"))
-    if not ((before == _EOL) | (before == _EXP) | plus).all():
+    if not ((before == _EXP) | (before == _EOL) & (buf[signs] == ord("-"))).all():
         return None
     # The point and the "e" lie in an intensity, one of each at most.
     p_row, e_row = _in_fields(point, comma, end), _in_fields(exp, comma, end)
@@ -222,77 +212,63 @@ def _significands(buf: np.ndarray, point: np.ndarray, digits_end: np.ndarray, n_
 
 def _intensities(buf, comma, point, digits_end, end):
     """The intensities of the rows (see `_rows`), or None for one with no
-    digit, its point after its "e" or a value of 0."""
+    digit, its point after its "e", a value of 0 or a form that
+    `event_cells` does not read."""
     has_point = point != comma
-    n_digits = digits_end - comma - 1 - (buf[comma + 1] == ord("+")) - has_point
+    n_digits = digits_end - comma - 1 - has_point
     n_frac = np.where(has_point, digits_end - point - 1, 0)
-    if n_digits.min() < 1 or n_frac.min() < 0:
+    if n_digits.min() < 1 or n_digits.max() > 23 or n_frac.min() < 0:
         return None
     q = -n_frac
-    python = n_digits > 23  # the intensities `float` reads
     e_row = np.flatnonzero(digits_end < end)
     if len(e_row):
         exp = digits_end[e_row]
         n_exp = end[e_row] - exp - 1 - (_decode_tables()[0].take(buf[exp + 1]) == _SIGN)
-        if n_exp.min() < 1:
+        if n_exp.min() < 1 or n_exp.max() > 8:
             return None
-        value = _number(_digits(_windows(buf, end[e_row], 1), np.minimum(n_exp, 8))).view(np.int64)
+        value = _number(_digits(_windows(buf, end[e_row], 1), n_exp)).view(np.int64)
         q[e_row] += np.where(buf[exp + 1] == ord("-"), -value, value)
-        python[e_row[n_exp > 8]] = True
-    w, wide = _significands(buf, point, digits_end, np.minimum(n_digits, 23))
-    python |= wide | (q < _Q_MIN) | (q > _Q_MAX)
-    if ((w == 0) & ~python).any():
+    w, wide = _significands(buf, point, digits_end, n_digits)
+    if wide.any() or q.min() < _Q_MIN or q.max() > _Q_MAX or (w == 0).any():
         return None
-    if python.any():
-        w, q = np.where(python, _U1, w), np.where(python, 0, q)
     intensity, certain = _nearest_doubles(w, q)
-    for i in np.flatnonzero(python | ~certain).tolist():
+    for i in np.flatnonzero(~certain).tolist():
         intensity[i] = float(buf[comma[i] + 1 : end[i]].tobytes())
     return intensity
 
 
 def _years(buf, start, comma):
-    """The years of the rows (see `_rows`), or None for one with no digit
-    or outside int64."""
+    """The years of the rows (see `_rows`), or None for one with no digit,
+    more than 19 or outside int64."""
     negative = buf[start] == ord("-")
-    n_year = comma - start - (_decode_tables()[0].take(buf[start]) == _SIGN)
-    if n_year.min() < 1:
+    n_year = comma - start - negative
+    if n_year.min() < 1 or n_year.max() > 19:
         return None
-    long = n_year > 19  # the years `int` reads
-    n_words = -(-min(int(n_year.max()), 19) // 8)
-    year = _number(_digits(_windows(buf, comma, n_words), np.minimum(n_year, 19)))
-    if ((year > np.uint64(2**63 - 1) + negative) & ~long).any():
+    year = _number(_digits(_windows(buf, comma, -(-int(n_year.max()) // 8)), n_year))
+    if (year > np.uint64(2**63 - 1) + negative).any():
         return None
     year = year.view(np.int64)
     np.negative(year, out=year, where=negative)
-    for i in np.flatnonzero(long).tolist():
-        value = int(buf[start[i] : comma[i]].tobytes())
-        if not -(2**63) <= value < 2**63:
-            return None
-        year[i] = value
     return year
 
 
 def event_cells(block: bytes):
     """The years (int64) and intensities (float64) of the event rows in
     ``block``, whole lines of an event CSV body, or None if a line is
-    neither empty nor a row of the form this decoder reads.
+    neither empty nor a row as `io.write_events_stream` writes it; the
+    line parser reads every other form.
 
-    A row is a year ``[+-]digits`` and an intensity
-    ``[+]digits[.digits][(e|E)[+-]digits]`` (a digit before or after the
-    point), parted by one comma, each maybe padded with spaces or tabs.
-    The year must fit in int64 and the intensity must not be 0.  An
-    intensity of more than 19 significant digits or 23 digits in all,
-    or whose double would be subnormal or out of range, is read by
-    ``float``; the others are rounded by `_nearest_doubles`, to the bits
-    that ``float`` gives.
+    A row is a year ``[-]digits`` of at most 19 digits, in int64, and an
+    intensity ``digits[.digits][(e|E)[+-]digits]`` (a digit before or
+    after the point) of at most 19 significant digits and 23 in all,
+    with an exponent of at most 8 digits and a decimal exponent in the
+    power table, parted by one comma; lines end in LF, CRLF or CR.  The
+    intensity must not be 0.  Its double is rounded by
+    `_nearest_doubles` to the bits that ``float`` gives, and read by
+    ``float`` where that rounding is not certain: a subnormal or
+    infinite result.
     """
-    text = b"".join((_PAD, block, b"\n"))
-    if b" " in text or b"\t" in text:
-        text = _without_spaces(text)
-        if text is None:
-            return None
-    buf = np.frombuffer(text, np.uint8)
+    buf = np.frombuffer(b"".join((_PAD, block, b"\n")), np.uint8)
     rows = _rows(buf)
     if rows is None:
         return None

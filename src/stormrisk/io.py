@@ -8,10 +8,9 @@ UTF-8; read with LF, CRLF or CR line ends, written with CRLF as
 ``csv.writer`` does and each double as ``repr`` writes it, a chunk of
 rows at a time (``write_csv_rows``).  Chunks are sized by cells, about
 8192 float cells to an encoder call, and a broadcast column is encoded
-once per write.  A body of plain rows, digits with a sign, point and
-exponent where a number has them, is decoded in integer arrays
-(``_decode.event_cells``); any other body goes to the line parser,
-which names the offending line.
+once per write.  A file of the rows ``write_events_stream`` writes is
+decoded in integer arrays (``_decode.event_cells``); the line parser,
+which names the offending line, reads every other file.
 
 Series CSV schema (written, never read): header
 ``t,e_n,e_s,e_x,phi,rho,rho_lo,rho_hi,j2phi``; undefined values are
@@ -76,14 +75,15 @@ class ConfigError(ValueError):
 def read_events_csv(path) -> EventCatalog:
     """Parse an event CSV into a catalog.
 
-    The body is read by the array decoder when every line is empty or a
-    row ``[+-]digits,[+]digits[.digits][(e|E)[+-]digits]``, fields maybe
-    padded with spaces or tabs, and every intensity is positive and
-    finite; each decimal becomes the double that ``float`` gives.  Any
-    other file, quoted fields, a whitespace-only line or an intensity of
-    0 or ``inf`` for example, goes through the line-by-line parser, so
-    every file is accepted or rejected exactly as by
-    :func:`_read_events_lines`.  Either parser's events make the catalog
+    A file of the rows `write_events_stream` writes, its header
+    ``year,intensity`` (maybe after a UTF-8 BOM) and each line empty or
+    a row ``[-]digits,digits[.digits][(e|E)[+-]digits]`` with a positive
+    finite intensity, is read by the array decoder (see
+    `_load_events_body`); each decimal becomes the double that ``float``
+    gives.  The line-by-line parser, :func:`_read_events_lines`, reads
+    every other file, padded or quoted fields, a ``+`` sign or an
+    intensity of 0 for example, so every file is accepted or rejected
+    exactly as by that parser.  Either parser's events make the catalog
     in one call, whose errors name the file.
     """
     path = Path(path)
@@ -94,16 +94,13 @@ def read_events_csv(path) -> EventCatalog:
         raise CatalogFormatError(f"{path}: {exc}") from None
 
 
-def _is_header(row: list[str], columns: tuple[str, ...]) -> bool:
-    return [c.strip().lower() for c in row] == list(columns)
-
-
 def _load_events_body(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
     """Event years and intensities read by the array decoder, or None
-    where the line parser must decide: an unreadable file, a bad header,
-    a line the decoder does not read (see `_decode.event_cells`) or
-    longer than ``_BLOCK_BYTES``, no rows, or an intensity that is not
-    positive and finite.
+    where the line parser must decide: an unreadable file, a first line
+    other than ``year,intensity`` after an optional UTF-8 BOM, a line
+    not as `write_events_stream` writes it (see `_decode.event_cells`)
+    or longer than ``_BLOCK_BYTES``, no rows, or an intensity that is
+    not positive and finite.
 
     The file is read twice into one buffer of ``_BLOCK_BYTES``: once to
     count its commas, one to a row, which bounds the rows the outputs are
@@ -119,11 +116,10 @@ def _load_events_body(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
             fh.seek(0)
             head = block[: fh.readinto(block)]
             bom = len(codecs.BOM_UTF8) if head.startswith(codecs.BOM_UTF8) else 0
-            cut = min((i for i in (head.find(b"\n", bom), head.find(b"\r", bom)) if i >= 0), default=-1)
-            header = next(csv.reader([head[bom:cut].decode()]), None) if cut >= 0 else None
-            if header is None or not _is_header(header, EVENT_COLUMNS):
+            header = ",".join(EVENT_COLUMNS).encode()
+            if not head.startswith((header + b"\n", header + b"\r"), bom):
                 return None
-            fh.seek(cut)
+            fh.seek(bom + len(header))
             # one allocation: two of half the size left peak RSS about 0.3 MB higher
             out = np.empty((2, size), np.int64)
             years, intensities = out[0], out[1].view(np.float64)
@@ -143,7 +139,7 @@ def _load_events_body(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
                 if not got:
                     break
                 block[:have] = block[cut:end]
-    except (OSError, UnicodeDecodeError, csv.Error):
+    except OSError:
         return None
     if n == 0 or not _positive_finite(intensities[:n]):
         return None
@@ -169,7 +165,7 @@ def _read_events_lines(path: Path) -> tuple[list[int], list[float]]:
             header = next(reader, None)
             if header is None:
                 raise CatalogFormatError(f"{path}: empty file")
-            if not _is_header(header, EVENT_COLUMNS):
+            if [c.strip().lower() for c in header] != list(EVENT_COLUMNS):
                 raise CatalogFormatError(
                     f"{path}: line 1: expected header {','.join(EVENT_COLUMNS)!r}, "
                     f"got {','.join(header)!r}"

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -427,7 +428,17 @@ def test_csv_rows_match_csv_writer_across_chunks():
             fh = io.StringIO(newline="")
             header, columns, expected = mixed_columns(n, m)
             write_csv_rows(fh, header, columns)
-            assert fh.getvalue() == expected, (m, n)
+            assert_same_lines(fh.getvalue(), expected, (m, n))
+
+
+def assert_same_lines(got: str, want: str, where=()):
+    """``got == want``, or a failure that names the first line that
+    differs: pytest's own diff of two multi-megabyte strings can run for
+    most of an hour."""
+    if got != want:
+        pairs = itertools.zip_longest(got.splitlines(True), want.splitlines(True))
+        i, (a, b) = next((i, p) for i, p in enumerate(pairs, start=1) if p[0] != p[1])
+        pytest.fail(f"{where}: line {i} is {a!r}, expected {b!r}", pytrace=False)
 
 
 def mixed_columns(n, m=2):

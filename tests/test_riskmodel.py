@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -110,6 +110,7 @@ def cor_ns(freq, sev, t):
 
 def test_cor_ns_invariant_to_trend_rescaling():
     rng = np.random.default_rng(31)
+    years = np.arange(1, 41)
     for family in ("uniform", "gamma", "exponential", "gpd"):
         freq, sev, t = random_model_pair(rng, family)
         c = rng.uniform(0.2, 5.0)
@@ -120,6 +121,16 @@ def test_cor_ns_invariant_to_trend_rescaling():
             shape=sev.shape,
         )
         assert rel_err(cor_ns(freq, sev, t), cor_ns(freq, scaled, t)) <= 1e-12
+        # intensities times a power of two, over an array of years: bit
+        # for bit; the GPD driver is an inverse scale, so divided by c
+        base = sr.risk_summary(freq, sev, years)
+        for c in (2.0, 2.0**-10):
+            k = 1 / c if family == "gpd" else c
+            scaled = replace(sev, beta0=k * sev.beta0, beta1=k * sev.beta1)
+            rs = sr.risk_summary(freq, scaled, years)
+            assert rs.cor_ns.tobytes() == base.cor_ns.tobytes(), (family, c)
+            assert rs.e_x.tobytes() == (c * base.e_x).tobytes(), (family, c)
+            assert rs.var_s.tobytes() == (c * c * base.var_s).tobytes(), (family, c)
     # log-scale family: invariant to location shifts instead
     freq, sev, t = random_model_pair(rng, "lognormal")
     shifted = sr.SeverityModel(

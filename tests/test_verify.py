@@ -258,3 +258,32 @@ def test_entry_defaults_to_the_middle_year_through_the_modules(monkeypatch):
     assert checks == _checks(sample, summary, 4.0)
     assert verification_checks(SEEDED, 1009, 4.0, 30) == (30, checks)
     assert verification_checks(SEEDED, 1009, t=np.int64(4))[0] == 4
+
+
+# The power of the intensity scale in each check's estimate, target and se.
+SCALE_POWERS = {
+    "e_n": 0, "var_n": 0, "e_s": 1, "var_s": 2, "cov_ns": 1, "cor_ns": 0, "var_x": 2, "j_squared": 0
+}
+
+
+@pytest.mark.parametrize(
+    "family, shape", [("uniform", None), ("gamma", 2.0), ("exponential", None), ("gpd", 0.2)]
+)
+def test_verdicts_are_invariant_to_a_power_of_two_intensity_scale(family, shape):
+    # intensities times c: the GPD driver is an inverse scale, so divided
+    # by c; the lognormal driver is a log location and is left out
+    freq = sr.FrequencyModel(alpha0=5.0, alpha1=0.1, link="identity")
+
+    def checks(c):
+        k = 1 / c if family == "gpd" else c
+        sev = sr.SeverityModel(family=family, beta0=3.0 * k, beta1=0.05 * k, shape=shape)
+        config = sr.SimulationConfig(freq=freq, sev=sev, years=(1, 20), seed=5)
+        return verification_checks(config, 2000)[1]
+
+    base = checks(1.0)
+    for c in (2.0, 2.0**-10):
+        for (name, field), got, want in zip(_CHECKS, checks(c), base):
+            assert got["passed"] == want["passed"], (c, name)
+            for key in ("estimate", "target", "se"):
+                scaled = c ** SCALE_POWERS[field] * want[key]
+                assert np.float64(got[key]).tobytes() == np.float64(scaled).tobytes(), (c, name, key)
