@@ -402,6 +402,9 @@ def replicate_fixed_year(
     or past ``_MAX_MARKS`` in all.  Counts and marks come from separate
     per-block substreams, so results for replicate r do not depend on
     how many replicates follow it, nor on which thread draws its block.
+    Beyond the sample's 24 bytes per replicate, each thread holds one
+    block's mark offsets and one piece of at most ``_PIECE`` marks at a
+    time, freed before the next is drawn.
     """
     seed = _seed(config)
     replicates = _integer(replicates, "replicates")
@@ -432,7 +435,8 @@ def replicate_fixed_year(
         hi = min(lo + _BATCH, replicates)
         counts_rng = np.random.default_rng([seed, _REPLICATE_COUNTS, t_int, b])
         marks_rng = np.random.default_rng([seed, _REPLICATE_MARKS, t_int, b])
-        n = counts[lo:hi] = sample_count(config.freq, t_int, counts_rng, size=hi - lo)
+        counts[lo:hi] = sample_count(config.freq, t_int, counts_rng, size=hi - lo)
+        n = counts[lo:hi]
         before = np.concatenate(([0], np.cumsum(n)))  # marks before each replicate
         # Pieces of whole replicates, in order, draw the block's marks
         # and sum each replicate's left to right, as one call would.
@@ -446,6 +450,7 @@ def replicate_fixed_year(
             sums[lo + a : lo + z] = np.bincount(rep, weights=x, minlength=z - a)
             marked = m > 0
             first[lo + a : lo + z][marked] = x[before[a:z][marked] - before[a]]
+            del x, rep  # before the next piece is drawn
             a = z
 
     _each_block(draw, -(-replicates // _BATCH))

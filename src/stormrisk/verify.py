@@ -15,6 +15,7 @@ the tolerance is per check, with no multiple-comparison adjustment.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -51,8 +52,10 @@ def _statistics(n, s, x1) -> tuple[float, ...]:
     if marked.sum() < 2:
         cov_xs = math.nan
     else:
+        # the product overwrites the compressed first marks once their mean is taken
         x1, s1 = x1[marked], s[marked]
-        cov_xs = float(np.mean(x1 * s1) - np.mean(x1) * np.mean(s1))
+        mean_x1, mean_s1 = np.mean(x1), np.mean(s1)
+        cov_xs = float(np.mean(np.multiply(x1, s1, out=x1)) - mean_x1 * mean_s1)
     if math.isnan(cor_ns) or not 0 < cor_ns < 1 or mean_n <= 0:
         j_squared = math.nan
     else:
@@ -76,15 +79,17 @@ def verification_checks(
     standard error ``se`` and ``passed``.  A check whose estimate, target
     or se is not finite fails; one with a zero se passes only on an exact
     match.  Before any work: ``replicates`` an integer of at least 1000,
-    ``sigma`` positive and finite, ``t`` an integer in ``[1, n_years]``.
+    ``sigma`` a positive and finite real number (a bool is not one), ``t``
+    an integer in ``[1, n_years]``.
     """
     replicates = _integer(replicates, "replicates")
     if replicates < 1000:
         raise ValueError(
             f"replicates: need at least 1000 for stable standard errors, got {replicates}"
         )
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma: must be positive and finite, got {sigma}")
+    real = isinstance(sigma, numbers.Real) and not isinstance(sigma, bool)
+    if not (real and 0 < sigma < math.inf):
+        raise ValueError(f"sigma: must be positive and finite, got {sigma!r}")
     t = (1 + config.n_years) // 2 if t is None else simulate._year_index(config, t)
     # through the modules, whose attributes a tracer may replace
     summary = riskmodel.risk_summary(config.freq, config.sev, t)
@@ -97,8 +102,11 @@ def _checks(
 ) -> list[dict]:
     """`verification_checks` on a sample of ``n >= 20`` replicates, in
     ``min(100, n // 10)`` batches: 100 at the 1000 or more that
-    `verification_checks` takes."""
-    full = (sample.counts.astype(np.float64), sample.sums, sample.first_marks)
+    `verification_checks` takes.  The counts are read as the sample's
+    int64 array, with no float copy: every partial sum of counts is an
+    integer far below 2**53, so means, variances and ``n * s`` take the
+    same bits as on float64 counts."""
+    full = (sample.counts, sample.sums, sample.first_marks)
     n_batches = min(100, len(sample) // 10)
     batches = zip(*(np.array_split(a, n_batches) for a in full))
     with np.errstate(all="ignore"):

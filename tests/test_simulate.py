@@ -389,6 +389,21 @@ def test_pieces_are_cut_by_marks_in_a_block_near_the_marks_budget(monkeypatch):
     assert_same_ensemble(ens, one_call_per_block(config, 1, replicates))
 
 
+def test_a_thread_holds_one_piece_of_marks_at_a_time(monkeypatch):
+    # about 2e6 marks in 31 pieces, each with 1 MiB of marks and bin
+    # indices: a thread holding two pieces at once passes the bound
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+    config = stationary_config("gpd", lam=20.0, mu=1.5, shape=0.2, seed=9)
+    replicates = 100_000
+    tracemalloc.start()
+    try:
+        replicate_fixed_year(config, 1, replicates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * replicates + 2 * 2**20
+
+
 def test_usable_cpus_without_an_affinity_call(monkeypatch):
     # the only path on platforms without os.sched_getaffinity
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,12 +94,46 @@ def assert_same_bits(sample):
     assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
 
 
-@pytest.mark.parametrize("replicates", [1000, 1009, 250_001])
+# 100 batches divide none of these sizes, so the batches differ in length.
+# A rate of 300 is near the highest a whole block admits (_MAX_ROWS / _BATCH,
+# about 305), so the int64 counts meet the reference's float64 copy where
+# their partial sums are largest.
+@pytest.mark.parametrize(
+    "lam, replicates",
+    [pytest.param(3.0, r, id=str(r)) for r in (1000, 1009, 250_001)]
+    + [pytest.param(300.0, 250_001, id="rate 300-250001")],
+)
 @pytest.mark.parametrize("family", FAMILIES)
-def test_statistics_match_the_per_statistic_reference_bit_for_bit(family, replicates):
-    # 100 batches divide none of these sizes, so the batches differ in length
-    config = stationary_config(family, lam=3.0, mu=2.0, shape=SHAPES.get(family), seed=7)
+def test_statistics_match_the_per_statistic_reference_bit_for_bit(family, lam, replicates):
+    config = stationary_config(family, lam=lam, mu=2.0, shape=SHAPES.get(family), seed=7)
     assert_same_bits(simulate.replicate_fixed_year(config, 1, replicates))
+
+
+@pytest.mark.parametrize(
+    "family, lam, shape",
+    [("gamma", 20.0, 2.0), ("lognormal", 1.0, 1.0)],
+    ids=["every replicate with an event", "many replicates without events"],
+)
+def test_checks_hold_at_most_17_bytes_per_replicate_and_leave_the_sample_unchanged(
+    family, lam, shape
+):
+    # counts read in place, the mark product formed in the compressed
+    # first-mark copy: the two compressed copies and the mask remain
+    replicates = 100_000
+    config = stationary_config(family, lam=lam, mu=2.0, shape=shape, seed=7)
+    sample = simulate.replicate_fixed_year(config, 1, replicates)
+    before = [a.copy() for a in (sample.counts, sample.sums, sample.first_marks)]
+    summary = sr.risk_summary(config.freq, config.sev, 1)
+    tracemalloc.start()
+    try:
+        _checks(sample, summary, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * replicates + 256 * 1024
+    for got, want in zip((sample.counts, sample.sums, sample.first_marks), before):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _sample(counts, sums, first):
@@ -204,10 +239,10 @@ def test_entry_rejects_replicates_before_any_draw(nothing_drawn, replicates, mes
         verification_checks(SEEDED, replicates)
 
 
-@pytest.mark.parametrize("sigma", [-1, 0, math.nan, math.inf])
+@pytest.mark.parametrize("sigma", [-1, 0, math.nan, math.inf, True, "4"])
 def test_sigma_must_be_positive_and_finite(nothing_drawn, sigma):
-    message = f"sigma: must be positive and finite, got {sigma}"
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    message = f"sigma: must be positive and finite, got {sigma!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         verification_checks(SEEDED, 1000, sigma)
 
 
