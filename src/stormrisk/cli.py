@@ -122,8 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--window",
         type=int,
         default=None,
-        help="trailing-window years for the correlation columns "
-        "(default: expanding)",
+        help="trailing-window years for rho, rho_lo and rho_hi; the other "
+        "columns stay expanding (default: expanding)",
     )
     p_an.add_argument("--level", type=float, default=0.95, help="CI level")
 

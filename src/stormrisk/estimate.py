@@ -3,8 +3,9 @@
 Long-run (expanding in time) estimates of the mean count, mean
 aggregate and mean intensity, the dispersion ratio of the counts, the
 count-aggregate correlation with Fisher-transform confidence intervals,
-and a few diagnostics (count/intensity independence, active-season
-classification, the subtract-one dispersion index).
+and two diagnostics (count/intensity independence and a summary of the
+active seasons).  Mailier et al.'s (2006) dispersion index is the
+terminal ``phi`` minus one.
 
 :func:`analyze_catalog` is the one entry: the series and diagnostics
 that ``analyze`` reports.  The functions it calls are its steps.
@@ -39,7 +40,6 @@ __all__ = [
     "fisher_interval",
     "nx_independence",
     "season_activity",
-    "mailier_index",
 ]
 
 # Variances at or below this fraction of the second moment are treated
@@ -177,12 +177,16 @@ def fisher_interval(rho, n, level: float = 0.95):
 
 
 def _pearson_from_sums(t, sn, ss, snn, sss, sns):
-    """Pearson correlation from running sums; NaN where degenerate."""
+    """Pearson correlation from running sums; NaN where degenerate.
+
+    The sums may be arrays or numpy scalars.  Squares are products: an
+    array's ``x**2`` is ``x * x``, but a numpy scalar's calls ``pow``,
+    which can round differently."""
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         mn = sn / t
         ms = ss / t
-        var_n = snn / t - mn**2
-        var_s = sss / t - ms**2
+        var_n = snn / t - mn * mn
+        var_s = sss / t - ms * ms
         cov = sns / t - mn * ms
         degenerate = (var_n <= _ZERO_VAR_RTOL * (snn / t)) | (
             var_s <= _ZERO_VAR_RTOL * (sss / t)
@@ -284,48 +288,23 @@ def nx_independence(catalog: EventCatalog) -> float:
         raise ValueError(f"need at least 3 years with events, got {usable}")
     n = catalog.counts[mask].astype(np.float64)
     xbar = catalog.sums[mask] / n
-    t = float(usable)
-    return float(
-        _pearson_from_sums(
-            t,
-            np.array([n.sum()]),
-            np.array([xbar.sum()]),
-            np.array([(n * n).sum()]),
-            np.array([(xbar * xbar).sum()]),
-            np.array([(n * xbar).sum()]),
-        )[0]
-    )
+    sums = (n.sum(), xbar.sum(), (n * n).sum(), (xbar * xbar).sum(), (n * xbar).sum())
+    return float(_pearson_from_sums(float(usable), *sums))
 
 
-def season_activity(counts) -> list[str]:
-    """Label each year ``"active"`` or ``"inactive"``.
+def season_activity(counts) -> dict:
+    """The active-season threshold and the number of active years.
 
     A year is active when its count strictly exceeds the long-term mean
-    plus one sample standard deviation; everything else, ties included,
-    is inactive.
+    plus one sample standard deviation, the ``threshold``; everything
+    else, ties included, is inactive.  The labels of the years are
+    ``counts > threshold``.
     """
     counts = np.asarray(counts, dtype=np.float64)
     if counts.ndim != 1 or len(counts) < 2:
         raise ValueError("need counts for at least 2 years")
     threshold = counts.mean() + counts.std(ddof=1)
-    return ["active" if c > threshold else "inactive" for c in counts]
-
-
-def mailier_index(counts) -> float:
-    """Variance-to-mean ratio of the counts, minus one.
-
-    Zero for Poisson-like counts, positive under clustering, negative
-    for more regular occurrence.  Uses the population variance, so it
-    equals the terminal long-run ``phi`` minus one up to rounding: the
-    two sum the counts in different orders.
-    """
-    counts = np.asarray(counts, dtype=np.float64)
-    if counts.ndim != 1 or len(counts) < 2:
-        raise ValueError("need counts for at least 2 years")
-    mean = counts.mean()
-    if mean <= 0:
-        raise ValueError(f"mean count must be positive, got {mean}")
-    return float(counts.var(ddof=0) / mean - 1.0)
+    return {"threshold": float(threshold), "active_years": int((counts > threshold).sum())}
 
 
 def analyze_catalog(
@@ -335,15 +314,14 @@ def analyze_catalog(
 
     The series is :func:`long_run_series`'s, whose argument errors are
     raised before any diagnostic runs.  The dict holds the value of each
-    of :func:`nx_independence` (NaN kept), :func:`mailier_index` and
-    :func:`season_activity`; one that raises ValueError gives None
-    there, and its message under ``<name>_note``.
+    of :func:`nx_independence` (NaN kept) and :func:`season_activity`;
+    one that raises ValueError gives None there, and its message under
+    ``<name>_note``.
     """
     series = long_run_series(catalog, ci_level, window)
     diagnostics: dict = {}
     for name, call, arg in (
         ("nx_independence", nx_independence, catalog),
-        ("mailier_index", mailier_index, catalog.counts),
         ("season_activity", season_activity, catalog.counts),
     ):
         try:

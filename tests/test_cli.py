@@ -184,8 +184,10 @@ def test_simulate_then_analyze_pipeline(tmp_path):
     )
     diag = report.payload["diagnostics"]
     assert "nx_independence" in diag
-    assert diag["mailier_index"] is not None
-    assert len(diag["season_activity"]) == 60
+    counts = sr.read_events_csv(events).counts
+    activity = diag["season_activity"]
+    assert activity["threshold"] == counts.mean() + counts.std(ddof=1)
+    assert activity["active_years"] == (counts > activity["threshold"]).sum()
 
 
 def _simulated_marks(tmp_path, cfg):
@@ -261,19 +263,38 @@ def test_analyze_reports_the_diagnostics_of_the_library_entry(tmp_path, years, i
         sr.io.write_events_stream(catalog, fh)
     report = run(["analyze", "--input", str(events), "--out", str(tmp_path / "series.csv")])
     assert report.status is ExitStatus.OK
-    _, diagnostics = sr.analyze_catalog(sr.read_events_csv(events))
+    read_back = sr.read_events_csv(events)
+    _, diagnostics = sr.analyze_catalog(read_back)
     expected = {k: sr.cli._json_safe(v) for k, v in diagnostics.items()}
     assert report.payload["diagnostics"] == expected
     if years is None:
         assert None not in expected.values()
+        counts, activity = read_back.counts, expected["season_activity"]
+        assert activity["threshold"] == counts.mean() + counts.std(ddof=1)
+        assert activity["active_years"] == (counts > activity["threshold"]).sum()
     elif len(set(years)) == 1:  # every diagnostic needs two years or more
         assert [k for k, v in expected.items() if v is None] == [
-            "nx_independence", "mailier_index", "season_activity"
+            "nx_independence", "season_activity"
         ]
     else:  # counts without variance: no count-intensity correlation
         assert expected["nx_independence"] is None
         assert "nx_independence_note" not in expected
-        assert expected["mailier_index"] == -1.0
+        # every count ties the threshold, and a tie is not active
+        assert expected["season_activity"] == {"threshold": 2.0, "active_years": 0}
+
+
+def test_analyze_report_does_not_grow_with_the_catalog(tmp_path):
+    years = 10_000
+    counts = np.random.default_rng(1).poisson(3.0, size=years)
+    catalog = sr.EventCatalog(1, counts, np.ones(counts.sum()))
+    events = tmp_path / "events.csv"
+    with events.open("w", encoding="utf-8", newline="") as fh:
+        sr.io.write_events_stream(catalog, fh)
+    report = run(["analyze", "--input", str(events), "--out", str(tmp_path / "series.csv")])
+    assert report.status is ExitStatus.OK
+    assert report.payload["n_years"] == years
+    # one summary per diagnostic, not one entry per year
+    assert len(json.dumps(report.payload, sort_keys=True)) < 1024
 
 
 def test_analyze_with_window(tmp_path):

@@ -12,7 +12,6 @@ from stormrisk.estimate import (
     analyze_catalog,
     fisher_interval,
     long_run_series,
-    mailier_index,
     nx_independence,
     season_activity,
 )
@@ -282,29 +281,40 @@ def test_nx_independence_skips_empty_years():
         nx_independence(catalog_from_yearly([1, 0, 2], [1.0, 0.0, 2.0]))
 
 
+def test_pearson_from_sums_gives_the_same_bits_on_numpy_scalars_and_arrays():
+    # nx_independence passes the numpy scalars of one set of sums, and
+    # long_run_series arrays of them
+    rng = np.random.default_rng(11)
+    n = rng.poisson(rng.uniform(0.5, 50.0, size=(2000, 1)), size=(2000, 100)).astype(np.float64)
+    s = n * rng.gamma(2.0, size=n.shape)
+    sums = (n.sum(1), s.sum(1), (n * n).sum(1), (s * s).sum(1), (n * s).sum(1))
+    arrays = estimate._pearson_from_sums(100.0, *sums)
+    scalars = [estimate._pearson_from_sums(100.0, *(c[i] for c in sums)) for i in range(2000)]
+    assert np.array_equal(np.array(scalars, dtype=np.float64), arrays, equal_nan=True)
+
+
 def test_season_activity_examples():
-    inactive, active = "inactive", "active"
-    assert season_activity([5, 5, 5, 5]) == [inactive] * 4
+    # every count ties the threshold, and a tie is not active
+    assert season_activity([5, 5, 5, 5]) == {"threshold": 5.0, "active_years": 0}
     # mean 2.5, sample sd 5, threshold 7.5
-    assert season_activity([0, 0, 0, 10]) == [inactive, inactive, inactive, active]
-    # mean 3.5, sample sd ~0.7071, threshold ~4.2071
-    assert season_activity([3, 4]) == [inactive, inactive]
+    assert season_activity([0, 0, 0, 10]) == {"threshold": 7.5, "active_years": 1}
+    # mean 3.5, sample sd sqrt(0.5), threshold ~4.2071
+    assert season_activity([3, 4]) == {"threshold": 3.5 + math.sqrt(0.5), "active_years": 0}
     with pytest.raises(ValueError):
         season_activity([3])
 
 
-def test_mailier_index_examples():
-    assert mailier_index([7, 7, 7]) == -1.0        # constant counts
-    assert mailier_index([0, 2]) == 0.0            # variance 1, mean 1
-    with pytest.raises(ValueError):
-        mailier_index([0, 0, 0])
-    with pytest.raises(ValueError):
-        mailier_index([5])
-
-
-def test_mailier_index_poisson_convergence():
-    draws = np.random.default_rng(13).poisson(30.0, size=10_000)
-    assert abs(mailier_index(draws)) <= 0.05
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 10**6), min_size=2, max_size=200))
+def test_season_activity_summarises_the_year_labels(counts):
+    # the threshold is the mean plus one sample standard deviation, and the
+    # active years are those strictly above it
+    summary = season_activity(counts)
+    c = np.asarray(counts, dtype=np.float64)
+    threshold = c.mean() + c.std(ddof=1)
+    labels = ["active" if x > threshold else "inactive" for x in c]
+    assert summary == {"threshold": threshold, "active_years": labels.count("active")}
+    assert type(summary["threshold"]) is float and type(summary["active_years"]) is int
 
 
 # --- the entry ---------------------------------------------------------------
@@ -318,21 +328,22 @@ def test_analyze_catalog_is_the_series_and_the_diagnostics():
         assert np.array_equal(getattr(series, name), getattr(expected, name), equal_nan=True)
     assert diagnostics == {
         "nx_independence": nx_independence(catalog),
-        "mailier_index": mailier_index(catalog.counts),
         "season_activity": season_activity(catalog.counts),
     }
+    counts = catalog.counts
+    threshold = diagnostics["season_activity"]["threshold"]
+    assert threshold == counts.mean() + counts.std(ddof=1)
+    assert diagnostics["season_activity"]["active_years"] == (counts > threshold).sum()
 
 
 def test_analyze_catalog_keeps_nan_and_notes_what_cannot_be_computed():
     _, constant = analyze_catalog(catalog_from_yearly([2, 2, 2, 2], [1.0, 3.0, 2.0, 5.0]))
     assert math.isnan(constant["nx_independence"])
-    assert constant["mailier_index"] == -1.0
+    assert constant["season_activity"] == {"threshold": 2.0, "active_years": 0}
     _, one_year = analyze_catalog(catalog_from_yearly([3], [2.0]))
     assert one_year == {
         "nx_independence": None,
         "nx_independence_note": "need at least 3 years with events, got 1",
-        "mailier_index": None,
-        "mailier_index_note": "need counts for at least 2 years",
         "season_activity": None,
         "season_activity_note": "need counts for at least 2 years",
     }
@@ -352,23 +363,37 @@ def test_analyze_catalog_raises_argument_errors_before_any_diagnostic(
     # the entry calls its steps by their module names, which the benchmark's
     # tracer wraps
     ran = []
-    for name in ("nx_independence", "mailier_index", "season_activity"):
+    for name in ("nx_independence", "season_activity"):
         monkeypatch.setattr(estimate, name, lambda arg, name=name: ran.append(name))
     catalog = catalog_from_yearly([1, 2, 3, 4], [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ValueError, match=re.escape(message)):
         analyze_catalog(catalog, **kwargs)
     assert ran == []
     analyze_catalog(catalog)
-    assert ran == ["nx_independence", "mailier_index", "season_activity"]
+    assert ran == ["nx_independence", "season_activity"]
+
+
+def _dispersion(counts) -> float:
+    """Mailier et al.'s dispersion index plus one: the population variance
+    of the counts over their mean."""
+    counts = np.asarray(counts, dtype=np.float64)
+    return counts.var() / counts.mean()
 
 
 def test_terminal_phi_equals_mailier_plus_one():
     config = stationary_config("uniform", lam=12.0, mu=5.0, years=(1, 300), seed=44)
     catalog = sr.simulate_catalog(config)
     series = long_run_series(catalog)
-    assert series.phi[-1] == pytest.approx(
-        mailier_index(catalog.counts) + 1.0, rel=1e-12, abs=1e-15
-    )
+    assert series.phi[-1] == pytest.approx(_dispersion(catalog.counts), rel=1e-12, abs=1e-15)
+    # constant counts have no dispersion, and (0, 2) has variance 1 over mean 1
+    assert long_run_series(catalog_from_yearly([7, 7, 7], [1.0] * 3)).phi[-1] == 0.0
+    assert long_run_series(catalog_from_yearly([0, 2], [0.0, 1.0])).phi[-1] == 1.0
+    # no events: the ratio is undefined
+    assert math.isnan(long_run_series(catalog_from_yearly([0, 0, 0], [0.0] * 3)).phi[-1])
+    # Poisson counts: dispersion 1
+    draws = np.random.default_rng(13).poisson(30.0, size=10_000)
+    catalog = sr.EventCatalog(0, draws, np.ones(draws.sum()))
+    assert abs(long_run_series(catalog).phi[-1] - 1.0) <= 0.05
 
 
 def test_terminal_phi_matches_mailier_plus_one_up_to_rounding():
@@ -380,7 +405,7 @@ def test_terminal_phi_matches_mailier_plus_one_up_to_rounding():
         counts = rng.poisson(rng.uniform(0.5, 300.0), size=n)
         catalog = sr.EventCatalog(0, counts, np.ones(counts.sum()))
         phi = long_run_series(catalog).phi[-1]
-        assert phi == pytest.approx(mailier_index(catalog.counts) + 1.0, rel=1e-12)
+        assert phi == pytest.approx(_dispersion(catalog.counts), rel=1e-12)
 
 
 # --- replicate-level convergence -------------------------------------------------

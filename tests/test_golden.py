@@ -131,11 +131,11 @@ GOLDEN = {
         "gpd": "96fc7b843d72625ed440f40abbb11e0de4a215bb6eb79fcf5984703fbd4bcb57",
     },
     "analyze_json": {
-        "uniform": "ad1f6f65214e3de6bf3225916c239bd03b496591ddaa0b6bf754412eac63315e",
-        "gamma": "dbea8de5b9f8f703dbc5d0b8740061e28af7240af7868e2972d3c65108d6a6e5",
-        "exponential": "0dea3cc6c30e08d57b419c789ff358a12727260ac67af5d0576a34e4e21f328a",
-        "lognormal": "b25cd91009ae3eea1df58a8eec55bead205794891d2665e462f0c5ef104000d6",
-        "gpd": "e3f564398541cc3514d7b36dc6968aa1f20b33bbecb4361ca84baf0b8ceda5f3",
+        "uniform": "1367944ef6ab7698e7bb4f8794f8ce2c87dc0d9b14a2ec3e4b5f54d798679817",
+        "gamma": "5d83b6431fd8c79d955201c85dbe49ffbcc2be5d90f3922935742d635da4848a",
+        "exponential": "916b66192068fc108ec77ba481e1187ae3d9218531022dc4a014c73d3397e861",
+        "lognormal": "dadb64a6be61d6f4accfbd00602fd9e7b11e5c0d84218793ed4c699b0956f66b",
+        "gpd": "ff1245fa93ef823da9246f1d17e9a9e0f918ac0ca56674fdf42852cc19b8344a",
     },
     "series_window_csv": {
         "uniform": "fdebb1f0153140c75e0f8039eeb7ac1fcdfe85bf42325062fa0fa683abb2d9a0",
@@ -145,11 +145,11 @@ GOLDEN = {
         "gpd": "60519b16cdc69c9ff838985f4978d180780d97980d380e642afb9ccec5dc51ed",
     },
     "analyze_window_json": {
-        "uniform": "31268956f0f58e03181e3d07c191f14b24b506460a2a8d5d57989e44aa3f5b26",
-        "gamma": "d21511963909aedf6bdc47e6d51b3185d0d273296b2cd63399ed520a118d24c8",
-        "exponential": "ea91bae6c6a2507bb24bddb92f507b75b39ecd21e4eb0578eb66c67adc9ba0f4",
-        "lognormal": "93fc1bca883eb04e82ebaddf42fd53ab061d49be054eb80867701f3a5f5ab4ba",
-        "gpd": "ed86d1f3db909c3707e2ed3d89a4c0ac113885b08fb84b8e7820ba334be4d5b1",
+        "uniform": "1ec4ad4de1eae195790a967f30f5eef814b862634ce1a6ed0dec69c34a64df30",
+        "gamma": "8bef04e9c5910090b7638f49d75b513a899df70d4452129b37cb6168e0771019",
+        "exponential": "7e14bdd84982496a0c69e1107acaa1495dbd0932570f1e4c1da067d22fab2ba3",
+        "lognormal": "591459ba2cc4088451f7dcfdc400b37c1dc54fea16ec9a6471825f054ee9b047",
+        "gpd": "09a969788c8f472a3d1a5545826918e1a625e090b9bf734ffbfb61fe1a330ac0",
     },
     "theory_csv": {
         "uniform": "dd89f12d1c03f780c8a7b5c783c066007dfbb9a2b04ba760bbe2f9a1cd7c0d6b",
