@@ -6,6 +6,8 @@ estimators see the true count process.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -30,6 +32,31 @@ def _integer(value, name: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{name}: must be an integer, got {value!r}")
+
+
+def _real(value, name: str, *, finite: bool = True) -> float:
+    """The number rule: ``value``, a real number (a bool is not one), as a
+    Python float, finite unless ``finite`` is false, else a ValueError that
+    starts with ``name``.  An int past the double range reads as infinite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}: expected a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf if value > 0 else -math.inf
+    if finite and not math.isfinite(x):
+        raise ValueError(f"{name}: must be finite, got {x}")
+    return x
+
+
+def _member(enum, value, name: str):
+    """The member of ``enum`` whose value is ``value``, else a ValueError
+    that starts with ``name``."""
+    try:
+        return enum(value)
+    except ValueError:
+        known = [m.value for m in enum]
+        raise ValueError(f"{name}: expected one of {known}, got {value!r}") from None
 
 
 def _positive_finite(x: np.ndarray) -> bool:

@@ -290,7 +290,9 @@ def _theory_table1(args) -> ExitReport:
         try:
             rows.append(table1_row(f, mu=1.0, lam=1.0, shape=shapes.get(f)))
         except ValueError as exc:
-            raise ConfigError(f"{_TABLE1_SHAPES[f][0]}: {exc}") from None
+            # the flag is the shape: a message that names it drops the name
+            rest = str(exc).removeprefix("shape: ")
+            raise ConfigError(f"{_TABLE1_SHAPES[f][0]}: {rest}") from None
     values = (np.array([getattr(r, name) for r in rows]) for name in _TABLE1_COLUMNS[2:])
     columns = [_TABLE1_FAMILIES, shape_cells, *values]
     return _emit(

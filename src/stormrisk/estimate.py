@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import EventCatalog, _frozen, _integer
+from .catalog import EventCatalog, _frozen, _integer, _real
 
 __all__ = [
     "LongRunSeries",
@@ -164,6 +164,7 @@ def fisher_interval(rho, n, level: float = 0.95):
     (|rho| >= 1, rho NaN, or fewer than 4 pairs).  Exact only for i.i.d.
     bivariate-normal pairs.
     """
+    level = _real(level, "level", finite=False)
     if not 0.0 < level < 1.0:
         raise ValueError(f"level: must lie in (0, 1), got {level}")
     q = _normal_quantile(0.5 * (1.0 + level))
@@ -211,6 +212,7 @@ def long_run_series(
     columns stay expanding.  Raises ValueError, naming the year, where a
     running sum overflows.
     """
+    ci_level = _real(ci_level, "ci_level", finite=False)
     if not 0.0 < ci_level < 1.0:
         raise ValueError(f"ci_level: must lie in (0, 1), got {ci_level}")
     if window is not None:

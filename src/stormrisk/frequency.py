@@ -27,6 +27,8 @@ from enum import Enum
 
 import numpy as np
 
+from .catalog import _member, _real
+
 __all__ = [
     "RateLink",
     "FrequencyModel",
@@ -42,15 +44,18 @@ class RateLink(str, Enum):
 
 @dataclass(frozen=True, kw_only=True)
 class FrequencyModel:
-    """Immutable Poisson count model with a log or identity rate link;
-    its rate is checked where it is used (`_check_span`)."""
+    """Immutable Poisson count model with a log or identity rate link.
+    Construction checks ``link`` and holds ``alpha0`` and ``alpha1`` as
+    finite Python floats; the rate is checked where it is used (`_check_span`)."""
 
     alpha0: float
     alpha1: float
     link: RateLink
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "link", RateLink(self.link))
+        object.__setattr__(self, "link", _member(RateLink, self.link, "link"))
+        for name in ("alpha0", "alpha1"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
 
     def _raw_rate(self, t):
         eta = self.alpha0 + self.alpha1 * t

@@ -19,8 +19,9 @@ written as empty fields.
 JSON run config: the models, year span and seed of one run; ``simulate``
 and ``verify`` require the seed, and ``theory`` checks one given but uses none.
 ``parse_config`` reads it and ``config_dict`` writes its fields back
-(all but ``mode``, which is optional), so this module alone knows the
-field names.
+(all but ``mode``, which is optional).  This module knows only the
+top-level field names: a model's fields are its dataclass fields, and
+the models and `SimulationConfig` hold every rule on their values.
 
 Parse errors carry the offending location (line number or JSON field
 path) and never escape as bare exceptions from deeper layers.
@@ -32,15 +33,16 @@ import codecs
 import csv
 import json
 import math
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .catalog import _INT64_MAX, _INT64_MIN, EventCatalog, _positive_finite
 from .estimate import LongRunSeries
-from .frequency import FrequencyModel, RateLink
-from .severity import Family, SeverityModel
-from .simulate import SimulationConfig, _check_seed, _check_years
+from .frequency import FrequencyModel
+from .severity import SeverityModel
+from .simulate import SimulationConfig
 
 __all__ = [
     "CatalogFormatError",
@@ -323,11 +325,19 @@ def write_series_stream(series: LongRunSeries, fh) -> None:
 # --- run configuration -------------------------------------------------
 
 _TOP_FIELDS = {"mode", "frequency", "severity", "years", "seed"}
-_FREQ_FIELDS = {"link", "alpha0", "alpha1"}
-_SEV_FIELDS = {"family", "beta0", "beta1", "shape"}
 # The config field of each `SimulationConfig` model argument; the CLI
 # reports a library error that starts with the argument under it too.
 MODEL_FIELDS = {"freq": "config.frequency", "sev": "config.severity"}
+# The config field of each model type, which holds the type's fields.
+_MODELS = {"frequency": FrequencyModel, "severity": SeverityModel}
+# The config path of each argument that starts a ValueError of the models
+# or the config.
+_PATHS = {
+    **{f.name: f"config.{key}.{f.name}" for key, cls in _MODELS.items() for f in fields(cls)},
+    **MODEL_FIELDS,
+    "years": "config.years",
+    "seed": "config.seed",
+}
 
 
 def _fields(obj, allowed: set[str], where: str) -> dict:
@@ -340,122 +350,68 @@ def _fields(obj, allowed: set[str], where: str) -> dict:
     return obj
 
 
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ConfigError(f"{where}.{key}: missing required field")
-    return obj[key]
-
-
-def _numbers(obj: dict, where: str, *keys: str) -> list[float]:
-    """The required number fields ``keys`` of ``obj``."""
-    return [_as_number(_require(obj, k, where), f"{where}.{k}") for k in keys]
-
-
-def _as_number(v, where: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {v!r}")
-    if not math.isfinite(v):
-        raise ConfigError(f"{where}: must be finite, got {v!r}")
-    return float(v)
-
-
-def _run_seed(raw: dict, mode: str) -> int | None:
-    """The seed ``mode`` runs with: the config's, a checked unsigned 64-bit
-    integer, which ``simulate`` and ``verify`` require; none for ``theory``.
-    A null seed, as `config_dict` writes an unseeded config's, is none."""
-    if raw.get("seed") is None:
-        if mode == "theory":
-            return None
-        raise ConfigError("config.seed: required for this mode")
-    try:
-        seed = _check_seed(raw["seed"])
-    except ValueError as exc:
-        raise ConfigError(f"config.{exc}") from None
-    return None if mode == "theory" else seed
-
-
 def parse_config(path, mode: str) -> SimulationConfig:
-    """Parse and validate the JSON run configuration of command ``mode``.
+    """Parse the JSON run configuration of command ``mode``.
 
-    A config's ``mode``, if it has one, must name the command; one
-    without, as `config_dict` writes it, is read as the command's.
-    Unknown fields are rejected.  Model parameters are validated by
-    constructing the models and then the config, whose span checks run
-    over the configured years, so for example a GPD shape of 0.6 is
-    rejected here with the violated constraint ('shape must be < 0.5 for
-    finite variance').  The seed follows the mode's rule (`_run_seed`).
+    Checks the JSON structure alone: an object without unknown fields,
+    whose ``mode``, if any, names the command (`config_dict` writes none);
+    each model's fields without a default; ``years`` a two-element list;
+    and the seed that ``simulate`` and ``verify`` require (null is none).
+    Then the fields become the models' and the `SimulationConfig`'s
+    arguments, whose constructors check every value and the models over
+    the years (a GPD shape of 0.6 fails: 'shape must be < 0.5 for finite
+    variance'); an error goes under the config path of the argument it
+    starts with (``_PATHS``).  ``theory`` checks a given seed but runs
+    with none.
     """
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError:
         raise ConfigError(_not_utf8(path, "utf-8")) from None
-    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
+    except (ValueError, RecursionError) as exc:  # deep nesting, ints past the digit limit
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     _fields(raw, _TOP_FIELDS, "config")
-
     if "mode" in raw and raw["mode"] != mode:
         raise ConfigError(f"config.mode: expected {mode!r}, got {raw['mode']!r}")
-
     if "years" not in raw:
         raise ConfigError(f"config.years: required for mode {mode!r}")
-    y = raw["years"]
-    if not (isinstance(y, list) and len(y) == 2):
+    if not (isinstance(raw["years"], list) and len(raw["years"]) == 2):
         raise ConfigError("config.years: expected [start, end]")
-    try:
-        years = _check_years(*y)
-    except ValueError as exc:
-        raise ConfigError(f"config.{exc}") from None
+    if raw.get("seed") is None and mode != "theory":
+        raise ConfigError("config.seed: required for this mode")
+    for key, cls in _MODELS.items():
+        if key not in raw:
+            raise ConfigError(f"config.{key}: missing required field")
+        obj = _fields(raw[key], {f.name for f in fields(cls)}, f"config.{key}")
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in obj:
+                raise ConfigError(f"config.{key}.{f.name}: missing required field")
 
-    seed = _run_seed(raw, mode)
-    freq = _parse_frequency(_require(raw, "frequency", "config"))
-    sev = _parse_severity(_require(raw, "severity", "config"))
-    try:  # the models' span checks, the one rule left that can fail
-        return SimulationConfig(freq=freq, sev=sev, years=years, seed=seed)
-    except ValueError as exc:
+    try:
+        config = SimulationConfig(
+            freq=FrequencyModel(**raw["frequency"]),
+            sev=SeverityModel(**raw["severity"]),
+            years=tuple(raw["years"]),
+            seed=raw.get("seed"),
+        )
+    except ValueError as exc:  # each names its argument
         name, _, rest = str(exc).partition(": ")
-        raise ConfigError(f"{MODEL_FIELDS[name]}: {rest}") from None
+        raise ConfigError(f"{_PATHS[name]}: {rest}") from None
+    return replace(config, seed=None) if mode == "theory" else config
 
 
 def config_dict(config: SimulationConfig) -> dict:
     """The fields of ``config`` as `parse_config` reads them, ``mode`` aside."""
-    freq, sev = config.freq, config.sev
+
+    def plain(model) -> dict:  # an enum member as its value
+        return {name: getattr(v, "value", v) for name, v in asdict(model).items()}
+
     return {
-        "frequency": {"link": freq.link.value, "alpha0": freq.alpha0, "alpha1": freq.alpha1},
-        "severity": {
-            "family": sev.family.value, "beta0": sev.beta0, "beta1": sev.beta1, "shape": sev.shape
-        },
+        "frequency": plain(config.freq),
+        "severity": plain(config.sev),
         "years": list(config.years),
         "seed": config.seed,
     }
-
-
-def _parse_frequency(obj) -> FrequencyModel:
-    where = "config.frequency"
-    obj = _fields(obj, _FREQ_FIELDS, where)
-    link_raw = _require(obj, "link", where)
-    try:
-        link = RateLink(link_raw)
-    except ValueError:
-        raise ConfigError(f"{where}.link: expected 'log' or 'identity', got {link_raw!r}") from None
-    alpha0, alpha1 = _numbers(obj, where, "alpha0", "alpha1")
-    return FrequencyModel(alpha0=alpha0, alpha1=alpha1, link=link)
-
-
-def _parse_severity(obj) -> SeverityModel:
-    where = "config.severity"
-    obj = _fields(obj, _SEV_FIELDS, where)
-    family_raw = _require(obj, "family", where)
-    try:
-        family = Family(str(family_raw).lower())
-    except ValueError:
-        known = [f.value for f in Family]
-        raise ConfigError(f"{where}.family: expected one of {known}, got {family_raw!r}") from None
-    beta0, beta1 = _numbers(obj, where, "beta0", "beta1")
-    shape = None if obj.get("shape") is None else _as_number(obj["shape"], f"{where}.shape")
-    try:
-        return SeverityModel(family=family, beta0=beta0, beta1=beta1, shape=shape)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None

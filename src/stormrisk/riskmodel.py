@@ -144,6 +144,6 @@ def table1_row(
     uniform has cor sqrt(3)/2 and J^2 = 3; gamma J^2 = theta; lognormal
     cor exp(-s^2/2); gpd cor sqrt((1-2xi)/(2-2xi)).
     """
-    sev = SeverityModel(family=Family(family), beta0=mu, beta1=0.0, shape=shape)
+    sev = SeverityModel(family=family, beta0=mu, beta1=0.0, shape=shape)
     freq = FrequencyModel(alpha0=lam, alpha1=0.0, link="identity")
     return risk_summary(freq, sev, 1)

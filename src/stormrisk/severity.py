@@ -35,6 +35,7 @@ from enum import Enum
 
 import numpy as np
 
+from .catalog import _member, _real
 from .frequency import _ends, _exp
 
 __all__ = [
@@ -48,13 +49,19 @@ __all__ = [
 
 
 class Family(str, Enum):
-    """Supported severity distribution families."""
+    """Supported severity distribution families, named by their values in
+    any case."""
 
     UNIFORM = "uniform"
     GAMMA = "gamma"
     EXPONENTIAL = "exponential"
     LOGNORMAL = "lognormal"
     GPD = "gpd"
+
+    @classmethod
+    def _missing_(cls, value):
+        folded = value.lower() if isinstance(value, str) else None
+        return next((member for member in cls if member.value == folded), None)
 
 
 # The members under module names: `Family.GAMMA` is a class-attribute
@@ -89,7 +96,9 @@ class SeverityModel:
     """Immutable severity model: family, linear trend ``beta0 + beta1 * t``
     on the scale driver, and shape.
 
-    Construction fails if the shape parameter is out of range for the
+    Construction checks the parameters: ``family`` a `Family` or its
+    value in any case, ``beta0``, ``beta1`` and a given ``shape`` finite
+    real numbers, held as Python floats, and the shape in range for the
     family.  The years at which the model is usable (a positive driver,
     lognormal excepted, and finite moments with positive variance) are
     checked where it is used, by `_check_span`.
@@ -101,25 +110,27 @@ class SeverityModel:
     shape: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "family", Family(self.family))
+        object.__setattr__(self, "family", _member(Family, self.family, "family"))
+        for name in ("beta0", "beta1"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        if self.shape is not None:
+            object.__setattr__(self, "shape", _real(self.shape, "shape"))
         fam = self.family
         if fam in _SHAPED:
             if self.shape is None:
-                raise ValueError(f"{fam.value} family requires a shape parameter")
-            if not math.isfinite(self.shape):
-                raise ValueError(f"shape must be finite, got {self.shape}")
+                raise ValueError(f"shape: {fam.value} family requires a shape parameter")
             if fam is _GAMMA and self.shape <= 0:
-                raise ValueError(f"gamma shape must be > 0, got {self.shape}")
+                raise ValueError(f"shape: gamma shape must be > 0, got {self.shape}")
             if fam is _LOGNORMAL and self.shape <= 0:
                 # shape == 0 would be a degenerate point mass; reject here
                 # rather than special-case zero variance downstream.
-                raise ValueError(f"lognormal log-sd must be > 0, got {self.shape}")
+                raise ValueError(f"shape: lognormal log-sd must be > 0, got {self.shape}")
             if fam is _GPD and self.shape >= 0.5:
                 raise ValueError(
-                    f"gpd shape must be < 0.5 for finite variance, got {self.shape}"
+                    f"shape: gpd shape must be < 0.5 for finite variance, got {self.shape}"
                 )
         elif self.shape is not None:
-            raise ValueError(f"{fam.value} family takes no shape parameter")
+            raise ValueError(f"shape: {fam.value} family takes no shape parameter")
 
     def driver(self, t):
         """Driver ``mu_t`` at a year or a 1-D array of years.  Raises where

@@ -220,36 +220,15 @@ def _lane_draws(prefix: tuple[int, ...], keys, lam) -> tuple[np.ndarray, np.ndar
     return counts, marks
 
 
-def _check_years(start, end) -> tuple[int, int]:
-    """The years rule of a run: signed 64-bit integers ``start <= end``,
-    spanning at most ``_MAX_ROWS`` years, returned as ints."""
-    start, end = _integer(start, "years"), _integer(end, "years")
-    for year in (start, end):
-        if not _INT64_MIN <= year <= _INT64_MAX:
-            raise ValueError(f"years: must be signed 64-bit integers, got {year}")
-    if start > end:
-        raise ValueError(f"years: start {start} exceeds end {end}")
-    if (n := end - start + 1) > _MAX_ROWS:
-        raise ValueError(f"years: span {n} years, more than the {_MAX_ROWS} a run may hold")
-    return start, end
-
-
-def _check_seed(seed) -> int:
-    """The seed rule of a run: an integer in ``[0, 2**64)``, returned as an int."""
-    seed = _integer(seed, "seed")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed: must fit in unsigned 64 bits, got {seed}")
-    return seed
-
-
 @dataclass(frozen=True, kw_only=True)
 class SimulationConfig:
     """A frequency/severity pair, an inclusive year span and a seed: one
     validated run configuration.
 
     Year ``y`` maps to the model year index ``t = y - start + 1``.  The
-    years follow `_check_years` and the seed `_check_seed`, kept as the
-    ints they return; then each model's span check runs once over
+    years are signed 64-bit integers ``start <= end`` spanning at most
+    ``_MAX_ROWS`` years, and a given seed an integer in ``[0, 2**64)``,
+    both kept as Python ints; then each model's span check runs once over
     ``[1, n_years]``, its error prefixed ``freq:`` or ``sev:``.  ``seed``
     may be None for the closed forms; the simulators require it.
     """
@@ -260,9 +239,20 @@ class SimulationConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "years", _check_years(*self.years))
+        start, end = (_integer(year, "years") for year in self.years)
+        for year in (start, end):
+            if not _INT64_MIN <= year <= _INT64_MAX:
+                raise ValueError(f"years: must be signed 64-bit integers, got {year}")
+        if start > end:
+            raise ValueError(f"years: start {start} exceeds end {end}")
+        if (n := end - start + 1) > _MAX_ROWS:
+            raise ValueError(f"years: span {n} years, more than the {_MAX_ROWS} a run may hold")
+        object.__setattr__(self, "years", (start, end))
         if self.seed is not None:
-            object.__setattr__(self, "seed", _check_seed(self.seed))
+            seed = _integer(self.seed, "seed")
+            if not 0 <= seed < 2**64:
+                raise ValueError(f"seed: must fit in unsigned 64 bits, got {seed}")
+            object.__setattr__(self, "seed", seed)
         for name, check in (("freq", frequency._check_span), ("sev", severity._check_span)):
             try:
                 check(getattr(self, name), 1, self.n_years)

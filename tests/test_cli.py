@@ -521,8 +521,21 @@ FIELD_ERROR_CASES = {
         [],
         f"config.years: must be signed 64-bit integers, got {2**63 + 3}",
     ),
+    # a JSON integer past the double range is refused as the infinity it rounds to
+    "alpha0-past-double": (
+        {"frequency": {"link": "log", "alpha0": 10**400, "alpha1": 0.0}},
+        [],
+        "config.frequency.alpha0: must be finite, got inf",
+    ),
+    "beta0-past-double": (
+        {"severity": {"family": "exponential", "beta0": -(10**400), "beta1": 0.0}},
+        [],
+        "config.severity.beta0: must be finite, got -inf",
+    ),
     "table1-gpd-shape": (None, ["--gpd-shape", "0.5"], "--gpd-shape: gpd shape must be"),
-    "table1-gamma-shape": (None, ["--gamma-shape", "nan"], "--gamma-shape: shape must be"),
+    "table1-gamma-shape": (
+        None, ["--gamma-shape", "nan"], "--gamma-shape: must be finite, got nan"
+    ),
     "table1-lognormal-sigma": (
         None, ["--lognormal-sigma", "40"], "--lognormal-sigma: intensity moments"
     ),
@@ -879,6 +892,16 @@ def test_simulate_without_a_seed_is_an_input_error(tmp_path):
     assert not out.exists()
 
 
+def test_simulate_of_a_catalog_without_events_writes_the_header_alone(tmp_path):
+    # a rate of exp(-50) per year: no event in 60 years
+    cfg = simulate_config(frequency={"link": "log", "alpha0": -50.0, "alpha1": 0.0})
+    out = tmp_path / "events.csv"
+    report = run(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert report.status is ExitStatus.OK
+    assert (report.payload["n_events"], report.payload["n_years"]) == (0, 60)
+    assert out.read_bytes() == b"year,intensity\r\n"
+
+
 # --- the contract under any input ---------------------------------------------
 
 
@@ -896,6 +919,12 @@ FUZZ_YEARS = _mostly(
         st.sampled_from([-1, 0, 4, 10**4, 10**7, 2**64]),
     ),
 ).map(lambda y: [y[0], y[0] + y[1]])
+# The rare values of a model's number field: extreme floats, and one
+# time in three an integer past the double range, which JSON holds and
+# Python reads
+FUZZ_NUMBERS = st.sampled_from(
+    [EXTREME_FLOATS, EXTREME_FLOATS, st.sampled_from([10**400, -(10**400)])]
+).flatmap(lambda s: s)
 # GPD shapes near zero, where the inverse CDF cancels
 FUZZ_SHAPES = _mostly(
     st.one_of(
@@ -903,7 +932,7 @@ FUZZ_SHAPES = _mostly(
         st.floats(-1.0, 0.0),
         st.sampled_from([5e-324, -5e-324, 1e-17, -1e-12, 1e-8]),
     ),
-    EXTREME_FLOATS,
+    FUZZ_NUMBERS,
 )
 
 
@@ -912,8 +941,8 @@ def fuzz_severities(draw):
     family = draw(_mostly(st.sampled_from(FAMILIES), st.sampled_from(["GPD", "pareto"])))
     severity = {
         "family": family,
-        "beta0": draw(_mostly(st.floats(0.1, 10.0), EXTREME_FLOATS)),
-        "beta1": draw(_mostly(st.floats(-0.1, 0.1), EXTREME_FLOATS)),
+        "beta0": draw(_mostly(st.floats(0.1, 10.0), FUZZ_NUMBERS)),
+        "beta1": draw(_mostly(st.floats(-0.1, 0.1), FUZZ_NUMBERS)),
     }
     shaped = family in ("gamma", "lognormal", "gpd")
     if draw(_mostly(st.just(shaped), st.booleans())):
@@ -926,8 +955,8 @@ FUZZ_CONFIGS = st.fixed_dictionaries(
         "frequency": st.fixed_dictionaries(
             {
                 "link": _mostly(st.sampled_from(["log", "identity"]), st.just("logit")),
-                "alpha0": _mostly(st.floats(-1.0, 4.0), EXTREME_FLOATS),
-                "alpha1": _mostly(st.floats(-0.1, 0.1), EXTREME_FLOATS),
+                "alpha0": _mostly(st.floats(-1.0, 4.0), FUZZ_NUMBERS),
+                "alpha1": _mostly(st.floats(-0.1, 0.1), FUZZ_NUMBERS),
             }
         ),
         "severity": fuzz_severities(),
@@ -969,6 +998,32 @@ def invocations(draw):
     return argv, {"cfg.json": json.dumps(config).encode()}
 
 
+def _finite(value) -> bool:
+    return abs(value) <= sys.float_info.max  # False for NaN
+
+
+# Each model field of a config in the order the models check them, with
+# whether a model takes a fuzzed value
+MODEL_RULES = [
+    ("frequency", "link", lambda v: v in ("log", "identity")),
+    ("frequency", "alpha0", _finite),
+    ("frequency", "alpha1", _finite),
+    ("severity", "family", lambda v: v.lower() in FAMILIES),
+    ("severity", "beta0", _finite),
+    ("severity", "beta1", _finite),
+    ("severity", "shape", _finite),
+]
+
+
+def _first_refused_field(config: dict) -> str | None:
+    """The config path of the first model field, in check order, whose
+    fuzzed value no model takes."""
+    for model, name, takes in MODEL_RULES:
+        if name in config[model] and not takes(config[model][name]):
+            return f"config.{model}.{name}"
+    return None
+
+
 # verify checks whose target is a correlation or a variance
 TARGET_RANGES = {
     "count-aggregate correlation": (0.0, 1.0),
@@ -1001,6 +1056,14 @@ def test_every_input_exits_0_1_or_2_with_a_json_payload(tmp_path_factory, case):
     assert code in (0, 1, 2), err.getvalue()
     payload = strict_json(out.getvalue().splitlines()[-1])
     assert "Traceback" not in err.getvalue()
+    # a model number past the double range is an input error, under the
+    # seed a run requires or the first refused model field
+    config = json.loads(files.get("cfg.json", b"{}"))
+    numbers = [v for key in ("frequency", "severity") for v in config.get(key, {}).values()]
+    if any(isinstance(v, int) and not _finite(v) for v in numbers):
+        seedless = config["seed"] is None and config["mode"] != "theory"
+        path = "config.seed" if seedless else _first_refused_field(config)
+        assert code == 2 and payload["error"].startswith(f"{path}: "), payload
     # a closed-form target is null or in its range
     for check in payload.get("checks", ()):
         target = check["target"]

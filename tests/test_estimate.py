@@ -235,6 +235,27 @@ def test_fisher_interval_validation():
         fisher_interval(0.5, 10, level=1.0)
 
 
+@pytest.mark.parametrize(
+    "level, message",
+    [
+        (None, "expected a number, got None"),
+        ("x", "expected a number, got 'x'"),
+        (True, "expected a number, got True"),
+        (math.nan, "must lie in (0, 1), got nan"),
+        (-math.inf, "must lie in (0, 1), got -inf"),
+        (1, "must lie in (0, 1), got 1.0"),
+        (10**400, "must lie in (0, 1), got inf"),
+    ],
+)
+def test_a_level_is_a_number_in_the_unit_interval(level, message):
+    # the number rule's type check, then the range rule, in both entries
+    with pytest.raises(ValueError, match=f"^level: {re.escape(message)}$"):
+        fisher_interval(0.5, 10, level=level)
+    catalog = catalog_from_yearly([1, 2, 3, 4], [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match=f"^ci_level: {re.escape(message)}$"):
+        long_run_series(catalog, ci_level=level)
+
+
 def test_fisher_interval_is_elementwise():
     rho = np.array([0.0, 0.5, 1.0, np.nan, 0.5])
     n = np.array([7, 103, 10, 10, 3])

@@ -96,9 +96,15 @@ def test_log_link_always_positive():
     n=st.integers(1, 31),
 )
 def test_constructed_rate_is_positive_and_finite_at_every_year(link, alpha0, alpha1, n):
-    # over the years of any config that accepts the model, the rate is
-    # usable; at any year, rate, sample_count and risk_summary raise
-    # exactly where the span check does, with its message
+    # construction refuses a non-finite parameter, naming it; over the
+    # years of any config that accepts the model, the rate is usable; at
+    # any year, rate, sample_count and risk_summary raise exactly where
+    # the span check does, with its message
+    for name, value in (("alpha0", alpha0), ("alpha1", alpha1)):
+        if not math.isfinite(value):
+            with pytest.raises(ValueError, match=f"^{name}: must be finite, got {value}$"):
+                sr.FrequencyModel(alpha0=alpha0, alpha1=alpha1, link=link)
+            return
     model = sr.FrequencyModel(alpha0=alpha0, alpha1=alpha1, link=link)
     sev = sr.SeverityModel(family="exponential", beta0=1.0, beta1=0.0)
     try:

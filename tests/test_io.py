@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -682,6 +683,10 @@ def test_parse_config_locates_field_errors(tmp_path):
     with pytest.raises(ConfigError, match="frequency.alpha0"):
         sr.parse_config(dump(tmp_path, cfg), "simulate")
     cfg = minimal_simulate_config()
+    del cfg["severity"]
+    with pytest.raises(ConfigError, match="^config.severity: missing required field$"):
+        sr.parse_config(dump(tmp_path, cfg), "simulate")
+    cfg = minimal_simulate_config()
     cfg["mode"] = "other"
     with pytest.raises(ConfigError, match="mode"):
         sr.parse_config(dump(tmp_path, cfg), "simulate")
@@ -836,10 +841,13 @@ def test_parse_config_never_panics_on_adversarial_inputs(tmp_path):
             mode = "verify" if '"verify"' in text else "simulate"
             sr.parse_config(write(tmp_path, f"bad{i}.json", text), mode)
     # errors the JSON decoder reports without a location name the file
-    for data, message in [
+    located = [
         (b"[" * 10**5, "invalid JSON: maximum recursion depth exceeded"),
         (b'{"mode": "simulate",\n "years": [\xff]}', "line 2: not UTF-8, byte 0xff"),
-    ]:
+    ]
+    if hasattr(sys, "get_int_max_str_digits"):  # the interpreter limits int literals
+        located.append((b'{"seed": 1' + b"0" * 5000 + b"}", "invalid JSON: Exceeds the limit"))
+    for data, message in located:
         path = tmp_path / "located.json"
         path.write_bytes(data)
         with pytest.raises(ConfigError) as excinfo:

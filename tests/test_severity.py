@@ -1,9 +1,10 @@
 import decimal
 import math
+import numbers
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -228,6 +229,72 @@ def test_constructed_model_has_usable_moments_at_every_year(data, family, beta0,
             with pytest.raises(ValueError) as excinfo:
                 sample_intensity(model, t, np.random.default_rng(0), size=1)
             assert str(excinfo.value) == message
+
+
+# Constructor arguments for a model's number fields: numbers of every
+# kind the library may be given, and values that are not finite numbers.
+MODEL_NUMBERS = st.one_of(
+    st.floats(),
+    st.integers(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400)]),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.text(max_size=3),
+    st.none(),
+    st.booleans(),
+)
+MODEL_TYPES = {
+    "frequency": (sr.FrequencyModel, ["alpha0", "alpha1"]),
+    "severity": (sr.SeverityModel, ["beta0", "beta1", "shape"]),
+}
+
+
+def _finite_real(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, whose double is finite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:  # an int past the double range
+        return False
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(data=st.data(), model=st.sampled_from(list(MODEL_TYPES)))
+@example(data={"link": "log", "alpha0": "2", "alpha1": 0.0}, model="frequency")
+@example(data={"family": "gamma", "beta0": 1.0, "beta1": 0.0, "shape": True}, model="severity")
+@example(data={"link": "log", "alpha0": 10**400, "alpha1": 0.0}, model="frequency")
+def test_models_hold_finite_floats_or_refuse_the_first_bad_number_by_name(data, model):
+    # a model holds each number field as the Python float of its input;
+    # a field given no finite real number (a bool is none, nor is an int
+    # past the double range) is refused with an error that starts with
+    # its name, the first such field in order; a severity shape may be
+    # None, and once all are numbers the family's shape rule checks it
+    cls, names = MODEL_TYPES[model]
+    if isinstance(data, dict):  # an explicit example
+        args = data
+    else:
+        args = {"link": "log"} if model == "frequency" else {
+            "family": data.draw(st.sampled_from(FAMILIES), label="family")
+        }
+        args |= {name: data.draw(MODEL_NUMBERS, label=name) for name in names}
+    bad = [
+        name for name in names
+        if not (_finite_real(args[name]) or (name == "shape" and args[name] is None))
+    ]
+    try:
+        built = cls(**args)
+    except ValueError as exc:
+        message = str(exc)
+        assert message.startswith(f"{bad[0]}: " if bad else "shape: "), message
+        return
+    assert not bad
+    for name in names:
+        value = getattr(built, name)
+        if args[name] is None:
+            assert value is None
+        else:
+            assert type(value) is float and value == float(args[name])
 
 
 def test_horizon_violation_raises():
