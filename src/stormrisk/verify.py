@@ -48,14 +48,22 @@ def _statistics(n, s, x1) -> tuple[float, ...]:
     # 0.0 also when the product of two positive variances underflows
     product = var_n * var_s
     cor_ns = cov_ns / math.sqrt(product) if product > 0 else math.nan
-    marked = ~np.isnan(x1)
-    if marked.sum() < 2:
+    missing = np.isnan(x1)
+    n_missing = np.count_nonzero(missing)
+    if missing.size - n_missing < 2:
         cov_xs = math.nan
     else:
-        # the product overwrites the compressed first marks once their mean is taken
-        x1, s1 = x1[marked], s[marked]
+        # With every replicate marked, compressed copies would hold x1 and s
+        # value for value, so the means keep their bits and the product is
+        # the one new array.  Otherwise the product overwrites the
+        # compressed first marks once their mean is taken.
+        s1, out = s, None
+        if n_missing:
+            marked = np.logical_not(missing, out=missing)
+            x1 = out = x1[marked]
+            s1 = s[marked]
         mean_x1, mean_s1 = np.mean(x1), np.mean(s1)
-        cov_xs = float(np.mean(np.multiply(x1, s1, out=x1)) - mean_x1 * mean_s1)
+        cov_xs = float(np.mean(np.multiply(x1, s1, out=out)) - mean_x1 * mean_s1)
     if math.isnan(cor_ns) or not 0 < cor_ns < 1 or mean_n <= 0:
         j_squared = math.nan
     else:
@@ -105,7 +113,11 @@ def _checks(
     `verification_checks` takes.  The counts are read as the sample's
     int64 array, with no float copy: every partial sum of counts is an
     integer far below 2**53, so means, variances and ``n * s`` take the
-    same bits as on float64 counts."""
+    same bits as on float64 counts.  Beyond the sample, the checks hold
+    one float64 temporary at a time, plus the one-byte NaN mask and,
+    where a replicate has no event, compressed first marks and sums:
+    tracemalloc measured 9.2 bytes per replicate with every replicate
+    marked (gamma at rate 20) and at most 17 otherwise."""
     full = (sample.counts, sample.sums, sample.first_marks)
     n_batches = min(100, len(sample) // 10)
     batches = zip(*(np.array_split(a, n_batches) for a in full))

@@ -390,18 +390,24 @@ def test_pieces_are_cut_by_marks_in_a_block_near_the_marks_budget(monkeypatch):
 
 
 def test_a_thread_holds_one_piece_of_marks_at_a_time(monkeypatch):
-    # about 2e6 marks in 31 pieces, each with 1 MiB of marks and bin
-    # indices: a thread holding two pieces at once passes the bound
-    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
-    config = stationary_config("gpd", lam=20.0, mu=1.5, shape=0.2, seed=9)
-    replicates = 100_000
-    tracemalloc.start()
-    try:
-        replicate_fixed_year(config, 1, replicates)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 24 * replicates + 2 * 2**20
+    # Beyond the sample, each thread holds its block's int64 mark offsets
+    # and one piece: at most _PIECE marks and as many int64 replicate
+    # indices, so a second piece held at once passes the bound.  Gamma
+    # marks need no temporaries; the slack covers the arrays of a piece's
+    # replicates, about 1600 at rate 20.
+    config = stationary_config("gamma", lam=20.0, mu=2.0, shape=2.0, seed=7)
+    replicate_fixed_year(config, 1, 1000)  # first-call allocations stay out of the trace
+    replicates = 4 * _BATCH
+    per_thread = 8 * (_BATCH + 1) + 16 * _PIECE + 64 * 1024
+    for cpus in (1, 2):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+        tracemalloc.start()
+        try:
+            replicate_fixed_year(config, 1, replicates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 24 * replicates <= cpus * per_thread, cpus
 
 
 def test_usable_cpus_without_an_affinity_call(monkeypatch):
@@ -525,6 +531,18 @@ def test_config_rejects_float_years(years, bad):
     message = f"years: must be an integer, got {bad}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         sr.SimulationConfig(freq=freq, sev=sev, years=years, seed=0)
+
+
+@pytest.mark.parametrize("years", [(1, 2, 3), (1,), (), 5, None], ids=repr)
+def test_config_years_must_be_a_pair(years):
+    freq = sr.FrequencyModel(alpha0=5.0, alpha1=0.0, link="identity")
+    sev = sr.SeverityModel(family="exponential", beta0=1.0, beta1=0.0)
+    message = f"years: expected (start, end), got {years!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sr.SimulationConfig(freq=freq, sev=sev, years=years, seed=0)
+    # any two-element sequence is a pair, a list or a numpy array too
+    for pair in ([1, 10], np.array([1, 10])):
+        assert sr.SimulationConfig(freq=freq, sev=sev, years=pair, seed=0).years == (1, 10)
 
 
 def test_config_spans_numpy_years_without_wrapping():

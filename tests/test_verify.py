@@ -110,18 +110,20 @@ def test_statistics_match_the_per_statistic_reference_bit_for_bit(family, lam, r
 
 
 @pytest.mark.parametrize(
-    "family, lam, shape",
-    [("gamma", 20.0, 2.0), ("lognormal", 1.0, 1.0)],
+    "family, lam, shape, per_replicate",
+    [("gamma", 20.0, 2.0, 9), ("lognormal", 1.0, 1.0, 17)],
     ids=["every replicate with an event", "many replicates without events"],
 )
-def test_checks_hold_at_most_17_bytes_per_replicate_and_leave_the_sample_unchanged(
-    family, lam, shape
+def test_checks_hold_at_most_9_or_17_bytes_per_replicate_and_leave_the_sample_unchanged(
+    family, lam, shape, per_replicate
 ):
-    # counts read in place, the mark product formed in the compressed
-    # first-mark copy: the two compressed copies and the mask remain
+    # counts read in place; with every replicate marked, the NaN mask and
+    # the mark product (9 bytes), else the mask and the compressed first
+    # marks and sums, the product formed in the first-mark copy (17 bytes)
     replicates = 100_000
     config = stationary_config(family, lam=lam, mu=2.0, shape=shape, seed=7)
     sample = simulate.replicate_fixed_year(config, 1, replicates)
+    assert np.isnan(sample.first_marks).any() == (per_replicate == 17)
     before = [a.copy() for a in (sample.counts, sample.sums, sample.first_marks)]
     summary = sr.risk_summary(config.freq, config.sev, 1)
     tracemalloc.start()
@@ -130,7 +132,7 @@ def test_checks_hold_at_most_17_bytes_per_replicate_and_leave_the_sample_unchang
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 17 * replicates + 256 * 1024
+    assert peak <= per_replicate * replicates + 256 * 1024
     for got, want in zip((sample.counts, sample.sums, sample.first_marks), before):
         assert got.dtype == want.dtype
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
