@@ -114,7 +114,7 @@ def test_statistics_match_the_per_statistic_reference_bit_for_bit(family, lam, r
     [("gamma", 20.0, 2.0, 9), ("lognormal", 1.0, 1.0, 17)],
     ids=["every replicate with an event", "many replicates without events"],
 )
-def test_checks_hold_at_most_9_or_17_bytes_per_replicate_and_leave_the_sample_unchanged(
+def test_checks_hold_at_most_17_bytes_per_replicate_and_leave_the_sample_unchanged(
     family, lam, shape, per_replicate
 ):
     # counts read in place; with every replicate marked, the NaN mask and
