@@ -401,9 +401,11 @@ def replicate_fixed_year(
     of at most ``_PIECE`` marks and as many int64 replicate indices,
     ``16 * _PIECE`` bytes, freed before the next is drawn: 768 KiB a
     thread.  tracemalloc measured 1.64 MB beyond the sample on two
-    threads (gamma at rate 20).  At low rates a piece spans many
-    replicates, whose own arrays add to this: 1.1 MB on one thread for
-    lognormal at rate 1.
+    threads (gamma at rate 20).  The GPD inverse CDF holds the uniforms
+    and two temporaries of a piece while it is drawn, ``24 * _PIECE``
+    bytes in place of the piece: 1.03 MiB on one thread.  At low rates a
+    piece spans many replicates, whose own arrays add to this: 1.1 MB
+    on one thread for lognormal at rate 1.
     """
     seed = _seed(config)
     replicates = _integer(replicates, "replicates")

@@ -391,23 +391,34 @@ def test_pieces_are_cut_by_marks_in_a_block_near_the_marks_budget(monkeypatch):
 
 def test_a_thread_holds_one_piece_of_marks_at_a_time(monkeypatch):
     # Beyond the sample, each thread holds its block's int64 mark offsets
-    # and one piece: at most _PIECE marks and as many int64 replicate
-    # indices, so a second piece held at once passes the bound.  Gamma
-    # marks need no temporaries; the slack covers the arrays of a piece's
-    # replicates, about 1600 at rate 20.
-    config = stationary_config("gamma", lam=20.0, mu=2.0, shape=2.0, seed=7)
-    replicate_fixed_year(config, 1, 1000)  # first-call allocations stay out of the trace
+    # and one piece of at most _PIECE marks.  While a piece is drawn, it
+    # holds float64 arrays of the piece's marks: the marks alone for
+    # gamma, the uniforms and two inverse-CDF temporaries for GPD.  While
+    # it is summed, the marks and as many int64 replicate indices, and at
+    # most 25 bytes for each of the piece's replicates (the bool mask and
+    # two int64 or float64 arrays of the first-mark gathers or the range
+    # and bincount).  At rate 20 a piece spans about _PIECE / 20
+    # replicates; twice that bounds it.  The 16 KiB covers each block's
+    # generators.  A second piece held at once passes the bound.
+    lam = 20
     replicates = 4 * _BATCH
-    per_thread = 8 * (_BATCH + 1) + 16 * _PIECE + 64 * 1024
-    for cpus in (1, 2):
-        monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
-        tracemalloc.start()
-        try:
-            replicate_fixed_year(config, 1, replicates)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - 24 * replicates <= cpus * per_thread, cpus
+    piece_replicates = 2 * _PIECE // lam
+    for config, drawn in [
+        (stationary_config("gamma", lam=lam, mu=2.0, shape=2.0, seed=7), 1),
+        (stationary_config("gpd", lam=lam, mu=1.5, shape=0.2, seed=9), 3),
+    ]:
+        piece = max(8 * drawn * _PIECE, 16 * _PIECE + 25 * piece_replicates)
+        per_thread = 8 * (_BATCH + 1) + piece + 16 * 1024
+        replicate_fixed_year(config, 1, 1000)  # first-call allocations stay out of the trace
+        for cpus in (1, 2):
+            monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+            tracemalloc.start()
+            try:
+                replicate_fixed_year(config, 1, replicates)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - 24 * replicates <= cpus * per_thread, (config.sev.family, cpus)
 
 
 def test_usable_cpus_without_an_affinity_call(monkeypatch):
