@@ -58,10 +58,11 @@ EVENT_COLUMNS = ("year", "intensity")
 _BLOCK_BYTES = 1 << 17  # an event CSV is read this many bytes at a time
 
 # Written CSVs end lines as csv.writer does.  Rows are encoded and
-# written a chunk at a time, which keeps memory flat: a chunk's words and
-# temporaries take a few megabytes.  A chunk holds this many float cells,
-# where the encoder's cost per cell is lowest, spread over its float
-# columns.
+# written a chunk at a time, which keeps memory flat.  A chunk holds this
+# many float cells, where the encoder's cost per cell is lowest, spread
+# over its float columns.  An encoder call of n cells works in 40 n bytes
+# of integer rows, at most 40 n more before its k word rows exist and the
+# 4 k n bytes of those rows after (see `_cells`).
 _EOL = "\r\n"
 _CHUNK_CELLS = 8192
 
@@ -246,8 +247,11 @@ def write_csv_rows(fh, header, columns, *, na_rep: str = "") -> None:
     rows, and its m column slices go to the encoder in one call.  Every
     other column chunk is encoded on its own (see ``_cells``), and the
     chunk's rows are laid side by side, stripped of NULs and decoded in
-    one piece.  The encoder is imported on first use: compiling it is
-    about 5 ms of the start of every CLI call, and most calls write no CSV.
+    one piece.  A float encoder call of n cells works in 40 n bytes of
+    integer rows, at most 40 n more before its k word rows exist, and
+    besides them 4 k n bytes after.  The encoder is imported on first
+    use: compiling it is about 5 ms of the start of every CLI call, and
+    most calls write no CSV.
     """
     fh.write(",".join(header) + _EOL)
     n = len(columns[0])

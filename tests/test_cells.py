@@ -4,12 +4,14 @@ for every double, ``str`` for every int64, NaN as the missing-value text."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stormrisk._cells import column_words
+from stormrisk._cells import column_words, float_words
 
 INT64 = np.iinfo(np.int64)
 
@@ -35,6 +37,55 @@ def assert_reprs(values) -> None:
 def test_every_bit_pattern_is_written_as_repr(patterns):
     values = np.array(patterns, np.uint64).view(np.float64)
     assert cells(values, "nan") == reference(values, "nan")
+
+
+def test_one_call_over_every_binary_exponent_and_sign():
+    # significands 0 (a power of two), 1, 2^51, 2^52 - 1 (the neighbours
+    # of the next power) and one random per biased exponent, both signs:
+    # subnormals, inf and NaN payloads included
+    rng = np.random.default_rng(37)
+    exponent = np.repeat(np.arange(2048, dtype=np.uint64), 5)
+    significand = np.tile(np.array([0, 1, 2**51, 2**52 - 1, 0], np.uint64), 2048)
+    significand[4::5] = rng.integers(0, 2**52, 2048, dtype=np.uint64)
+    patterns = np.concatenate([exponent << np.uint64(52) | significand] * 2)
+    patterns[len(patterns) // 2 :] |= np.uint64(2**63)
+    values = patterns.view(np.float64)
+    assert len(values) >= 20000
+    assert cells(values, "nan") == reference(values, "nan")
+
+
+@pytest.mark.parametrize("order", ["increasing", "decreasing"])
+def test_consecutive_calls_around_the_chunk_size(order):
+    # each call's workspace and the tails of its rows start afresh
+    lengths = [1, 7, 8191, 8192, 8193, 20000]
+    rng = np.random.default_rng(order == "decreasing")
+    for n in lengths if order == "increasing" else lengths[::-1]:
+        draws = rng.lognormal(0, 6, n)
+        bits = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+        pick = [rng.random(n) < 0.4, rng.random(n) < 0.5]
+        values = np.select(pick, [bits, draws.round(3)], draws)
+        assert cells(values, "nan") == reference(values, "nan")
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e16])
+def test_a_float_call_works_in_a_bounded_workspace(scale):
+    # float_words holds a workspace of five uint64 rows for the whole call.
+    # Before its k word rows exist, its two 128-bit products and the layout
+    # make at most five more uint64 rows at once; once they exist, only bool
+    # masks and the copies np.take makes of the word rows it fills.  Slack:
+    # 20 bytes a cell for those, up to 12 masks of a byte and 8 for the
+    # copy of a two-row take.
+    n = 8192
+    rng = np.random.default_rng(7)
+    values = rng.gamma(2.0, 3.0, n) * scale ** rng.random(n)  # up to 13 word rows
+    k = len(float_words(values, ""))
+    tracemalloc.start()
+    try:
+        float_words(values, "")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * (8 * 5 + max(8 * 5, 4 * k) + 20) <= 2**20
 
 
 def neighbours(values) -> np.ndarray:
